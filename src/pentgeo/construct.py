@@ -1,10 +1,10 @@
 """Geometry constructions and the two large-parameter planners.
 
 Constructions take verified geometries, designs or seed graphs, produce a new
-geometry, and verify it before returning; nothing leaves unchecked (the one
-exception is the documented shape-only path in product() for very large
-outputs).  Planners do arithmetic only: they search for ingredient sizes
-satisfying a recursion and return a plan object, never a geometry.
+geometry, and verify all four axioms before returning, whatever its size;
+nothing leaves unchecked.  Planners do arithmetic only: they search for
+ingredient sizes satisfying a recursion and return a plan object, never a
+geometry.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ from .errors import (
 from .graphs import Graph, distance3_graph, inflate, report, shift_automorphisms
 from .hillclimb import COMPLETE, ClimbConfig, ClimbProblem, climb, climb_3gdd
 
-# Full axiom verification is skipped above this point count; constructions
-# then check line count, uniformity and regularity only.
-VERIFY_POINT_LIMIT = 1500
-
-
 def _steiner(k: int, w: int) -> SteinerSystem:
     """S(2,k,w) from the recipes at hand, or NoIngredient."""
     try:
@@ -80,20 +75,7 @@ def _finish(lines: set[Line], k: int, r: int, w: int, provenance: str) -> Geomet
         raise ResultFailedVerification(
             f"{provenance}: built {len(geom.lines)} lines, expected {params.b}"
         )
-    if params.v <= VERIFY_POINT_LIMIT:
-        _verified(geom, ResultFailedVerification, provenance)
-    else:
-        counts = [0] * params.v
-        for ln in geom.lines:
-            if len(ln) != k:
-                raise ResultFailedVerification(f"{provenance}: line {ln} has size != {k}")
-            for x in ln:
-                counts[x] += 1
-        if any(c != r for c in counts):
-            bad = next(x for x in range(params.v) if counts[x] != r)
-            raise ResultFailedVerification(
-                f"{provenance}: point {bad} on {counts[bad]} lines, expected {r}"
-            )
+    _verified(geom, ResultFailedVerification, provenance)
     return geom
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -249,14 +250,32 @@ def geometry_to_json(geom: Geometry, provenance: dict | None = None) -> str:
     return json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
 
 
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise PentSyntaxError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def geometry_from_json(text: str) -> Geometry:
+    """Load geometry JSON, checking every type before any arithmetic runs.
+
+    k, r and w must be integers, lines a list of integer lists, and v, when
+    present, the point count that (k, r, w) give."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PentSyntaxError(f"bad JSON: {exc}")
-    try:
-        params = derive_params(int(payload["k"]), int(payload["r"]), int(payload["w"]))
-        lines = payload["lines"]
-    except KeyError as exc:
-        raise PentSyntaxError(f"missing field {exc}")
+    if type(payload) is not dict:
+        raise PentSyntaxError("geometry JSON must be an object")
+    missing = [field for field in ("k", "r", "w", "lines") if field not in payload]
+    if missing:
+        raise PentSyntaxError(f"missing field {missing[0]!r}")
+    params = derive_params(*(_json_int(payload[field], field) for field in "krw"))
+    if "v" in payload and _json_int(payload["v"], "v") != params.v:
+        raise PentSyntaxError(f"v = {payload['v']} but (k,r,w) give v = {params.v}")
+    lines = payload["lines"]
+    if type(lines) is not list or set(map(type, lines)) - {list}:
+        raise PentSyntaxError("lines must be a list of point lists")
+    if set(map(type, chain.from_iterable(lines))) - {int}:
+        raise PentSyntaxError("line entries must be integers")
     return geometry(params, lines)

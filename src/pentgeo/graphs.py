@@ -3,13 +3,22 @@
 Deficiency graphs of pentagonal geometries are what these functions exist
 for, but nothing here knows about geometries.  Graphs are immutable; girth
 returns None for acyclic graphs rather than a sentinel number.
+
+The invariants run on neighbourhood bit masks (Python ints, bit y set when
+y is a neighbour): the mask_* functions take the masks directly, so
+pentgeo.pent passes a geometry's deficiency masks without building a Graph,
+and girth, components, report and the intersection profile convert a Graph
+with adjacency_masks first.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import Iterable, Sequence
 
 from .errors import ParameterDomain, PentSyntaxError, PointOutOfRange, StepNotDividingV
 
@@ -61,64 +70,124 @@ class GraphReport:
     component_sizes: tuple[int, ...]
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, by BFS from every vertex.
-
-    A BFS from s may overestimate the shortest cycle through s, but the
-    minimum over all start vertices is exact.
-    """
-    best: int | None = None
-    for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                break
-            for x in g.adjacency[u]:
-                if dist[x] == -1:
-                    dist[x] = dist[u] + 1
-                    parent[x] = u
-                    queue.append(x)
-                elif x != parent[u]:
-                    cycle = dist[u] + dist[x] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-    return best
-
-
-def components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    out: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for x in g.adjacency[u]:
-                if not seen[x]:
-                    seen[x] = True
-                    comp.append(x)
-                    queue.append(x)
-        out.append(sorted(comp))
+def adjacency_masks(g: Graph) -> list[int]:
+    """Neighbourhoods as bit masks: bit y of masks[x] is set when xy is an edge."""
+    out = []
+    for nbrs in g.adjacency:
+        m = 0
+        for y in nbrs:
+            m |= 1 << y
+        out.append(m)
     return out
 
 
-def report(g: Graph) -> GraphReport:
-    degrees = {len(a) for a in g.adjacency}
-    comps = components(g)
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bits(m: int) -> list[int]:
+    """Positions of the set bits of m >= 0, ascending."""
+    # A dense mask is read from its binary digits in one C-level pass; a
+    # sparse one bit by bit, at a cost that grows with its set bits only.
+    if 8 * m.bit_count() > m.bit_length():
+        digits = bin(m)[:1:-1].encode().translate(_BINARY_DIGITS)
+        return list(compress(range(len(digits)), digits))
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def mask_girth(adj: Sequence[int]) -> int | None:
+    """Girth of the graph with neighbourhood masks adj; None when acyclic.
+
+    With reach the union of the neighbourhoods of x's neighbours, there is a
+    triangle through x when reach meets adj[x], and a 4-cycle through x when
+    those neighbourhoods overlap outside x, i.e. |reach| - 1 is less than
+    the sum of their sizes less one each.  Only when neither occurs anywhere
+    does a BFS run, and it stops at the first 5-cycle.
+    """
+    four = False
+    for x, nx in enumerate(adj):
+        around = list(map(adj.__getitem__, bits(nx)))
+        reach = reduce(or_, around, 0)
+        if reach & nx:
+            return 3
+        if not four and around:
+            four = reach.bit_count() - 1 < sum(map(int.bit_count, around)) - len(around)
+    if four:
+        return 4
+    return _bfs_girth(adj)
+
+
+def _bfs_girth(adj: Sequence[int]) -> int | None:
+    """Shortest cycle of a graph with no cycle shorter than 5.
+
+    From each source s, layer d closes a cycle of length at most 2d when one
+    of its vertices has two neighbours in layer d-1, and of length at most
+    2d+1 when two of its vertices are adjacent.  The minimum over all s of
+    the first such closure is the girth; a 5-cycle ends the search.
+    """
+    best: int | None = None
+    for s in range(len(adj)):
+        prev = 1 << s
+        layer = adj[s]
+        seen = prev | layer
+        d = 1
+        while layer and (best is None or 2 * d < best):
+            members = bits(layer)
+            if any((adj[u] & prev).bit_count() > 1 for u in members):
+                best = 2 * d
+                break
+            if (best is None or 2 * d + 1 < best) and any(adj[u] & layer for u in members):
+                best = 2 * d + 1
+                break
+            prev, layer = layer, reduce(or_, map(adj.__getitem__, members)) & ~seen
+            seen |= layer
+            d += 1
+        if best == 5:
+            break
+    return best
+
+
+def girth(g: Graph) -> int | None:
+    """Length of a shortest cycle, or None for an acyclic graph."""
+    return mask_girth(adjacency_masks(g))
+
+
+def mask_components(adj: Sequence[int]) -> list[int]:
+    """Component masks, ordered by their smallest vertex."""
+    rest = (1 << len(adj)) - 1
+    out = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            frontier = reduce(or_, map(adj.__getitem__, bits(frontier))) & ~comp
+            comp |= frontier
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def components(g: Graph) -> list[list[int]]:
+    return [bits(c) for c in mask_components(adjacency_masks(g))]
+
+
+def mask_report(adj: Sequence[int]) -> GraphReport:
+    degrees = {m.bit_count() for m in adj}
+    comps = mask_components(adj)
     return GraphReport(
-        n=g.n,
+        n=len(adj),
         regular_degree=degrees.pop() if len(degrees) == 1 else None,
-        girth=girth(g),
+        girth=mask_girth(adj),
         connected=len(comps) <= 1,
-        component_sizes=tuple(sorted(len(c) for c in comps)),
+        component_sizes=tuple(sorted(c.bit_count() for c in comps)),
     )
+
+
+def report(g: Graph) -> GraphReport:
+    return mask_report(adjacency_masks(g))
 
 
 def generalized_petersen(n: int) -> Graph:
@@ -207,29 +276,35 @@ def shift_automorphisms(g: Graph) -> tuple[int, ...]:
     return tuple(found)
 
 
+def distance3_masks(adj: Sequence[int]) -> list[int]:
+    """Per vertex, the vertices at distance at least 3 (or unreachable)."""
+    full = (1 << len(adj)) - 1
+    return [
+        full & ~reduce(or_, map(adj.__getitem__, bits(nx)), nx | 1 << x)
+        for x, nx in enumerate(adj)
+    ]
+
+
 def distance3_graph(g: Graph) -> Graph:
     """Join x and y when their distance in g is at least 3.
 
     Vertices in different components are at infinite distance, hence joined.
     """
-    edges = []
-    for x in range(g.n):
-        ball = set(g.adjacency[x])
-        ball.add(x)
-        for u in g.adjacency[x]:
-            ball.update(g.adjacency[u])
-        edges.extend((x, y) for y in range(x + 1, g.n) if y not in ball)
-    return graph_from_edges(g.n, edges)
+    far = distance3_masks(adjacency_masks(g))
+    return Graph(n=g.n, adjacency=tuple(tuple(bits(m)) for m in far))
+
+
+def intersection_profile(adj: Sequence[int]) -> Counter:
+    """Multiset of |adj[x] & adj[y]| over unordered pairs x < y."""
+    profile: Counter = Counter()
+    for x, nx in enumerate(adj):
+        profile.update(map(int.bit_count, map(nx.__and__, adj[x + 1 :])))
+    return profile
 
 
 def neighborhood_intersection_profile(g: Graph) -> Counter:
     """Multiset of |N(x) & N(y)| over unordered vertex pairs."""
-    sets = [set(a) for a in g.adjacency]
-    profile: Counter = Counter()
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            profile[len(sets[x] & sets[y])] += 1
-    return profile
+    return intersection_profile(adjacency_masks(g))
 
 
 def parse_graph_file(text: str) -> Graph:

@@ -1,15 +1,35 @@
 """Axiom verification, deficiency graphs and the A-F classification.
 
-verify() checks the four defining axioms and never raises on bad input: it
-returns a report naming each failed axiom with a smallest witness.  The
-remaining operations assume a valid geometry and raise when a structural
-identity that should be forced by validity does not hold.
+Every analysis reads one incidence index of the geometry (_Index): a bit
+mask per line and, per point x, its degree, its closed collinearity mask
+closed[x] (x and every point on a line with x) and its deficiency mask
+N[x] = ALL & ~closed[x].  Masks are Python ints, bit y for point y.  The
+axioms become popcount identities:
+
+- partial_linear, once every line has k points: |closed[x]| = 1 + deg(x)(k-1).
+- opposite_designs: line l lies inside N(x) exactly when x is in
+  ALL & ~OR(closed[p] for p in l).  If |N(x)| = w and no two lines inside
+  N(x) share a pair (so always once partial linearity holds), N(x) carries
+  an S(2,k,w) exactly when those lines hold w(w-1)/2 pairs, that is when
+  there are w(w-1)/(k(k-1)) of them.
+
+The overlap profile is |N[x] & N[y]| over point pairs, and the
+distance->=3 neighbourhood of x is ALL & ~(N[x] | {x} | OR(N[u] for u in
+N(x))); girth, components and K_{w,w} components come from the mask
+routines of pentgeo.graphs.
+
+verify() never raises on bad input: it reports each failed axiom with up to
+WITNESS_LIMIT witnesses.  Witnesses are searched for only where an identity
+failed, point by point in sorted order, so the report is the same whichever
+identity caught the failure.  The other operations assume a valid geometry
+and raise when an identity forced by validity does not hold.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import graphs
 from .core import Geometry, Line, PentParams
@@ -20,7 +40,7 @@ from .errors import (
     PartitionFailed,
     SplitMismatch,
 )
-from .graphs import Graph, GraphReport
+from .graphs import Graph, GraphReport, bits
 
 AXIOM_PARTIAL_LINEAR = "partial_linear"
 AXIOM_UNIFORM = "uniform"
@@ -68,70 +88,66 @@ class VerificationReport:
         return tuple(a.name for a in self.axioms if not a.passed)
 
 
-def _collinear_sets(geom: Geometry) -> tuple[list[set[int]], list[str]]:
-    """Per-point collinear sets, tolerating doubly covered pairs.
+class _Index:
+    """Incidence masks of a geometry whose lines lie in 0..v-1, as
+    core.geometry and core.develop make them.  Lines are kept unsorted;
+    witness searches sort them."""
 
-    Returns the sets plus partial-linearity witnesses (empty when the
-    pair-once axiom holds)."""
-    v = geom.v
-    seen: dict[tuple[int, int], Line] = {}
-    witnesses: list[str] = []
-    collinear: list[set[int]] = [set() for _ in range(v)]
-    for ln in geom.lines_sorted():
-        for i in range(len(ln)):
-            for j in range(i + 1, len(ln)):
-                pair = (ln[i], ln[j])
-                prev = seen.get(pair)
-                if prev is not None and len(witnesses) < WITNESS_LIMIT:
-                    witnesses.append(f"pair {pair} on lines {prev} and {ln}")
-                seen[pair] = ln
-                collinear[pair[0]].add(pair[1])
-                collinear[pair[1]].add(pair[0])
-    return collinear, witnesses
+    def __init__(self, geom: Geometry):
+        v = geom.v
+        self.lines = lines = list(geom.lines)
+        self.degree = degree = [0] * v
+        self.closed = closed = [1 << x for x in range(v)]
+        self.masks = masks = []
+        for ln in lines:
+            m = 0
+            for x in ln:
+                m |= 1 << x
+            masks.append(m)
+            for x in ln:
+                degree[x] += 1
+                closed[x] |= m
+        self.full = (1 << v) - 1
+        self.nbrs = [self.full ^ c for c in closed]
 
+    def opposite(self) -> list[int]:
+        """Per line, the mask of points whose deficiency neighbourhood
+        contains it (0 for an empty line); a line is opposite when its mask
+        is non-zero."""
+        closed, out = self.closed, []
+        for ln in self.lines:
+            c = 0
+            for p in ln:
+                c |= closed[p]
+            out.append(self.full & ~c if c else 0)
+        return out
 
-def _lines_by_point(geom: Geometry) -> list[list[Line]]:
-    index: list[list[Line]] = [[] for _ in range(geom.v)]
-    for ln in geom.lines_sorted():
-        for x in ln:
-            index[x].append(ln)
-    return index
+    def lines_by_point(self) -> list[list[Line]]:
+        """Lines through each point, in sorted order."""
+        by_point: list[list[Line]] = [[] for _ in self.degree]
+        for ln in sorted(self.lines):
+            for x in ln:
+                by_point[x].append(ln)
+        return by_point
 
 
 def deficiency_graph(geom: Geometry) -> Graph:
     """Graph joining x and y exactly when no line contains both."""
-    collinear, _ = _collinear_sets(geom)
-    v = geom.v
-    adjacency = tuple(
-        tuple(y for y in range(v) if y != x and y not in collinear[x]) for x in range(v)
-    )
-    return Graph(n=v, adjacency=adjacency)
+    nbrs = _Index(geom).nbrs
+    return Graph(n=len(nbrs), adjacency=tuple(tuple(bits(m)) for m in nbrs))
 
 
-def _bipartite(adjacency, vertices: list[int]) -> bool:
-    colour = {vertices[0]: 0}
-    stack = [vertices[0]]
-    while stack:
-        u = stack.pop()
-        for x in adjacency[u]:
-            if x not in colour:
-                colour[x] = 1 - colour[u]
-                stack.append(x)
-            elif colour[x] == colour[u]:
-                return False
-    return True
-
-
-def _count_kww_components(graph: Graph, w: int) -> int:
+def _count_kww_components(adj: list[int], w: int) -> int:
     """Components that are complete bipartite K_{w,w}: 2w vertices, all
-    degrees w, bipartite.  Regular bipartite on 2w vertices forces K_{w,w}."""
+    degrees w, and no edge inside either side of the first vertex's split."""
     count = 0
-    for comp in graphs.components(graph):
-        if len(comp) != 2 * w:
+    for comp in graphs.mask_components(adj):
+        members = bits(comp)
+        if len(members) != 2 * w or any(adj[x].bit_count() != w for x in members):
             continue
-        if any(len(graph.adjacency[x]) != w for x in comp):
-            continue
-        if _bipartite(graph.adjacency, comp):
+        side = adj[members[0]]
+        other = comp & ~side
+        if all(not adj[x] & (side if side >> x & 1 else other) for x in members):
             count += 1
     return count
 
@@ -156,20 +172,41 @@ def classify(report: VerificationReport) -> str:
     return _classify(report.params, report.deficiency, report.kww_components)
 
 
-def _opposite_lines_of(geom: Geometry, neighbour_sets: list[set[int]]) -> set[Line]:
-    """Lines contained in some point's deficiency neighbourhood."""
-    by_point = _lines_by_point(geom)
-    opposite: set[Line] = set()
-    for x in range(geom.v):
-        nbrs = neighbour_sets[x]
-        seen: set[Line] = set()
-        for p in nbrs:
-            for ln in by_point[p]:
-                if ln not in seen:
-                    seen.add(ln)
-                    if all(q in nbrs for q in ln):
-                        opposite.add(ln)
-    return opposite
+def _pair_table(lines: list[Line], witnesses: list[str]) -> dict[tuple[int, int], list[Line]]:
+    """Every pair with the lines covering it; doubly covered pairs are
+    quoted into witnesses, first occurrences first."""
+    table: dict[tuple[int, int], list[Line]] = {}
+    for ln in lines:
+        for pair in combinations(ln, 2):
+            covering = table.setdefault(pair, [])
+            if covering and len(witnesses) < WITNESS_LIMIT:
+                witnesses.append(f"pair {pair} on lines {covering[-1]} and {ln}")
+            covering.append(ln)
+    return table
+
+
+def _opposite_witnesses(x: int, nbrs: set[int], by_point, witnesses: list[str]) -> None:
+    """Quote why the lines inside nbrs = N(x) are not an S(2,k,w) on it."""
+    met = dict.fromkeys(ln for p in nbrs for ln in by_point[p])
+    inside = [ln for ln in met if nbrs.issuperset(ln)]
+    covered: set[tuple[int, int]] = set()
+    doubled = False
+    for ln in inside:
+        for pair in combinations(ln, 2):
+            if pair in covered:
+                doubled = True
+                if len(witnesses) < WITNESS_LIMIT:
+                    witnesses.append(f"point {x}: pair {pair} doubled inside its opposite design")
+            covered.add(pair)
+    if not doubled and len(witnesses) < WITNESS_LIMIT:
+        for a, b in combinations(sorted(nbrs), 2):
+            if (a, b) not in covered:
+                witnesses.append(f"point {x}: pair ({a},{b}) not covered inside its opposite design")
+                return
+
+
+def _check(name: str, witnesses: list[str]) -> AxiomCheck:
+    return AxiomCheck(name, not witnesses, tuple(witnesses[:WITNESS_LIMIT]))
 
 
 def verify(geom: Geometry) -> VerificationReport:
@@ -181,104 +218,65 @@ def verify(geom: Geometry) -> VerificationReport:
     """
     params = geom.params
     k, r, w, v = params.k, params.r, params.w, params.v
+    ix = _Index(geom)
+    lines, degree, closed, nbrs = ix.lines, ix.degree, ix.closed, ix.nbrs
 
     uniform_witnesses = []
-    for ln in geom.lines_sorted():
-        bad = len(ln) != k or any(not 0 <= x < v for x in ln)
-        if bad and len(uniform_witnesses) < WITNESS_LIMIT:
-            uniform_witnesses.append(f"line {ln}")
-    uniform = AxiomCheck(AXIOM_UNIFORM, not uniform_witnesses, tuple(uniform_witnesses))
+    if set(map(len, lines)) - {k}:
+        uniform_witnesses = [f"line {ln}" for ln in sorted(lines) if len(ln) != k]
 
-    collinear, pl_witnesses = _collinear_sets(geom)
-    partial_linear = AxiomCheck(AXIOM_PARTIAL_LINEAR, not pl_witnesses, tuple(pl_witnesses))
-
-    counts = [0] * v
-    stray = False
-    for ln in geom.lines:
-        for x in ln:
-            if 0 <= x < v:
-                counts[x] += 1
-            else:
-                stray = True
     regular_witnesses = [
-        f"point {x} on {counts[x]} lines, expected {r}" for x in range(v) if counts[x] != r
-    ]
-    if stray:
-        regular_witnesses.insert(0, "line with point outside 0..v-1")
-    regular = AxiomCheck(
-        AXIOM_REGULAR, not regular_witnesses, tuple(regular_witnesses[:WITNESS_LIMIT])
-    )
-
-    # Deficiency neighbourhoods: everything neither equal nor collinear.
-    neighbour_sets = [
-        {y for y in range(v) if y != x and y not in collinear[x]} for x in range(v)
+        f"point {x} on {degree[x]} lines, expected {r}" for x in range(v) if degree[x] != r
     ]
 
-    by_point = _lines_by_point(geom)
+    # x fails opposite_designs unless |N(x)| = w, the lines inside N(x) hold
+    # w(w-1)/2 pairs, and no two of them share a pair (clashing marks the x
+    # where two do; only possible when partial linearity fails).
+    opposite = ix.opposite()
+    pl_witnesses: list[str] = []
+    clashing = 0
+    if uniform_witnesses or any(c.bit_count() != 1 + d * (k - 1) for c, d in zip(closed, degree)):
+        mask_of = dict(zip(lines, opposite))
+        for covering in _pair_table(sorted(lines), pl_witnesses).values():
+            for a, b in combinations(covering, 2):
+                clashing |= mask_of[a] & mask_of[b]
+    # Lines with the same opposite mask are counted together, so two copies
+    # of an S(2,k,w) cost two masks, not w(w-1)/(k(k-1)) lines each.
+    held_by_mask: Counter = Counter()
+    for ln, m in zip(lines, opposite):
+        if m:
+            held_by_mask[m] += len(ln) * (len(ln) - 1) // 2
+    held = [0] * v
+    for m, pairs in held_by_mask.items():
+        for x in bits(m):
+            held[x] += pairs
     opposite_witnesses: list[str] = []
-    opposite_lines: set[Line] = set()
+    by_point = None
     for x in range(v):
-        nbrs = neighbour_sets[x]
-        if len(nbrs) != w:
-            if len(opposite_witnesses) < WITNESS_LIMIT:
-                opposite_witnesses.append(f"point {x}: {len(nbrs)} non-collinear points, expected {w}")
-            continue
-        inside: list[Line] = []
-        seen: set[Line] = set()
-        for p in nbrs:
-            for ln in by_point[p]:
-                if ln not in seen:
-                    seen.add(ln)
-                    if all(q in nbrs for q in ln):
-                        inside.append(ln)
-        opposite_lines.update(inside)
-        pair_cover: dict[tuple[int, int], Line] = {}
-        failed = False
-        for ln in inside:
-            for i in range(len(ln)):
-                for j in range(i + 1, len(ln)):
-                    pair = (ln[i], ln[j])
-                    if pair in pair_cover:
-                        if len(opposite_witnesses) < WITNESS_LIMIT:
-                            opposite_witnesses.append(
-                                f"point {x}: pair {pair} doubled inside its opposite design"
-                            )
-                        failed = True
-                    pair_cover[pair] = ln
-        if not failed:
-            nbrs_sorted = sorted(nbrs)
-            for i, a in enumerate(nbrs_sorted):
-                for b in nbrs_sorted[i + 1 :]:
-                    if (a, b) not in pair_cover:
-                        if len(opposite_witnesses) < WITNESS_LIMIT:
-                            opposite_witnesses.append(
-                                f"point {x}: pair ({a},{b}) not covered inside its opposite design"
-                            )
-                        failed = True
-                        break
-                if failed:
-                    break
-    opposite = AxiomCheck(
-        AXIOM_OPPOSITE, not opposite_witnesses, tuple(opposite_witnesses[:WITNESS_LIMIT])
+        size = nbrs[x].bit_count()
+        if size != w:
+            opposite_witnesses.append(f"point {x}: {size} non-collinear points, expected {w}")
+        elif 2 * held[x] != w * (w - 1) or clashing >> x & 1:
+            if by_point is None:
+                by_point = ix.lines_by_point()
+            _opposite_witnesses(x, set(bits(nbrs[x])), by_point, opposite_witnesses)
+        if len(opposite_witnesses) >= WITNESS_LIMIT:
+            break
+
+    axioms = (
+        _check(AXIOM_PARTIAL_LINEAR, pl_witnesses),
+        _check(AXIOM_UNIFORM, uniform_witnesses),
+        _check(AXIOM_REGULAR, regular_witnesses),
+        _check(AXIOM_OPPOSITE, opposite_witnesses),
     )
+    dreport = graphs.mask_report(nbrs)
+    kww = _count_kww_components(nbrs, w)
 
-    adjacency = tuple(tuple(sorted(neighbour_sets[x])) for x in range(v))
-    dgraph = Graph(n=v, adjacency=adjacency)
-    dreport = graphs.report(dgraph)
-    kww = _count_kww_components(dgraph, w)
-
-    axioms = (partial_linear, uniform, regular, opposite)
-    valid = all(a.passed for a in axioms)
-
-    if valid:
+    geometry_type, split, profile = TYPE_INVALID, None, None
+    if all(a.passed for a in axioms):
         geometry_type = _classify(params, dreport, kww)
-        split = _split_from_opposite(geom, opposite_lines, dreport)
-        profile = _profile_from_sets(neighbour_sets)
-    else:
-        geometry_type = TYPE_INVALID
-        split = None
-        profile = None
-
+        split = _split(params, sum(1 for m in opposite if m), len(lines), dreport.girth)
+        profile = dict(sorted(graphs.intersection_profile(nbrs).items()))
     return VerificationReport(
         params=params,
         axioms=axioms,
@@ -290,17 +288,14 @@ def verify(geom: Geometry) -> VerificationReport:
     )
 
 
-def _split_from_opposite(geom: Geometry, opposite_lines: set[Line], dreport: GraphReport) -> LineSplit:
-    params = geom.params
+def _split(params: PentParams, b_opp: int, b: int, girth: int | None) -> LineSplit:
     k, r, w, v = params.k, params.r, params.w, params.v
-    b_opp = len(opposite_lines)
-    b_non_opp = len(geom.lines) - b_opp
+    b_non_opp = b - b_opp
     num = w * (w - 1)
     if num % (k - 1) != 0:
         raise SplitMismatch(f"w(w-1) = {num} not divisible by k-1 = {k - 1}")
     e = r - num // (k - 1)
-    girth_ge5 = dreport.girth is None or dreport.girth >= 5
-    if girth_ge5:
+    if girth is None or girth >= 5:
         expected_opp = v * num // (k * (k - 1))
         expected_non = e * v // k
         if b_opp != expected_opp or b_non_opp != expected_non:
@@ -316,24 +311,9 @@ def line_split(geom: Geometry) -> LineSplit:
     With girth >= 5 the counts must satisfy the closed-form identities; at
     girth 4 the raw counts are returned without assertion.
     """
-    collinear, _ = _collinear_sets(geom)
-    v = geom.v
-    neighbour_sets = [
-        {y for y in range(v) if y != x and y not in collinear[x]} for x in range(v)
-    ]
-    opposite = _opposite_lines_of(geom, neighbour_sets)
-    dreport = graphs.report(deficiency_graph(geom))
-    return _split_from_opposite(geom, opposite, dreport)
-
-
-def _profile_from_sets(neighbour_sets: list[set[int]]) -> dict[int, int]:
-    profile: Counter = Counter()
-    n = len(neighbour_sets)
-    for x in range(n):
-        sx = neighbour_sets[x]
-        for y in range(x + 1, n):
-            profile[len(sx & neighbour_sets[y])] += 1
-    return dict(sorted(profile.items()))
+    ix = _Index(geom)
+    b_opp = sum(1 for m in ix.opposite() if m)
+    return _split(geom.params, b_opp, len(ix.lines), graphs.mask_girth(ix.nbrs))
 
 
 def overlap_profile(geom: Geometry) -> dict[int, int]:
@@ -344,15 +324,18 @@ def overlap_profile(geom: Geometry) -> dict[int, int]:
     ForbiddenOverlap.
     """
     k = geom.params.k
-    dgraph = deficiency_graph(geom)
-    sets = [set(a) for a in dgraph.adjacency]
-    profile: Counter = Counter()
-    for x in range(geom.v):
-        for y in range(x + 1, geom.v):
-            u = len(sets[x] & sets[y])
-            if 2 <= u <= k - 1 or k + 1 <= u <= k * k - k:
-                raise ForbiddenOverlap((x, y), u)
-            profile[u] += 1
+    nbrs = _Index(geom).nbrs
+    profile = graphs.intersection_profile(nbrs)
+
+    def forbidden(u: int) -> bool:
+        return 2 <= u <= k - 1 or k + 1 <= u <= k * k - k
+
+    if any(forbidden(u) for u in profile):
+        for x, nx in enumerate(nbrs):
+            for y in range(x + 1, len(nbrs)):
+                u = (nx & nbrs[y]).bit_count()
+                if forbidden(u):
+                    raise ForbiddenOverlap((x, y), u)
     return dict(sorted(profile.items()))
 
 
@@ -368,6 +351,25 @@ class Dist3Report:
     blade_counts: tuple[int, ...]
 
 
+def _blade_failure(x: int, blades: list[Line], far: list[int]) -> str | None:
+    """The first way the blades through x fail to partition far[x] into
+    cliques of the distance->=3 graph, in the order the points are met."""
+    seen = 0
+    for ln in blades:
+        rest = [q for q in ln if q != x]
+        for i, a in enumerate(rest):
+            if seen >> a & 1:
+                return f"point {x}: {a} in two blades"
+            seen |= 1 << a
+            if not far[x] >> a & 1:
+                return f"point {x}: {a} not a distance->=3 neighbour"
+            if any(not far[a] >> b & 1 for b in rest[i + 1 :]):
+                return f"point {x}: blade {ln} is not a clique"
+    if seen != far[x]:
+        return f"point {x}: neighbours {bits(far[x] & ~seen)[:3]} not covered by blades"
+    return None
+
+
 def dist3_analysis(geom: Geometry) -> Dist3Report:
     """Check the windmill structure of the distance->=3 graph.
 
@@ -377,23 +379,16 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     """
     params = geom.params
     k, r, w = params.k, params.r, params.w
-    collinear, _ = _collinear_sets(geom)
-    v = geom.v
-    neighbour_sets = [
-        {y for y in range(v) if y != x and y not in collinear[x]} for x in range(v)
-    ]
-    adjacency = tuple(tuple(sorted(neighbour_sets[x])) for x in range(v))
-    dgraph = Graph(n=v, adjacency=adjacency)
-    egraph = graphs.distance3_graph(dgraph)
-    opposite = _opposite_lines_of(geom, neighbour_sets)
+    ix = _Index(geom)
+    far = graphs.distance3_masks(ix.nbrs)
 
     bound = r * (k - 1) - w * (w - 1)
-    degrees = [len(egraph.adjacency[x]) for x in range(v)]
+    degrees = [m.bit_count() for m in far]
     min_degree = min(degrees)
     if min_degree < bound:
         x = degrees.index(min_degree)
         raise DegreeBoundViolated(f"point {x}: degree {min_degree} < bound {bound}")
-    dgirth = graphs.girth(dgraph)
+    dgirth = graphs.mask_girth(ix.nbrs)
     tight = all(d == bound for d in degrees)
     if (dgirth is None or dgirth >= 5) and not tight:
         x = next(i for i, d in enumerate(degrees) if d != bound)
@@ -401,30 +396,33 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
             f"girth >= 5 but point {x} has degree {degrees[x]} != bound {bound}"
         )
 
-    by_point = _lines_by_point(geom)
-    blade_counts = []
-    esets = [set(a) for a in egraph.adjacency]
-    for x in range(v):
-        blades = [ln for ln in by_point[x] if ln not in opposite]
-        seen: set[int] = set()
-        for ln in blades:
-            rest = [q for q in ln if q != x]
-            for i, a in enumerate(rest):
-                if a in seen:
-                    raise PartitionFailed(f"point {x}: {a} in two blades")
-                seen.add(a)
-                if a not in esets[x]:
-                    raise PartitionFailed(f"point {x}: {a} not a distance->=3 neighbour")
-                for b in rest[i + 1 :]:
-                    if b not in esets[a]:
-                        raise PartitionFailed(f"point {x}: blade {ln} is not a clique")
-        if seen != esets[x]:
-            missing = sorted(esets[x] - seen)[:3]
-            raise PartitionFailed(f"point {x}: neighbours {missing} not covered by blades")
-        blade_counts.append(len(blades))
+    # x's blades are its non-opposite lines.  Leaving x out, they must be
+    # disjoint and make up far[x].  That they are cliques then follows: a
+    # blade through x is a blade of each of its points a, so its other points
+    # lie in far[a].
+    v = geom.v
+    covered, sizes, counts = [0] * v, [0] * v, [0] * v
+    opposite = ix.opposite()
+    for ln, m, opp in zip(ix.lines, ix.masks, opposite):
+        if not opp:
+            for x in ln:
+                covered[x] |= m
+                sizes[x] += len(ln) - 1
+                counts[x] += 1
+    partitioned = all(
+        c & ~(1 << x) == f and f.bit_count() == n
+        for x, (c, f, n) in enumerate(zip(covered, far, sizes))
+    )
+    if not partitioned:
+        by_point = ix.lines_by_point()
+        opposite_lines = {ln for ln, opp in zip(ix.lines, opposite) if opp}
+        for x in range(v):
+            failure = _blade_failure(x, [ln for ln in by_point[x] if ln not in opposite_lines], far)
+            if failure:
+                raise PartitionFailed(failure)
     return Dist3Report(
         degree_bound=bound,
         min_degree=min_degree,
         degrees_tight=tight,
-        blade_counts=tuple(blade_counts),
+        blade_counts=tuple(counts),
     )

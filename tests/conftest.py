@@ -5,8 +5,15 @@ from __future__ import annotations
 import importlib.resources
 
 import pytest
+from hypothesis import settings
 
 from pentgeo import Geometry, VerificationReport, develop, parse_pent_file, verify
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so a slow moment on a loaded machine cannot fail them; nothing is
+# written to an example database.
+settings.register_profile("pentgeo", derandomize=True, deadline=None, database=None)
+settings.load_profile("pentgeo")
 
 FIXTURE_NAMES = (
     "pent_3_3_3",

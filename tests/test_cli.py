@@ -107,6 +107,23 @@ def test_verify_garbage_exits_2(cli, tmp_path):
     assert "pentctl:" in err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"lines": [["a", 1, 2]]}, {"lines": 5}, {"v": 11}],
+    ids=["non-integer-point", "lines-not-a-list", "v-disagrees"],
+)
+def test_verify_malformed_geometry_json_exits_2(cli, tmp_path, pent33, change):
+    payload = json.loads(geometry_to_json(pent33))
+    payload.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = cli(["verify", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("pentctl:")
+    assert "Traceback" not in err
+
+
 def test_develop_writes_geometry_json(cli, fix18, tmp_path):
     out_path = tmp_path / "geom.json"
     code, out, _ = cli(["develop", fix18, "-o", str(out_path)])

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pentgeo import verify
+from pentgeo import pent, verify
 from pentgeo.construct import (
     GddFillPlan,
     Pent3Plan,
@@ -68,6 +68,26 @@ def test_make_degenerate_k4():
     rep = verify(geom)
     assert rep.valid and rep.geometry_type == "F"
     assert (geom.params.v, geom.params.r) == (26, 4)
+
+
+def test_make_degenerate_verified_above_1500_points(monkeypatch):
+    # v = 1502: every axiom is checked at this size, not only the shape
+    verified = []
+    real_verify = pent.verify
+
+    def recording_verify(geom):
+        rep = real_verify(geom)
+        verified.append(rep)
+        return rep
+
+    monkeypatch.setattr(pent, "verify", recording_verify)
+    geom = make_degenerate(3, 751)
+    assert (geom.params.v, geom.params.r, len(geom.lines)) == (1502, 375, 187750)
+    [rep] = verified
+    assert rep.valid and rep.geometry_type == "F"
+    assert rep.params == geom.params
+    assert rep.kww_components == 1
+    assert (rep.deficiency.regular_degree, rep.deficiency.girth) == (751, 4)
 
 
 def test_make_degenerate_no_system():

@@ -213,6 +213,44 @@ def test_json_rejects_garbage():
         geometry_from_json('{"k": 3}')
 
 
+def test_json_rejects_non_integer_points(pent33):
+    payload = json.loads(geometry_to_json(pent33))
+    for bad in (["a", 1, 2], [0.5, 1, 2], [True, 1, 2], [None, 1, 2]):
+        payload["lines"] = [bad]
+        with pytest.raises(PentSyntaxError):
+            geometry_from_json(json.dumps(payload))
+
+
+def test_json_rejects_lines_not_a_list(pent33):
+    payload = json.loads(geometry_to_json(pent33))
+    for bad in (5, "012", {"0": [1, 2]}, [5], [[0, 1, 2], 7]):
+        payload["lines"] = bad
+        with pytest.raises(PentSyntaxError):
+            geometry_from_json(json.dumps(payload))
+
+
+def test_json_rejects_v_disagreeing_with_parameters(pent33):
+    payload = json.loads(geometry_to_json(pent33))
+    payload["v"] = 11
+    with pytest.raises(PentSyntaxError):
+        geometry_from_json(json.dumps(payload))
+    payload["v"] = "10"
+    with pytest.raises(PentSyntaxError):
+        geometry_from_json(json.dumps(payload))
+    del payload["v"]
+    assert geometry_from_json(json.dumps(payload)).lines == pent33.lines
+
+
+def test_json_rejects_non_integer_parameters(pent33):
+    payload = json.loads(geometry_to_json(pent33))
+    for bad in ("3", 3.0, None, [3]):
+        payload["k"] = bad
+        with pytest.raises(PentSyntaxError):
+            geometry_from_json(json.dumps(payload))
+    with pytest.raises(PentSyntaxError):
+        geometry_from_json("[3, 3, 3]")
+
+
 def test_lines_sorted(pent33):
     listed = pent33.lines_sorted()
     assert listed == sorted(listed)

@@ -1,0 +1,203 @@
+"""The bitset kernel against the set-based reference oracle in tests/oracle.py.
+
+verify, line_split, overlap_profile and dist3_analysis must agree with the
+oracle on every fixture, on constructed geometries of every deficiency type,
+and on line mutations of the fixtures, down to witness strings and the
+message of any exception.  The mask graph routines must agree with BFS.
+"""
+
+import random
+
+import oracle
+import pytest
+from conftest import FIXTURE_FACTS, FIXTURE_NAMES
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pentgeo import deficiency_graph, geometry, line_split, verify
+from pentgeo.construct import GddFillPlan, gdd_fill, make_degenerate
+from pentgeo.designs import uniform_gdd
+from pentgeo.graphs import (
+    Graph,
+    components,
+    distance3_graph,
+    generalized_petersen,
+    girth,
+    graph_from_edges,
+    hoffman_singleton,
+    neighborhood_intersection_profile,
+    petersen,
+    report,
+)
+from pentgeo.pent import dist3_analysis, overlap_profile
+
+ANALYSES = (
+    (verify, oracle.verify),
+    (line_split, oracle.line_split),
+    (overlap_profile, oracle.overlap_profile),
+    (dist3_analysis, oracle.dist3_analysis),
+)
+
+# Fixtures small enough for the oracle to run on many mutants.
+MUTABLE_NAMES = tuple(name for name, facts in FIXTURE_FACTS.items() if facts[0] <= 154)
+
+
+def outcome(fn, geom):
+    """The result of fn(geom), or the type and message of what it raised."""
+    try:
+        return fn(geom)
+    except Exception as exc:  # the oracle's exceptions are part of its answer
+        return (type(exc).__name__, str(exc))
+
+
+def assert_agrees(geom):
+    for kernel, reference in ANALYSES:
+        assert outcome(kernel, geom) == outcome(reference, geom), kernel.__name__
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_matches_oracle(name, geometries):
+    geom = geometries[name]
+    for kernel, reference in ANALYSES:
+        assert kernel(geom) == reference(geom), kernel.__name__
+    assert deficiency_graph(geom) == oracle.deficiency_graph(geom)
+
+
+CONSTRUCTED = {
+    "degenerate_3_7": (lambda: make_degenerate(3, 7), "F"),
+    "degenerate_3_9": (lambda: make_degenerate(3, 9), "F"),
+    "degenerate_4_13": (lambda: make_degenerate(4, 13), "F"),
+    "gdd_fill_kww": (
+        lambda: gdd_fill(GddFillPlan(gdd=uniform_gdd(3, 14), ingredients={14: make_degenerate(3, 7)})),
+        "E",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_constructed_matches_oracle(name):
+    build, kind = CONSTRUCTED[name]
+    geom = build()
+    assert verify(geom).geometry_type == kind
+    assert_agrees(geom)
+
+
+# --- line mutations ----------------------------------------------------------
+
+
+def delete_line(lines, rng, params):
+    del lines[rng.randrange(len(lines))]
+
+
+def move_point(lines, rng, params):
+    """Replace one point of a line by a point off it."""
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    q = rng.choice([x for x in range(params.v) if x not in line])
+    p = line[rng.randrange(len(line))]
+    lines[i] = tuple(q if x == p else x for x in line)
+
+
+def swap_points(lines, rng, params):
+    """Exchange a point of one line with a point of another."""
+    i, j = rng.sample(range(len(lines)), 2)
+    a, b = lines[i], lines[j]
+    only_a = [x for x in a if x not in b]
+    only_b = [x for x in b if x not in a]
+    p, q = rng.choice(only_a), rng.choice(only_b)
+    lines[i] = tuple(q if x == p else x for x in a)
+    lines[j] = tuple(p if x == q else x for x in b)
+
+
+def add_line(lines, rng, params):
+    """Add a line of k points inside the deficiency neighbourhood of a point,
+    where it covers pairs that lines of the opposite design already cover."""
+    x = rng.randrange(params.v)
+    nbrs = oracle.deficiency_graph(geometry(params, lines)).adjacency[x]
+    if len(nbrs) >= params.k:
+        lines.append(tuple(rng.sample(nbrs, params.k)))
+
+
+def shrink_line(lines, rng, params):
+    """Drop one point from a line."""
+    i = rng.randrange(len(lines))
+    line = list(lines[i])
+    del line[rng.randrange(len(line))]
+    lines[i] = tuple(line)
+
+
+MUTATIONS = (delete_line, move_point, swap_points, add_line, shrink_line)
+
+
+def mutant(geometries, name, kinds, seed):
+    geom = geometries[name]
+    lines = geom.lines_sorted()
+    rng = random.Random(seed)
+    for kind in kinds:
+        kind(lines, rng, geom.params)
+    return geometry(geom.params, lines)
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(MUTABLE_NAMES),
+    kind=st.sampled_from(MUTATIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_single_mutation_matches_oracle(geometries, name, kind, seed):
+    assert_agrees(mutant(geometries, name, [kind], seed))
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(MUTABLE_NAMES),
+    kinds=st.lists(st.sampled_from(MUTATIONS), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_double_mutation_matches_oracle(geometries, name, kinds, seed):
+    assert_agrees(mutant(geometries, name, kinds, seed))
+
+
+# --- graph invariants --------------------------------------------------------
+
+
+def complete_bipartite(w: int) -> Graph:
+    return graph_from_edges(2 * w, [(a, w + b) for a in range(w) for b in range(w)])
+
+
+def assert_graph_agrees(g):
+    assert girth(g) == oracle.girth(g)
+    assert report(g) == oracle.report(g)
+    assert components(g) == oracle.components(g)
+    assert distance3_graph(g) == oracle.distance3_graph(g)
+    sets = [set(a) for a in g.adjacency]
+    brute = {}
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            u = len(sets[x] & sets[y])
+            brute[u] = brute.get(u, 0) + 1
+    assert neighborhood_intersection_profile(g) == brute
+
+
+NAMED_GRAPHS = (
+    [petersen(), hoffman_singleton()]
+    + [generalized_petersen(n) for n in range(5, 21)]
+    + [complete_bipartite(w) for w in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize("index", range(len(NAMED_GRAPHS)))
+def test_named_graph_matches_bfs(index):
+    assert_graph_agrees(NAMED_GRAPHS[index])
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(0, 24),
+    density=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_graph_matches_bfs(n, density, seed):
+    rng = random.Random(seed)
+    edges = [(x, y) for x in range(n) for y in range(x + 1, n) if rng.random() < density]
+    assert_graph_agrees(graph_from_edges(n, edges))
