@@ -15,6 +15,7 @@ from typing import Sequence
 from . import construct, pent
 from .core import (
     Geometry,
+    _json_int,
     develop,
     geometry_from_json,
     geometry_to_json,
@@ -26,24 +27,8 @@ from .designs import (
     steiner_to_json_dict,
     sts,
     uniform_gdd,
-    verify_gdd,
 )
-from .errors import (
-    ClimbFailed,
-    FieldTooLarge,
-    Inadmissible,
-    NonIntegralLineCount,
-    NotBlockSize3,
-    NotPrimePower,
-    ParameterDomain,
-    PentError,
-    PentSyntaxError,
-    PlanInvalid,
-    PointOutOfRange,
-    PreconditionFailed,
-    StepNotDividingV,
-    TooManySquares,
-)
+from .errors import ClimbFailed, ParameterDomain, PentError, PentSyntaxError, UsageError
 from .graphs import (
     Graph,
     generalized_petersen,
@@ -56,27 +41,10 @@ from .graphs import (
 )
 from .hillclimb import ClimbConfig, climb_3gdd, climb_sts
 
-# Errors meaning the invocation itself was malformed, not that the answer is no.
-_USAGE_ERRORS = (
-    PentSyntaxError,
-    ParameterDomain,
-    NonIntegralLineCount,
-    PointOutOfRange,
-    StepNotDividingV,
-    Inadmissible,
-    NotPrimePower,
-    FieldTooLarge,
-    TooManySquares,
-    PreconditionFailed,
-    NotBlockSize3,
-    PlanInvalid,
-)
-
-
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, ClimbFailed):
         return 3
-    if isinstance(exc, _USAGE_ERRORS) or isinstance(exc, OSError):
+    if isinstance(exc, (UsageError, OSError)):
         return 2
     if isinstance(exc, PentError):
         return 1
@@ -232,25 +200,51 @@ def _cmd_gdd(args: argparse.Namespace) -> int:
         d: Gdd = climb_3gdd(args.g, u, _climb_config(args))
     else:
         d = uniform_gdd(args.k, args.g)
-    verify_gdd(d)
     _emit(json.dumps(gdd_to_json_dict(d), separators=(",", ":")) + "\n", args.output)
     return 0
 
 
-def _gdd_from_json_dict(payload: dict) -> Gdd:
+def _json_ints(value, field: str) -> tuple[int, ...]:
+    if type(value) is not list or set(map(type, value)) - {int}:
+        raise PentSyntaxError(f"bad gdd spec: {field} must be a list of integers")
+    return tuple(value)
+
+
+def _load_gdd_fill(path: str) -> construct.GddFillPlan:
+    """Load a gdd-fill spec, checking every type before reading an ingredient.
+
+    The spec is {"gdd": {"k": int, "groups": [[int]], "lines": [[int]]},
+    "ingredients": {"<group size>": "<geometry path>"}}; relative paths are
+    taken from the spec's directory."""
     try:
-        return Gdd(
-            k=int(payload["k"]),
-            groups=tuple(tuple(int(x) for x in grp) for grp in payload["groups"]),
-            blocks=frozenset(tuple(sorted(int(x) for x in blk)) for blk in payload["lines"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PentSyntaxError(f"bad gdd spec: {exc}") from exc
+        spec = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise PentSyntaxError(f"bad JSON: {exc}") from exc
+    if type(spec) is not dict or "gdd" not in spec or "ingredients" not in spec:
+        raise PentSyntaxError("gdd-fill spec needs 'gdd' and 'ingredients'")
+    gdd, named = spec["gdd"], spec["ingredients"]
+    if type(gdd) is not dict or not {"k", "groups", "lines"} <= gdd.keys():
+        raise PentSyntaxError("bad gdd spec: gdd needs 'k', 'groups' and 'lines'")
+    if type(gdd["groups"]) is not list or type(gdd["lines"]) is not list:
+        raise PentSyntaxError("bad gdd spec: groups and lines must be lists")
+    design = Gdd(
+        k=_json_int(gdd["k"], "k"),
+        groups=tuple(_json_ints(grp, "a group") for grp in gdd["groups"]),
+        blocks=frozenset(tuple(sorted(_json_ints(blk, "a line"))) for blk in gdd["lines"]),
+    )
+    if type(named) is not dict:
+        raise PentSyntaxError("bad gdd spec: ingredients must map group sizes to paths")
+    for size, rel in named.items():
+        if not (size.isascii() and size.isdigit()) or type(rel) is not str:
+            raise PentSyntaxError(
+                f"bad gdd spec: ingredient {size!r}: {rel!r} is not a group size and a path"
+            )
+    base = Path(".") if path == "-" else Path(path).parent
+    ingredients = {int(size): _load_geometry(str(base / rel)) for size, rel in named.items()}
+    return construct.GddFillPlan(gdd=design, ingredients=ingredients)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ParameterDomain(f"--threads {args.threads} < 1")
     config = _climb_config(args)
     if args.kind == "tripling":
         geom = construct.triple(_load_geometry(args.file))
@@ -261,21 +255,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         geom = construct.product(_load_geometry(args.file), args.h)
         provenance = {"construction": "product", "h": args.h}
     elif args.kind == "gdd-fill":
-        spec_text = _read_text(args.file)
-        try:
-            spec = json.loads(spec_text)
-        except json.JSONDecodeError as exc:
-            raise PentSyntaxError(f"bad JSON: {exc}") from exc
-        if not isinstance(spec, dict) or "gdd" not in spec or "ingredients" not in spec:
-            raise PentSyntaxError("gdd-fill spec needs 'gdd' and 'ingredients'")
-        base = Path(".") if args.file == "-" else Path(args.file).parent
-        ingredients = {}
-        for size, rel in spec["ingredients"].items():
-            path = Path(rel)
-            if not path.is_absolute():
-                path = base / path
-            ingredients[int(size)] = _load_geometry(str(path))
-        plan = construct.GddFillPlan(gdd=_gdd_from_json_dict(spec["gdd"]), ingredients=ingredients)
+        plan = _load_gdd_fill(args.file)
         geom = construct.gdd_fill(plan)
         provenance = {"construction": "gdd-fill", "group_type": plan.gdd.group_type()}
     elif args.kind == "girth5":
@@ -380,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=None, help="copies per point (product, c36)")
     p.add_argument("--k", type=int, default=3, help="line size for c36")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="upper bound on worker count")
     add_output(p)
     p.set_defaults(func=_cmd_construct)
 

@@ -3,8 +3,8 @@
 A pentagonal geometry PENT(k,r,w) is a partial linear space with k points on
 every line and r lines through every point, in which the points not collinear
 with any point x form a Steiner system S(2,k,w) whose blocks are lines.  This
-module knows the counting identities, the on-disk formats and the pair
-coverage table; the axioms themselves are checked in pentgeo.pent.
+module knows the counting identities and the on-disk formats; the axioms
+themselves are checked in pentgeo.pent.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     ArityMismatch,
     NonIntegralLineCount,
     ParameterDomain,
-    PairCoveredTwice,
     PentSyntaxError,
     PointOutOfRange,
     StepNotDividingV,
@@ -196,45 +195,6 @@ def develop(file: BaseBlockFile) -> Geometry:
             if cur == start:
                 break
     return Geometry(params=params, lines=frozenset(lines))
-
-
-@dataclass(frozen=True)
-class PairCoverage:
-    """Map from unordered point pair to the unique line covering it.
-
-    Pairs absent from the table are uncovered; those are exactly the edges of
-    the deficiency graph.
-    """
-
-    v: int
-    table: Mapping[tuple[int, int], Line]
-
-    def line_of(self, x: int, y: int) -> Line | None:
-        return self.table.get((x, y) if x < y else (y, x))
-
-    def covered(self, x: int, y: int) -> bool:
-        return self.line_of(x, y) is not None
-
-    def uncovered_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (x, y)
-            for x in range(self.v)
-            for y in range(x + 1, self.v)
-            if (x, y) not in self.table
-        ]
-
-
-def pair_coverage(geom: Geometry) -> PairCoverage:
-    table: dict[tuple[int, int], Line] = {}
-    for ln in geom.lines_sorted():
-        for i in range(len(ln)):
-            for j in range(i + 1, len(ln)):
-                pair = (ln[i], ln[j])
-                other = table.get(pair)
-                if other is not None:
-                    raise PairCoveredTwice(pair, other, ln)
-                table[pair] = ln
-    return PairCoverage(v=geom.v, table=table)
 
 
 def geometry_to_json(geom: Geometry, provenance: dict | None = None) -> str:

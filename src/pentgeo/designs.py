@@ -190,23 +190,13 @@ class Gdd:
 
 
 def verify_steiner(s: SteinerSystem) -> None:
-    """Exhaustive pair check; raises on the first defect found."""
+    """Exhaustive pair check; raises on the first defect found.
+
+    An S(2,k,w) is a k-GDD of type 1^w, so the pairs are counted by
+    verify_gdd over singleton groups."""
     if s.k < 2 or s.w < s.k:
         raise ParameterDomain(f"bad S(2,{s.k},{s.w})")
-    seen: dict[tuple[int, int], Line] = {}
-    for blk in sorted(s.blocks):
-        if len(blk) != s.k or any(not 0 <= x < s.w for x in blk):
-            raise ParameterDomain(f"bad block {blk}")
-        for i in range(s.k):
-            for j in range(i + 1, s.k):
-                pair = (blk[i], blk[j])
-                if pair in seen:
-                    raise PairDoubled(pair, seen[pair], blk)
-                seen[pair] = blk
-    for x in range(s.w):
-        for y in range(x + 1, s.w):
-            if (x, y) not in seen:
-                raise PairMissing((x, y))
+    verify_gdd(Gdd(k=s.k, groups=tuple((x,) for x in range(s.w)), blocks=s.blocks))
 
 
 def verify_gdd(d: Gdd) -> None:

@@ -3,6 +3,8 @@
 Every error raised deliberately by this package derives from PentError, so
 callers can catch one base class at an API boundary.  Errors that carry a
 witness (the pair, point or line that triggered them) expose it as attributes.
+UsageError marks the errors that mean the request itself was malformed, as
+opposed to a negative answer; pentctl maps it to its own exit code.
 """
 
 from __future__ import annotations
@@ -12,23 +14,27 @@ class PentError(Exception):
     pass
 
 
-class ParameterDomain(PentError):
+class UsageError(PentError):
+    """Malformed input, or parameters outside their domain."""
+
+
+class ParameterDomain(UsageError):
     """A numeric argument is outside its documented domain."""
 
 
-class NonIntegralLineCount(PentError):
+class NonIntegralLineCount(UsageError):
     """v*r is not divisible by k, so no line set of the right size exists."""
 
 
-class PointOutOfRange(PentError):
+class PointOutOfRange(UsageError):
     """A point identifier is not in 0..v-1."""
 
 
-class StepNotDividingV(PentError):
+class StepNotDividingV(UsageError):
     """A development step d must divide the point count v."""
 
 
-class PentSyntaxError(PentError):
+class PentSyntaxError(UsageError):
     """Malformed base-block file.  line_no is 1-based."""
 
     def __init__(self, message: str, line_no: int | None = None):
@@ -42,27 +48,19 @@ class ArityMismatch(PentSyntaxError):
     """A block does not have exactly k entries."""
 
 
-class PairCoveredTwice(PentError):
-    def __init__(self, pair, line1, line2):
-        super().__init__(f"pair {pair} covered by both {line1} and {line2}")
-        self.pair = pair
-        self.line1 = line1
-        self.line2 = line2
-
-
-class Inadmissible(PentError):
+class Inadmissible(UsageError):
     """Parameters fail a necessary admissibility congruence."""
 
 
-class NotPrimePower(PentError):
+class NotPrimePower(UsageError):
     pass
 
 
-class FieldTooLarge(PentError):
+class FieldTooLarge(UsageError):
     pass
 
 
-class TooManySquares(PentError):
+class TooManySquares(UsageError):
     """More mutually orthogonal Latin squares requested than the field gives."""
 
 
@@ -118,7 +116,7 @@ class PartitionFailed(PentError):
     pass
 
 
-class PlanInvalid(PentError):
+class PlanInvalid(UsageError):
     pass
 
 
@@ -130,7 +128,7 @@ class ResultFailedVerification(PentError):
     pass
 
 
-class NotBlockSize3(PentError):
+class NotBlockSize3(UsageError):
     pass
 
 
@@ -146,5 +144,5 @@ class CompletionUnsupported(PentError):
     """The construction left pairs uncovered and no completion method applies."""
 
 
-class PreconditionFailed(PentError):
+class PreconditionFailed(UsageError):
     pass

@@ -18,7 +18,7 @@ random choices are made over sorted snapshots.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .core import Line, canonical_line
@@ -49,44 +49,67 @@ class ClimbProblem:
     A non-None shift asserts that x -> x + shift (mod v) permutes the target
     pairs with every pair orbit of full length v/gcd(v, shift); the solution
     is then searched for among unions of triple orbits.
+
+    Checking the problem derives what every climb attempt reads: the target
+    pairs the fixed lines cover, and the pair classes the climb covers whole
+    (the shift orbits, or single pairs without a shift).  canon maps a target
+    pair to its class representative, members a representative to its class.
     """
 
     v: int
     target_pairs: frozenset[Pair]
     fixed_lines: frozenset[Line] = frozenset()
     shift: int | None = None
+    fixed_cover: frozenset[Pair] = field(init=False, repr=False, compare=False)
+    canon: dict[Pair, Pair] = field(init=False, repr=False, compare=False)
+    members: dict[Pair, tuple[Pair, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for x, y in self.target_pairs:
-            if not (0 <= x < y < self.v):
+        v, shift, targets = self.v, self.shift, self.target_pairs
+        for x, y in targets:
+            if not (0 <= x < y < v):
                 raise ParameterDomain(f"bad pair ({x},{y})")
         covered: set[Pair] = set()
         for ln in self.fixed_lines:
             for i in range(len(ln)):
                 for j in range(i + 1, len(ln)):
                     p = _pair(ln[i], ln[j])
-                    if p in self.target_pairs:
+                    if p in targets:
                         if p in covered:
                             raise ParameterDomain(f"fixed lines cover {p} twice")
                         covered.add(p)
-        if self.shift is not None:
-            if not (1 <= self.shift < self.v):
-                raise ParameterDomain(f"shift {self.shift} out of range for v = {self.v}")
+        if shift is None:
+            canon = {p: p for p in targets}
+            members = {p: (p,) for p in targets}
+        else:
+            if not (1 <= shift < v):
+                raise ParameterDomain(f"shift {shift} out of range for v = {v}")
             if covered:
                 raise ParameterDomain("shift requires fixed lines that cover no target pair")
-            order = self.order
-            for x, y in self.target_pairs:
-                a = (x + self.shift) % self.v
-                b = (y + self.shift) % self.v
-                if _pair(a, b) not in self.target_pairs:
-                    raise ParameterDomain(f"shift {self.shift} does not preserve the target pairs")
-                steps = 1
-                while _pair(a, b) != (x, y):
-                    a = (a + self.shift) % self.v
-                    b = (b + self.shift) % self.v
-                    steps += 1
-                if steps != order:
-                    raise ParameterDomain(f"pair ({x},{y}) has a short orbit under shift {self.shift}")
+            # Walked in sorted order, each orbit is first met at its least pair.
+            canon = {}
+            members = {}
+            for p in sorted(targets):
+                if p in canon:
+                    continue
+                orbit = [p]
+                a, b = p
+                for _ in range(self.order - 1):
+                    a, b = (a + shift) % v, (b + shift) % v
+                    q = _pair(a, b)
+                    if q == p:
+                        raise ParameterDomain(
+                            f"pair ({p[0]},{p[1]}) has a short orbit under shift {shift}"
+                        )
+                    if q not in targets:
+                        raise ParameterDomain(f"shift {shift} does not preserve the target pairs")
+                    orbit.append(q)
+                for q in orbit:
+                    canon[q] = p
+                members[p] = tuple(orbit)
+        object.__setattr__(self, "fixed_cover", frozenset(covered))
+        object.__setattr__(self, "canon", canon)
+        object.__setattr__(self, "members", members)
 
     @property
     def order(self) -> int:
@@ -110,31 +133,6 @@ class ClimbOutcome:
     attempts_used: int
 
 
-def _class_maps(problem: ClimbProblem):
-    """Map each target pair to its orbit representative, and back."""
-    if problem.shift is None:
-        canon = {p: p for p in problem.target_pairs}
-        members = {p: (p,) for p in problem.target_pairs}
-        return canon, members
-    canon: dict[Pair, Pair] = {}
-    members: dict[Pair, tuple[Pair, ...]] = {}
-    order = problem.order
-    for p in sorted(problem.target_pairs):
-        if p in canon:
-            continue
-        orbit = []
-        a, b = p
-        for _ in range(order):
-            orbit.append(_pair(a, b))
-            a = (a + problem.shift) % problem.v
-            b = (b + problem.shift) % problem.v
-        rep = min(orbit)
-        for q in orbit:
-            canon[q] = rep
-        members[rep] = tuple(orbit)
-    return canon, members
-
-
 def _develop(added: set[Line], problem: ClimbProblem) -> frozenset[Line]:
     if problem.shift is None:
         return frozenset(added)
@@ -150,25 +148,19 @@ def _develop(added: set[Line], problem: ClimbProblem) -> frozenset[Line]:
     return frozenset(out)
 
 
-def _attempt(problem: ClimbProblem, canon, members, rng: random.Random, budget: int):
-    targets = problem.target_pairs
-    fixed_cover: set[Pair] = set()
-    for ln in problem.fixed_lines:
-        for i in range(len(ln)):
-            for j in range(i + 1, len(ln)):
-                p = _pair(ln[i], ln[j])
-                if p in targets:
-                    fixed_cover.add(p)
+def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
+    canon, members, fixed_cover = problem.canon, problem.members, problem.fixed_cover
 
     # y in avail[x] iff {x,y} is a target pair not owned by a fixed line;
     # y in uncovered_at[x] additionally requires its orbit to be uncovered.
     avail: dict[int, set[int]] = {x: set() for x in range(problem.v)}
-    for x, y in targets:
+    for x, y in problem.target_pairs:
         if (x, y) not in fixed_cover:
             avail[x].add(y)
             avail[y].add(x)
     uncovered_at = {x: set(avail[x]) for x in range(problem.v)}
-    n_uncovered = len({canon[p] for p in targets if p not in fixed_cover})
+    # Without a shift every class is one pair; with one, no pair is fixed.
+    n_uncovered = len(members) - len(fixed_cover)
 
     cover: dict[Pair, Line] = {}
     added: set[Line] = set()
@@ -240,14 +232,12 @@ def _attempt(problem: ClimbProblem, canon, members, rng: random.Random, budget: 
                 if c_xz == c_xy or c_yz == c_xy or c_xz == c_yz:
                     continue
                 tiers[(c_xz in cover) + (c_yz in cover)].append((z, c_xz, c_yz))
-            cost = None
             for cost, tier in enumerate(tiers):
                 if tier:
                     move = (x, y, c_xy) + tier[rng.randrange(len(tier))]
                     break
-            if move is not None and cost is not None and tier:
-                if cost <= 1:
-                    break
+            if tier and cost <= 1:
+                break
         if move is None:
             continue
         x, y, c_xy, z, c_xz, c_yz = move
@@ -271,11 +261,10 @@ def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutc
     budget = config.max_iterations
     if budget is None:
         budget = 100 * len(problem.target_pairs)
-    canon, members = _class_maps(problem)
     total = 0
     for attempt in range(config.restarts):
         rng = random.Random(config.seed + attempt)
-        added, used = _attempt(problem, canon, members, rng, budget)
+        added, used = _attempt(problem, rng, budget)
         total += used
         if added is not None:
             return ClimbOutcome(

@@ -4,7 +4,10 @@ verify, line_split, overlap_profile and dist3_analysis here walk Python sets
 point by point, and girth is a plain BFS from every vertex.  They are slow
 and obviously correct; tests/test_kernel.py asserts that the bitset kernel in
 pentgeo.pent and pentgeo.graphs gives equal results, witness strings
-included.  Nothing in the package imports this module.
+included.  verify_steiner and verify_gdd are the original design verifiers,
+each with its own pair loop; tests/test_designs.py asserts that the shared
+one in pentgeo.designs raises the same exceptions with the same messages.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -12,9 +15,14 @@ from __future__ import annotations
 from collections import Counter, deque
 
 from pentgeo.core import Geometry, Line, PentParams
+from pentgeo.designs import Gdd, SteinerSystem
 from pentgeo.errors import (
     DegreeBoundViolated,
     ForbiddenOverlap,
+    GroupPairCovered,
+    PairDoubled,
+    PairMissing,
+    ParameterDomain,
     PartitionFailed,
     SplitMismatch,
 )
@@ -452,3 +460,52 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
         degrees_tight=tight,
         blade_counts=tuple(blade_counts),
     )
+
+
+def verify_steiner(s: SteinerSystem) -> None:
+    """Exhaustive pair check; raises on the first defect found."""
+    if s.k < 2 or s.w < s.k:
+        raise ParameterDomain(f"bad S(2,{s.k},{s.w})")
+    seen: dict[tuple[int, int], Line] = {}
+    for blk in sorted(s.blocks):
+        if len(blk) != s.k or any(not 0 <= x < s.w for x in blk):
+            raise ParameterDomain(f"bad block {blk}")
+        for i in range(s.k):
+            for j in range(i + 1, s.k):
+                pair = (blk[i], blk[j])
+                if pair in seen:
+                    raise PairDoubled(pair, seen[pair], blk)
+                seen[pair] = blk
+    for x in range(s.w):
+        for y in range(x + 1, s.w):
+            if (x, y) not in seen:
+                raise PairMissing((x, y))
+
+
+def verify_gdd(d: Gdd) -> None:
+    """Exhaustive cross-pair check; raises on the first defect found."""
+    n = d.n
+    group_of = {}
+    for gi, grp in enumerate(d.groups):
+        for x in grp:
+            if x in group_of:
+                raise ParameterDomain(f"point {x} in two groups")
+            group_of[x] = gi
+    if sorted(group_of) != list(range(n)):
+        raise ParameterDomain("groups do not partition 0..n-1")
+    seen: dict[tuple[int, int], Line] = {}
+    for blk in sorted(d.blocks):
+        if len(blk) != d.k or any(x not in group_of for x in blk):
+            raise ParameterDomain(f"bad block {blk}")
+        for i in range(d.k):
+            for j in range(i + 1, d.k):
+                pair = (blk[i], blk[j])
+                if group_of[pair[0]] == group_of[pair[1]]:
+                    raise GroupPairCovered(pair, blk)
+                if pair in seen:
+                    raise PairDoubled(pair, seen[pair], blk)
+                seen[pair] = blk
+    for x in range(n):
+        for y in range(x + 1, n):
+            if group_of[x] != group_of[y] and (x, y) not in seen:
+                raise PairMissing((x, y))

@@ -6,8 +6,9 @@ import json
 import pytest
 from conftest import fixture_text
 
-from pentgeo import develop, geometry, geometry_to_json, parse_pent_file, verify
+from pentgeo import develop, errors, geometry, geometry_to_json, parse_pent_file, verify
 from pentgeo.cli import _exit_code, _report_dict, main
+from pentgeo.designs import gdd_to_json_dict, uniform_gdd
 from pentgeo.errors import (
     ClimbFailed,
     NoConstructionAvailable,
@@ -317,14 +318,7 @@ def test_construct_c36_needs_h(cli, tmp_path):
     assert code == 2
 
 
-def test_construct_threads_validated(cli, fix33):
-    code, _, _ = cli(["construct", "tripling", fix33, "--threads", "0"])
-    assert code == 2
-
-
 def test_construct_gdd_fill(cli, tmp_path, fix33):
-    from pentgeo.designs import gdd_to_json_dict, uniform_gdd
-
     spec = {
         "gdd": gdd_to_json_dict(uniform_gdd(3, 10)),
         "ingredients": {"10": "pent_3_3_3.pent"},
@@ -348,6 +342,31 @@ def test_construct_gdd_fill_bad_spec(cli, tmp_path):
     code, _, err = cli(["construct", "gdd-fill", str(path)])
     assert code == 2
     assert "pentctl:" in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"ingredients": [1, 2]},
+        {"ingredients": {"x": "pent_3_3_3.pent"}},
+        {"ingredients": {"10": 5}},
+        {"gdd": {**gdd_to_json_dict(uniform_gdd(3, 10)), "k": 3.7}},
+    ],
+    ids=["ingredients-list", "size-not-integer", "path-not-string", "k-float"],
+)
+def test_construct_gdd_fill_malformed_spec_exits_2(cli, tmp_path, change):
+    spec = {
+        "gdd": gdd_to_json_dict(uniform_gdd(3, 10)),
+        "ingredients": {"10": "pent_3_3_3.pent"},
+    }
+    spec.update(change)
+    (tmp_path / "pent_3_3_3.pent").write_text(fixture_text("pent_3_3_3"))
+    path = tmp_path / "fill.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = cli(["construct", "gdd-fill", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("pentctl: ")
 
 
 def test_plan_pent3(cli):
@@ -401,3 +420,38 @@ def test_exit_code_mapping():
     assert _exit_code(NoConstructionAvailable("x")) == 1
     with pytest.raises(ValueError):
         _exit_code(ValueError("x"))
+
+
+# Looked up by name, so a misspelt class fails at collection.
+USAGE_ERRORS = {
+    getattr(errors, name)
+    for name in (
+        "UsageError",
+        "PentSyntaxError",
+        "ArityMismatch",
+        "ParameterDomain",
+        "NonIntegralLineCount",
+        "PointOutOfRange",
+        "StepNotDividingV",
+        "Inadmissible",
+        "NotPrimePower",
+        "FieldTooLarge",
+        "TooManySquares",
+        "PreconditionFailed",
+        "NotBlockSize3",
+        "PlanInvalid",
+    )
+}
+
+PENT_ERRORS = sorted(
+    name
+    for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.PentError)
+)
+
+
+@pytest.mark.parametrize("name", PENT_ERRORS)
+def test_exit_code_of_every_error(name):
+    cls = getattr(errors, name)
+    expected = 3 if cls is ClimbFailed else 2 if cls in USAGE_ERRORS else 1
+    assert _exit_code(cls.__new__(cls)) == expected

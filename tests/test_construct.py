@@ -1,6 +1,7 @@
 """Recursive constructions and parameter planners."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -30,7 +31,8 @@ from pentgeo.errors import (
     PlanInvalid,
     PreconditionFailed,
 )
-from pentgeo.graphs import generalized_petersen, graph_from_edges, petersen
+from pentgeo.graphs import generalized_petersen, graph_from_edges, orbit_graph, petersen
+from pentgeo.hillclimb import ClimbConfig
 
 from pentgeo import geometry
 
@@ -363,3 +365,17 @@ def test_pent5_plan_check_rejects_doctored_values():
         worse.check()
     with pytest.raises(PlanInvalid):
         dataclasses.replace(plan, q=plan.q + 1).check()
+
+
+# Digest of the sorted lines of construction36 on a cubic girth-5 orbit
+# graph on 20 vertices, h = k = 3, per climb seed.  Seed 0 is left out: its
+# completion takes about 40,000 climb iterations.
+PINNED_C36 = {1: "e95f00bcee70", 2: "6cd3ff61637a", 3: "7666e15193cb", 4: "448f01e80b9e"}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_C36))
+def test_construction36_orbit_graph_pinned(seed):
+    seed_graph = orbit_graph(((0, 4), (1, 5), (2, 6), (0, 3), (1, 3), (2, 3)), 4, 20)
+    geom = construction36(seed_graph, 3, 3, ClimbConfig(seed=seed))
+    digest = hashlib.sha256(repr(geom.lines_sorted()).encode()).hexdigest()[:12]
+    assert digest == PINNED_C36[seed]

@@ -16,11 +16,10 @@ from pentgeo import (
     parse_pent_file,
     write_pent_file,
 )
-from pentgeo.core import canonical_line, pair_coverage
+from pentgeo.core import canonical_line
 from pentgeo.errors import (
     ArityMismatch,
     NonIntegralLineCount,
-    PairCoveredTwice,
     ParameterDomain,
     PentSyntaxError,
     PointOutOfRange,
@@ -168,22 +167,6 @@ def test_develop_representative_independence():
         blocks=tuple(canonical_line((x + d) % v for x in blk) for blk in file.blocks),
     )
     assert develop(rotated).lines == develop(file).lines
-
-
-def test_pair_coverage_counts(pent33):
-    cov = pair_coverage(pent33)
-    assert len(cov.table) == 30  # 10 lines, 3 pairs each
-    uncovered = [
-        (x, y) for x in range(10) for y in range(x + 1, 10) if (x, y) not in cov.table
-    ]
-    assert len(uncovered) == 15  # the deficiency edges
-
-
-def test_pair_coverage_rejects_double():
-    params = derive_params(3, 3, 3)
-    geom = geometry(params, [(0, 1, 2), (0, 1, 3)])
-    with pytest.raises(PairCoveredTwice):
-        pair_coverage(geom)
 
 
 def test_geometry_rejects_stray_point():

@@ -1,8 +1,13 @@
 """Finite fields, Steiner systems, planes, MOLS, transversal designs."""
 
+import dataclasses
 import itertools
+import random
 
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentgeo.designs import (
     Gdd,
@@ -218,3 +223,60 @@ def test_gdd_group_type_mixed():
     d = Gdd(k=3, groups=((0, 1), (2, 3), (4, 5, 6)), blocks=frozenset())
     assert d.group_type() == {2: 2, 3: 1}
     assert d.n == 7
+
+
+def test_steiner_block_with_repeated_point():
+    # Not a Line: the repeated point's pair lies inside its singleton group.
+    system = SteinerSystem(k=3, w=7, blocks=sts(7).blocks | {(1, 1, 2)})
+    with pytest.raises(GroupPairCovered, match=r"pair \(1, 1\)"):
+        verify_steiner(system)
+
+
+# --- the shared pair loop against the original verifiers in tests/oracle.py --
+
+DESIGNS = {
+    "sts7": (lambda: sts(7), verify_steiner, oracle.verify_steiner),
+    "sts9": (lambda: sts(9), verify_steiner, oracle.verify_steiner),
+    "ag2_3": (lambda: affine_plane(3), verify_steiner, oracle.verify_steiner),
+    "td3_3": (lambda: uniform_gdd(3, 3), verify_gdd, oracle.verify_gdd),
+}
+
+
+def delete_block(blocks, rng, n, k):
+    del blocks[rng.randrange(len(blocks))]
+
+
+def add_block(blocks, rng, n, k):
+    blocks.append(tuple(sorted(rng.sample(range(n), k))))
+
+
+def move_point(blocks, rng, n, k):
+    """Replace one point of a block by a point off it, possibly out of range."""
+    i = rng.randrange(len(blocks))
+    blk = blocks[i]
+    p = blk[rng.randrange(k)]
+    q = rng.choice([x for x in range(n + 1) if x not in blk])
+    blocks[i] = tuple(sorted(q if x == p else x for x in blk))
+
+
+def outcome(verifier, design):
+    try:
+        return verifier(design)
+    except Exception as exc:  # the oracle's exceptions are part of its answer
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=200)
+@given(
+    name=st.sampled_from(sorted(DESIGNS)),
+    kind=st.sampled_from((delete_block, add_block, move_point)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_design_verifier_matches_oracle(name, kind, seed):
+    build, verifier, reference = DESIGNS[name]
+    design = build()
+    n = design.w if isinstance(design, SteinerSystem) else design.n
+    blocks = sorted(design.blocks)
+    kind(blocks, random.Random(seed), n, design.k)
+    mutant = dataclasses.replace(design, blocks=frozenset(blocks))
+    assert outcome(verifier, mutant) == outcome(reference, mutant)

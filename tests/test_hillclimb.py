@@ -1,5 +1,6 @@
 """Stochastic completion search: determinism, exhaustion, orbit climbing."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -166,3 +167,54 @@ def test_outcome_accounting():
     assert outcome.status == COMPLETE
     assert outcome.attempts_used >= 1
     assert outcome.iterations_used >= len(outcome.lines)
+
+
+def lines_digest(lines) -> str:
+    return hashlib.sha256(repr(sorted(lines)).encode()).hexdigest()[:12]
+
+
+# (iterations_used, attempts_used, digest of the sorted lines) per seed.
+PINNED_CLIMBS = {
+    (31, 0): (326, 1, "146c493c621c"),
+    (31, 1): (463, 1, "0c117c48c2db"),
+    (31, 2): (285, 1, "03b8c2b50502"),
+    (69, 0): (1775, 1, "0a58b5257146"),
+    (69, 1): (2435, 1, "710d126c6784"),
+    (69, 2): (1747, 1, "cd9a4aebdac1"),
+}
+
+
+@pytest.mark.parametrize("w,seed", sorted(PINNED_CLIMBS))
+def test_seeded_climb_pinned(w, seed):
+    outcome = climb(ClimbProblem(v=w, target_pairs=all_pairs(w)), ClimbConfig(seed=seed))
+    assert outcome.status == COMPLETE
+    got = (outcome.iterations_used, outcome.attempts_used, lines_digest(outcome.lines))
+    assert got == PINNED_CLIMBS[w, seed]
+
+
+def test_problem_derives_classes():
+    fixed = frozenset({(0, 1, 2)})
+    plain = ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed)
+    assert plain.fixed_cover == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert plain.canon == {p: p for p in all_pairs(7)}
+    assert plain.members == {p: (p,) for p in all_pairs(7)}
+
+    cyclic = ClimbProblem(v=7, target_pairs=all_pairs(7), shift=1)
+    assert cyclic.fixed_cover == frozenset()
+    assert sorted(cyclic.members) == [(0, 1), (0, 2), (0, 3)]
+    assert cyclic.members[0, 2] == ((0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (0, 5), (1, 6))
+    assert all(cyclic.canon[q] == rep for rep, orbit in cyclic.members.items() for q in orbit)
+    # derived data takes no part in equality or hashing
+    assert cyclic == ClimbProblem(v=7, target_pairs=all_pairs(7), shift=1)
+    assert hash(plain) == hash(ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed))
+
+
+def test_problem_validation_messages():
+    with pytest.raises(ParameterDomain, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
+        ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), shift=3)
+    with pytest.raises(ParameterDomain, match=r"^shift 1 does not preserve the target pairs$"):
+        ClimbProblem(v=6, target_pairs=frozenset({(0, 1)}), shift=1)
+    with pytest.raises(ParameterDomain, match=r"^fixed lines cover \(0, 1\) twice$"):
+        ClimbProblem(
+            v=6, target_pairs=frozenset({(0, 1)}), fixed_lines=frozenset({(0, 1, 2), (0, 1, 3)})
+        )
