@@ -38,6 +38,7 @@ from .errors import (
     NotBlockSize3,
     NotPrimePower,
     ParameterDomain,
+    PentError,
     PlanInvalid,
     PreconditionFailed,
     ResultFailedVerification,
@@ -164,7 +165,7 @@ def gdd_fill(plan: GddFillPlan) -> Geometry:
     """
     try:
         verify_gdd(plan.gdd)
-    except Exception as exc:
+    except PentError as exc:
         raise PlanInvalid(f"gdd does not verify: {exc}") from exc
     k = plan.gdd.k
     w = None

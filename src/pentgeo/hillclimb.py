@@ -7,6 +7,12 @@ triples already covering the two far pairs are displaced.  Moves displacing
 fewer triples are preferred, and a long stall sheds a couple of placed
 triples so the walk can leave the basin it is circling.
 
+The step scores candidates by set algebra rather than point by point.  With
+U(x) the partners of x whose pair class is still uncovered, a third point z
+common to the target neighbourhoods of x and y displaces
+2 - [z in U(x)] - [z in U(y)] triples, so its tiers are U(x) & U(y),
+(U(x) ^ U(y)) & avail(x) & avail(y), and the rest of the common points.
+
 A problem may declare a cyclic symmetry x -> x + shift (mod v) of its target
 pairs.  The climb then works on whole pair orbits and develops every chosen
 triple around the cycle, which shrinks the search space by the orbit length.
@@ -53,7 +59,8 @@ class ClimbProblem:
     Checking the problem derives what every climb attempt reads: the target
     pairs the fixed lines cover, and the pair classes the climb covers whole
     (the shift orbits, or single pairs without a shift).  canon maps a target
-    pair to its class representative, members a representative to its class.
+    pair to its class representative, members a representative to its class,
+    and rows[x][y] is the class of {x,y}, read by the climb step.
     """
 
     v: int
@@ -63,6 +70,7 @@ class ClimbProblem:
     fixed_cover: frozenset[Pair] = field(init=False, repr=False, compare=False)
     canon: dict[Pair, Pair] = field(init=False, repr=False, compare=False)
     members: dict[Pair, tuple[Pair, ...]] = field(init=False, repr=False, compare=False)
+    rows: tuple[dict[int, Pair], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v, shift, targets = self.v, self.shift, self.target_pairs
@@ -107,9 +115,14 @@ class ClimbProblem:
                 for q in orbit:
                     canon[q] = p
                 members[p] = tuple(orbit)
+        rows: tuple[dict[int, Pair], ...] = tuple({} for _ in range(v))
+        for (x, y), c in canon.items():
+            rows[x][y] = c
+            rows[y][x] = c
         object.__setattr__(self, "fixed_cover", frozenset(covered))
         object.__setattr__(self, "canon", canon)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def order(self) -> int:
@@ -118,7 +131,8 @@ class ClimbProblem:
 
 @dataclass(frozen=True)
 class ClimbConfig:
-    """max_iterations of None means 100 * |target_pairs| per attempt."""
+    """max_iterations of None means 100 * |target_pairs| per attempt; a
+    given budget must be at least 1."""
 
     seed: int = 0
     max_iterations: int | None = None
@@ -149,21 +163,23 @@ def _develop(added: set[Line], problem: ClimbProblem) -> frozenset[Line]:
 
 
 def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
-    canon, members, fixed_cover = problem.canon, problem.members, problem.fixed_cover
+    row, members, fixed_cover = problem.rows, problem.members, problem.fixed_cover
+    shifted = problem.shift is not None
 
     # y in avail[x] iff {x,y} is a target pair not owned by a fixed line;
-    # y in uncovered_at[x] additionally requires its orbit to be uncovered.
-    avail: dict[int, set[int]] = {x: set() for x in range(problem.v)}
+    # y in uncovered_at[x] additionally requires its class to be uncovered.
+    avail: list[set[int]] = [set() for _ in range(problem.v)]
     for x, y in problem.target_pairs:
         if (x, y) not in fixed_cover:
             avail[x].add(y)
             avail[y].add(x)
-    uncovered_at = {x: set(avail[x]) for x in range(problem.v)}
+    uncovered_at = [set(ys) for ys in avail]
     # Without a shift every class is one pair; with one, no pair is fixed.
     n_uncovered = len(members) - len(fixed_cover)
 
     cover: dict[Pair, Line] = {}
     added: set[Line] = set()
+    # live holds exactly the points x with uncovered_at[x] non-empty.
     live = {x for x in range(problem.v) if uncovered_at[x]}
     live_list = sorted(live)
     live_dirty = False
@@ -173,30 +189,39 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
         cover[c] = ln
         n_uncovered -= 1
         for x, y in members[c]:
-            uncovered_at[x].discard(y)
-            uncovered_at[y].discard(x)
-            for z in (x, y):
-                if not uncovered_at[z] and z in live:
-                    live.discard(z)
-                    live_dirty = True
+            at = uncovered_at[x]
+            at.discard(y)
+            if not at:
+                live.discard(x)
+                live_dirty = True
+            at = uncovered_at[y]
+            at.discard(x)
+            if not at:
+                live.discard(y)
+                live_dirty = True
 
     def uncover_class(c: Pair):
         nonlocal n_uncovered, live_dirty
         del cover[c]
         n_uncovered += 1
         for x, y in members[c]:
-            uncovered_at[x].add(y)
-            uncovered_at[y].add(x)
-            for z in (x, y):
-                if z not in live:
-                    live.add(z)
-                    live_dirty = True
+            at = uncovered_at[x]
+            at.add(y)
+            if len(at) == 1:
+                live.add(x)
+                live_dirty = True
+            at = uncovered_at[y]
+            at.add(x)
+            if len(at) == 1:
+                live.add(y)
+                live_dirty = True
 
     def remove_triple(t: Line):
+        a, b, c = t
         added.discard(t)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                uncover_class(canon[_pair(t[i], t[j])])
+        uncover_class(row[a][b])
+        uncover_class(row[a][c])
+        uncover_class(row[b][c])
 
     iterations = 0
     best = n_uncovered
@@ -220,32 +245,50 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
         move = None
         for _ in range(_PATIENCE):
             x = live_list[rng.randrange(len(live_list))]
-            partners = sorted(uncovered_at[x])
+            ux = uncovered_at[x]
+            partners = sorted(ux)
             if not partners:
                 continue
             y = partners[rng.randrange(len(partners))]
-            c_xy = canon[_pair(x, y)]
-            tiers: tuple[list, list, list] = ([], [], [])
-            for z in sorted(avail[x] & avail[y]):
-                c_xz = canon[_pair(x, z)]
-                c_yz = canon[_pair(y, z)]
-                if c_xz == c_xy or c_yz == c_xy or c_xz == c_yz:
+            uy = uncovered_at[y]
+            # A third point z in avail[x] & avail[y] displaces one triple per
+            # covered class among {x,z} and {y,z}, and the class of {x,z} is
+            # covered iff z is not in U(x) = uncovered_at[x].  So z costs
+            # 2 - [z in U(x)] - [z in U(y)], and the tiers by cost are:
+            #   0: U(x) & U(y)
+            #   1: (U(x) ^ U(y)) & avail[x] & avail[y]
+            #   2: (avail[x] & avail[y]) - U(x) - U(y)
+            for cost in range(3):
+                if cost == 0:
+                    tier = ux & uy
+                elif cost == 1:
+                    common = avail[x] & avail[y]
+                    tier = (ux ^ uy) & common
+                else:
+                    tier = common - ux - uy
+                if not tier:
                     continue
-                tiers[(c_xz in cover) + (c_yz in cover)].append((z, c_xz, c_yz))
-            for cost, tier in enumerate(tiers):
-                if tier:
-                    move = (x, y, c_xy) + tier[rng.randrange(len(tier))]
-                    break
+                tier = sorted(tier)
+                if shifted:
+                    # Orbits can make two of the three pairs one class.
+                    rx, ry = row[x], row[y]
+                    c_xy = rx[y]
+                    tier = [z for z in tier if c_xy != rx[z] != ry[z] != c_xy]
+                    if not tier:
+                        continue
+                move = (x, y, tier[rng.randrange(len(tier))])
+                break
             if tier and cost <= 1:
                 break
         if move is None:
             continue
-        x, y, c_xy, z, c_xz, c_yz = move
+        x, y, z = move
+        c_xy, c_xz, c_yz = row[x][y], row[x][z], row[y][z]
         for c in (c_xz, c_yz):
             t = cover.get(c)
             if t is not None:
                 remove_triple(t)
-        triple = canonical_line((x, y, z))
+        triple = canonical_line(move)
         added.add(triple)
         cover_class(c_xy, triple)
         cover_class(c_xz, triple)
@@ -261,6 +304,8 @@ def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutc
     budget = config.max_iterations
     if budget is None:
         budget = 100 * len(problem.target_pairs)
+    elif budget < 1:
+        raise ParameterDomain(f"max_iterations = {budget} < 1")
     total = 0
     for attempt in range(config.restarts):
         rng = random.Random(config.seed + attempt)

@@ -7,14 +7,18 @@ pentgeo.pent and pentgeo.graphs gives equal results, witness strings
 included.  verify_steiner and verify_gdd are the original design verifiers,
 each with its own pair loop; tests/test_designs.py asserts that the shared
 one in pentgeo.designs raises the same exceptions with the same messages.
-Nothing in the package imports this module.
+_attempt is the original hill-climb attempt, which scores every common
+neighbour of the chosen pair by two class lookups; tests/test_hillclimb.py
+asserts that the set-algebra step in pentgeo.hillclimb makes the same moves
+and the same random draws.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter, deque
 
-from pentgeo.core import Geometry, Line, PentParams
+from pentgeo.core import Geometry, Line, PentParams, canonical_line
 from pentgeo.designs import Gdd, SteinerSystem
 from pentgeo.errors import (
     DegreeBoundViolated,
@@ -27,6 +31,7 @@ from pentgeo.errors import (
     SplitMismatch,
 )
 from pentgeo.graphs import Graph, GraphReport, graph_from_edges
+from pentgeo.hillclimb import _KICK_SIZE, _PATIENCE, _STALL_LIMIT, ClimbProblem, Pair
 from pentgeo.pent import (
     AXIOM_OPPOSITE,
     AXIOM_PARTIAL_LINEAR,
@@ -509,3 +514,112 @@ def verify_gdd(d: Gdd) -> None:
         for y in range(x + 1, n):
             if group_of[x] != group_of[y] and (x, y) not in seen:
                 raise PairMissing((x, y))
+
+
+def _pair(x: int, y: int) -> Pair:
+    return (x, y) if x < y else (y, x)
+
+
+def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
+    canon, members, fixed_cover = problem.canon, problem.members, problem.fixed_cover
+
+    # y in avail[x] iff {x,y} is a target pair not owned by a fixed line;
+    # y in uncovered_at[x] additionally requires its orbit to be uncovered.
+    avail: dict[int, set[int]] = {x: set() for x in range(problem.v)}
+    for x, y in problem.target_pairs:
+        if (x, y) not in fixed_cover:
+            avail[x].add(y)
+            avail[y].add(x)
+    uncovered_at = {x: set(avail[x]) for x in range(problem.v)}
+    # Without a shift every class is one pair; with one, no pair is fixed.
+    n_uncovered = len(members) - len(fixed_cover)
+
+    cover: dict[Pair, Line] = {}
+    added: set[Line] = set()
+    live = {x for x in range(problem.v) if uncovered_at[x]}
+    live_list = sorted(live)
+    live_dirty = False
+
+    def cover_class(c: Pair, ln: Line):
+        nonlocal n_uncovered, live_dirty
+        cover[c] = ln
+        n_uncovered -= 1
+        for x, y in members[c]:
+            uncovered_at[x].discard(y)
+            uncovered_at[y].discard(x)
+            for z in (x, y):
+                if not uncovered_at[z] and z in live:
+                    live.discard(z)
+                    live_dirty = True
+
+    def uncover_class(c: Pair):
+        nonlocal n_uncovered, live_dirty
+        del cover[c]
+        n_uncovered += 1
+        for x, y in members[c]:
+            uncovered_at[x].add(y)
+            uncovered_at[y].add(x)
+            for z in (x, y):
+                if z not in live:
+                    live.add(z)
+                    live_dirty = True
+
+    def remove_triple(t: Line):
+        added.discard(t)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                uncover_class(canon[_pair(t[i], t[j])])
+
+    iterations = 0
+    best = n_uncovered
+    since_best = 0
+    while n_uncovered > 0 and iterations < budget:
+        iterations += 1
+        since_best += 1
+        if n_uncovered < best:
+            best = n_uncovered
+            since_best = 0
+        if since_best > _STALL_LIMIT:
+            since_best = 0
+            pool = sorted(added)
+            for _ in range(min(_KICK_SIZE, len(pool))):
+                t = pool[rng.randrange(len(pool))]
+                if t in added:
+                    remove_triple(t)
+        if live_dirty:
+            live_list = sorted(live)
+            live_dirty = False
+        move = None
+        for _ in range(_PATIENCE):
+            x = live_list[rng.randrange(len(live_list))]
+            partners = sorted(uncovered_at[x])
+            if not partners:
+                continue
+            y = partners[rng.randrange(len(partners))]
+            c_xy = canon[_pair(x, y)]
+            tiers: tuple[list, list, list] = ([], [], [])
+            for z in sorted(avail[x] & avail[y]):
+                c_xz = canon[_pair(x, z)]
+                c_yz = canon[_pair(y, z)]
+                if c_xz == c_xy or c_yz == c_xy or c_xz == c_yz:
+                    continue
+                tiers[(c_xz in cover) + (c_yz in cover)].append((z, c_xz, c_yz))
+            for cost, tier in enumerate(tiers):
+                if tier:
+                    move = (x, y, c_xy) + tier[rng.randrange(len(tier))]
+                    break
+            if tier and cost <= 1:
+                break
+        if move is None:
+            continue
+        x, y, c_xy, z, c_xz, c_yz = move
+        for c in (c_xz, c_yz):
+            t = cover.get(c)
+            if t is not None:
+                remove_triple(t)
+        triple = canonical_line((x, y, z))
+        added.add(triple)
+        cover_class(c_xy, triple)
+        cover_class(c_xz, triple)
+        cover_class(c_yz, triple)
+    return (added if n_uncovered == 0 else None), iterations

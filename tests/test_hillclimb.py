@@ -1,17 +1,26 @@
 """Stochastic completion search: determinism, exhaustion, orbit climbing."""
 
+import functools
 import hashlib
 import itertools
+import random
+from unittest import mock
 
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pentgeo import construct
 from pentgeo.designs import SteinerSystem, sts, verify_gdd, verify_steiner
 from pentgeo.errors import ClimbFailed, Inadmissible, ParameterDomain
+from pentgeo.graphs import orbit_graph
 from pentgeo.hillclimb import (
     COMPLETE,
     EXHAUSTED,
     ClimbConfig,
     ClimbProblem,
+    _attempt,
     climb,
     climb_3gdd,
     climb_sts,
@@ -161,6 +170,13 @@ def test_restart_config_rejected():
         climb(problem, ClimbConfig(seed=0, restarts=0))
 
 
+@pytest.mark.parametrize("budget", [0, -1, -100])
+def test_empty_budget_rejected(budget):
+    problem = ClimbProblem(v=9, target_pairs=all_pairs(9))
+    with pytest.raises(ParameterDomain, match=rf"^max_iterations = {budget} < 1$"):
+        climb(problem, ClimbConfig(seed=0, max_iterations=budget))
+
+
 def test_outcome_accounting():
     problem = ClimbProblem(v=9, target_pairs=all_pairs(9))
     outcome = climb(problem, ClimbConfig(seed=1))
@@ -181,6 +197,8 @@ PINNED_CLIMBS = {
     (69, 0): (1775, 1, "0a58b5257146"),
     (69, 1): (2435, 1, "710d126c6784"),
     (69, 2): (1747, 1, "cd9a4aebdac1"),
+    (99, 0): (5222, 1, "8942c1528321"),
+    (99, 1): (4413, 1, "9c37bfa25998"),
 }
 
 
@@ -218,3 +236,97 @@ def test_problem_validation_messages():
         ClimbProblem(
             v=6, target_pairs=frozenset({(0, 1)}), fixed_lines=frozenset({(0, 1, 2), (0, 1, 3)})
         )
+
+
+@functools.cache
+def c36_shift_problem() -> ClimbProblem:
+    """The shift-12 completion problem construction36 climbs on the cubic
+    girth-5 orbit graph on 20 vertices with h = k = 3."""
+    seen = []
+
+    def record(problem, config=None):
+        seen.append(problem)
+        return climb(problem, config)
+
+    seed_graph = orbit_graph(((0, 4), (1, 5), (2, 6), (0, 3), (1, 3), (2, 3)), 4, 20)
+    with mock.patch.object(construct, "climb", record):
+        construct.construction36(seed_graph, 3, 3, ClimbConfig(seed=1))
+    assert seen[0].shift == 12
+    return seen[0]
+
+
+def sts_problem(size):
+    w = (7, 9, 13, 15, 19, 31)[size]
+    return ClimbProblem(v=w, target_pairs=all_pairs(w))
+
+
+def gdd_problem(size):
+    g, u = ((2, 3), (3, 3), (2, 4), (4, 3), (3, 5), (6, 3))[size]
+    pairs = frozenset((x, y) for x, y in all_pairs(g * u) if x // g != y // g)
+    return ClimbProblem(v=g * u, target_pairs=pairs)
+
+
+def fixed_problem(size):
+    w, n_fixed = ((9, 3), (9, 8), (13, 5), (13, 15), (15, 10), (19, 20))[size]
+    fixed = frozenset(sorted(sts(w).blocks)[:n_fixed])
+    return ClimbProblem(v=w, target_pairs=all_pairs(w), fixed_lines=fixed)
+
+
+def cyclic_problem(size):
+    # w = 3 (mod 6) leaves a number of full pair orbits not divisible by 3,
+    # so those attempts always run out.
+    w = (7, 9, 13, 15, 19, 21)[size]
+    return ClimbProblem(v=w, target_pairs=all_pairs(w), shift=1)
+
+
+def c36_problem(size):
+    return c36_shift_problem()
+
+
+# Complete pair sets, 3-GDD pair sets, fixed lines, and the two kinds of
+# shift problem.
+FAMILIES = {
+    "sts": sts_problem,
+    "gdd": gdd_problem,
+    "fixed": fixed_problem,
+    "cyclic": cyclic_problem,
+    "c36": c36_problem,
+}
+
+
+@settings(max_examples=300)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    size=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.one_of(st.integers(1, 60), st.integers(61, 3000)),
+)
+def test_attempt_matches_oracle(family, size, seed, budget):
+    problem = FAMILIES[family](size)
+    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    fast = _attempt(problem, fast_rng, budget)
+    slow = oracle._attempt(problem, slow_rng, budget)
+    assert fast == slow
+    assert fast_rng.getstate() == slow_rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "make,seed",
+    [
+        (lambda: ClimbProblem(v=69, target_pairs=all_pairs(69)), 0),
+        (lambda: ClimbProblem(v=99, target_pairs=all_pairs(99)), 3),
+        (lambda: ClimbProblem(v=13, target_pairs=all_pairs(13), shift=1), 3),
+        (c36_shift_problem, 6),
+        (c36_shift_problem, 12),
+    ],
+    ids=["sts69", "sts99", "cyclic13", "c36-6", "c36-12"],
+)
+def test_attempt_matches_oracle_to_completion(make, seed):
+    problem = make()
+    budget = 100 * len(problem.target_pairs)
+    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    fast = _attempt(problem, fast_rng, budget)
+    slow = oracle._attempt(problem, slow_rng, budget)
+    assert fast[0] is not None
+    assert fast == slow
+    assert fast_rng.getstate() == slow_rng.getstate()
