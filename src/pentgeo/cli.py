@@ -292,7 +292,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         if plan5 is None:
             _emit(json.dumps({"reachable": False}) + "\n", args.output)
             return 1
-        counts = {str(size): plan5.parts.count(size) for size in construct.PENT5_PART_SIZES}
         payload = {
             "reachable": True,
             "r": plan5.r,
@@ -300,7 +299,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "h": plan5.h,
             "q": plan5.q,
             "m": plan5.m,
-            "part_counts": counts,
+            "part_counts": dict(zip(map(str, construct.PENT5_PART_SIZES), plan5.part_counts)),
         }
     _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.output)
     return 0

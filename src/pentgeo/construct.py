@@ -4,14 +4,17 @@ Constructions take verified geometries, designs or seed graphs, produce a new
 geometry, and verify all four axioms before returning, whatever its size;
 nothing leaves unchecked.  Planners do arithmetic only: they search for
 ingredient sizes satisfying a recursion and return a plan object, never a
-geometry.
+geometry.  Each recursion's rules are stated once, beside its plan class;
+the planner searches with them and the plan's check() raises from them.  A
+PENT(5,r) plan keeps three summand counts, so its size does not grow with r.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
 from . import pent
@@ -373,8 +376,19 @@ class Pent3Plan:
             Fraction(self.v1 * self.t + self.v0, self.v2),
         )
 
+    def _check_ingredients(self) -> None:
+        r0, r1, r2, w = self.r0, self.r1, self.r2, self.w
+        if w < 3 or min(r0, r1, r2) < 1:
+            raise PreconditionFailed("need w >= 3 and positive replication numbers")
+        if r0 % 3 != 0:
+            raise PreconditionFailed(f"r0 = {r0} must be divisible by 3")
+        if r1 % 3 == 0 or r2 % 3 == 0:
+            raise PreconditionFailed(f"r1 = {r1} and r2 = {r2} must not be divisible by 3")
+        if math.gcd(self.v1, self.v2) != 6:
+            raise PreconditionFailed(f"gcd(v1,v2) = {math.gcd(self.v1, self.v2)} != 6")
+
     def check(self) -> None:
-        _pent3_preconditions(self.r0, self.r1, self.r2, self.w)
+        self._check_ingredients()
         if self.r3 not in (self.r0, self.r1):
             raise PlanInvalid(f"r3 = {self.r3} not in {{r0, r1}}")
         if self.t < self.t_min():
@@ -383,49 +397,27 @@ class Pent3Plan:
             raise PlanInvalid(f"u = {self.u} < u_min = {self.u_min()}")
 
 
-def _pent3_preconditions(r0: int, r1: int, r2: int, w: int) -> None:
-    if w < 3 or min(r0, r1, r2) < 1:
-        raise PreconditionFailed("need w >= 3 and positive replication numbers")
-    if r0 % 3 != 0:
-        raise PreconditionFailed(f"r0 = {r0} must be divisible by 3")
-    if r1 % 3 == 0 or r2 % 3 == 0:
-        raise PreconditionFailed(f"r1 = {r1} and r2 = {r2} must not be divisible by 3")
-    v1 = 2 * r1 + w + 1
-    v2 = 2 * r2 + w + 1
-    if math.gcd(v1, v2) != 6:
-        raise PreconditionFailed(f"gcd(v1,v2) = {math.gcd(v1, v2)} != 6")
-
-
 def plan_pent3(r0: int, r1: int, r2: int, w: int, target_r: int) -> Pent3Plan | None:
     """Search for (t, u, r3) hitting target_r; None when no plan exists.
 
     t is scanned from its lower bound far enough to exhaust every residue
     class that could divide out, so None really means unreachable.
     """
-    _pent3_preconditions(r0, r1, r2, w)
+    base = Pent3Plan(r0=r0, r1=r1, r2=r2, w=w, r3=r0, t=0, u=0)
+    base._check_ingredients()
     if target_r < 1:
         raise PreconditionFailed(f"target_r = {target_r} < 1")
-    v0 = 2 * r0 + w + 1
-    v1 = 2 * r1 + w + 1
-    v2 = 2 * r2 + w + 1
-    t_min = 1 + max(Fraction(2), Fraction(v0, v1))
-    t_start = math.ceil(t_min)
-    half1, half2 = v1 // 2, v2 // 2
+    t_start = math.ceil(base.t_min())
+    half1, half2 = base.v1 // 2, base.v2 // 2
     for r3 in (r0, r1):
-        for t in range(t_start, t_start + 6 * v2 + 1):
+        for t in range(t_start, t_start + 6 * base.v2 + 1):
             rem = target_r - r3 - half1 * t
             if rem < 0:
                 break
-            if rem % half2 != 0:
-                continue
-            u = rem // half2
-            u_min = 1 + max(
-                Fraction(2), Fraction(v1 * (t + 1), v2), Fraction(v1 * t + v0, v2)
-            )
-            if u >= u_min:
-                plan = Pent3Plan(r0=r0, r1=r1, r2=r2, w=w, r3=r3, t=t, u=u)
-                plan.check()
-                return plan
+            if rem % half2 == 0:
+                plan = replace(base, r3=r3, t=t, u=rem // half2)
+                if plan.u >= plan.u_min():
+                    return plan
     return None
 
 
@@ -435,89 +427,89 @@ PENT5_PART_SIZES = (10, 18, 30)
 
 @dataclass(frozen=True)
 class Pent5Plan:
-    """Decomposition v = 100q + m, m = sum of q summands from {10,18,30},
-    supporting a girth->=5 PENT(5,r,5) at v = 4r+6."""
+    """Decomposition v = 100q + m supporting a girth->=5 PENT(5,r,5) at
+    v = 4r+6, where m is a sum of q summands and part_counts = (n10, n18,
+    n30) counts those of each size in PENT5_PART_SIZES."""
 
     r: int
     v: int
     h: int
     q: int
     m: int
-    parts: tuple[int, ...]
+    part_counts: tuple[int, int, int]
 
     def check(self) -> None:
-        r, v, h, q, m = self.r, self.v, self.h, self.q, self.m
-        if r % 5 not in (0, 1):
-            raise PlanInvalid(f"r = {r} is not 0 or 1 (mod 5)")
-        if v != 4 * r + 6:
-            raise PlanInvalid(f"v = {v} != 4r+6")
-        if h != 86 + 4 * (r % 5):
-            raise PlanInvalid(f"h = {h} != 86 + 4*(r mod 5)")
-        if q % 2 == 0 or q % 11 != 0:
-            raise PlanInvalid(f"q = {q} must be odd and divisible by 11")
-        if q < 1937:
-            raise PlanInvalid(f"q = {q} < 1937")
-        if not math.ceil(Fraction(v, 129)) <= q <= math.floor(Fraction(v, 111)):
-            raise PlanInvalid(f"q = {q} outside [v/129, v/111]")
-        if m != v - 100 * q:
-            raise PlanInvalid(f"m = {m} != v - 100q")
-        if not 11 * q <= m <= 29 * q:
-            raise PlanInvalid(f"m = {m} outside [11q, 29q]")
-        if m % 4 != 2:
-            raise PlanInvalid(f"m = {m} != 2 (mod 4)")
-        if m % h != 0:
-            raise PlanInvalid(f"h = {h} does not divide m = {m}")
-        b = m // h
-        if b < 21 or b % 2 == 0:
-            raise PlanInvalid(f"m/h = {b} must be odd and >= 21")
-        if h == 86 and b % 10 != 1:
-            raise PlanInvalid(f"m/h = {b} must be 1 (mod 10) when h = 86")
-        if len(self.parts) != q:
-            raise PlanInvalid(f"{len(self.parts)} summands != q = {q}")
-        if any(p not in PENT5_PART_SIZES for p in self.parts):
-            raise PlanInvalid("summand outside {10, 18, 30}")
-        if sum(self.parts) != m:
-            raise PlanInvalid(f"summands total {sum(self.parts)} != m = {m}")
+        fault = _pent5_r_fault(self.r, self.v, self.h) or _pent5_q_fault(
+            self.v, self.h, self.q, self.m, self.part_counts
+        )
+        if fault:
+            raise PlanInvalid(fault.format(**vars(self)))
+
+
+def _pent5_r_fault(r: int, v: int, h: int) -> str | None:
+    """The first rule on r, v and h broken, as a message template over the
+    plan's fields (so a search rejecting many q formats none), or None."""
+    if r % 5 not in (0, 1):
+        return "r = {r} is not 0 or 1 (mod 5)"
+    if v != 4 * r + 6:
+        return "v = {v} != 4r+6"
+    if h != 86 + 4 * (r % 5):
+        return "h = {h} != 86 + 4*(r mod 5)"
+    return None
+
+
+def _pent5_q_fault(v: int, h: int, q: int, m: int, counts: tuple[int, ...]) -> str | None:
+    """As _pent5_r_fault, for the split v = 100q + m; most q break the first
+    rule.  Conditions these rules imply are not tested again:
+    - m = v - 100q = 4r + 6 (mod 20), so m = 2 (mod 4), and m/h is odd and,
+      for h = 86, 1 (mod 10);
+    - q summands, each 2 (mod 4), add up to m only when q is odd;
+    - m >= 11q >= 21307 puts m/h above 21;
+    - v/129 <= q <= v/111 is 11q <= m <= 29q."""
+    if q % 11 != 0:
+        return "q = {q} is not divisible by 11"
+    if q < 1937:
+        return "q = {q} < 1937"
+    if m != v - 100 * q:
+        return "m = {m} != v - 100q"
+    if not 11 * q <= m <= 29 * q:
+        return "m = {m} outside [11q, 29q]"
+    if m % h != 0:
+        return "h = {h} does not divide m = {m}"
+    if (
+        len(counts) != len(PENT5_PART_SIZES)
+        or min(counts) < 0
+        or sum(counts) != q
+        or sum(map(mul, PENT5_PART_SIZES, counts)) != m
+    ):
+        return "part counts {part_counts} are not q = {q} summands totalling m = {m}"
+    return None
 
 
 def plan_pent5(r: int) -> Pent5Plan | None:
     """Plan a girth->=5 PENT(5,r,5); guaranteed for admissible r >= 200000,
-    best effort below.  None when the search space is empty."""
-    if r < 1 or r % 5 not in (0, 1):
-        return None
+    best effort below.  None when no q in [v/129, v/111] passes the rules."""
     v = 4 * r + 6
     h = 86 + 4 * (r % 5)
-    q_lo = math.ceil(Fraction(v, 129))
-    q_hi = math.floor(Fraction(v, 111))
-    for q in range(q_lo, q_hi + 1):
-        if q % 2 == 0 or q % 11 != 0 or q < 1937:
-            continue
-        m = v - 100 * q
-        if m % h != 0:
-            continue
-        b = m // h
-        if b < 21 or b % 2 == 0 or (h == 86 and b % 10 != 1):
-            continue
-        parts = _split_into_parts(m, q)
-        if parts is None:
-            continue
-        plan = Pent5Plan(r=r, v=v, h=h, q=q, m=m, parts=parts)
-        plan.check()
-        return plan
-    return None
-
-
-def _split_into_parts(m: int, q: int) -> tuple[int, ...] | None:
-    """m as q summands from {10,18,30}: upgrades of 10 by +8 and +20."""
-    extra = m - 10 * q
-    if extra < 0:
+    if _pent5_r_fault(r, v, h):
         return None
-    for n30 in range(min(extra // 20, q), -1, -1):
-        rest = extra - 20 * n30
-        if rest % 8 != 0:
-            continue
-        n18 = rest // 8
-        if n18 + n30 <= q:
-            n10 = q - n18 - n30
-            return (30,) * n30 + (18,) * n18 + (10,) * n10
+    for q in range(-(-v // 129), v // 111 + 1):
+        m = v - 100 * q
+        counts = _split_into_parts(m, q)
+        if counts is not None and not _pent5_q_fault(v, h, q, m, counts):
+            return Pent5Plan(r=r, v=v, h=h, q=q, m=m, part_counts=counts)
     return None
+
+
+def _split_into_parts(m: int, q: int) -> tuple[int, int, int] | None:
+    """m as q summands from {10,18,30}: the counts (n10, n18, n30) with the
+    most 30s, or None.  Over q tens an 18 adds 8 and a 30 adds 20, so one 30
+    fewer fixes a remainder of 4 (mod 8), and fewer still need more parts."""
+    extra = m - 10 * q
+    n30 = min(extra // 20, q)
+    if (extra - 20 * n30) % 8:
+        n30 -= 1
+    n18, rest = divmod(extra - 20 * n30, 8)
+    if rest or n30 < 0 or n18 + n30 > q:
+        return None
+    return (q - n18 - n30, n18, n30)

@@ -143,12 +143,6 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def neg(self, a: int) -> int:
-        return self._add[a].index(0)
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ParameterDomain("0 has no inverse")
@@ -352,34 +346,30 @@ def mols(q: int, t: int) -> list[list[list[int]]]:
 def uniform_gdd(k: int, g: int) -> Gdd:
     """Transversal design TD(k,g): a k-GDD of type g^k.
 
-    Groups are the contiguous ranges ig..ig+g-1.  For k = 3 the cyclic Latin
-    square works for every g >= 2; otherwise g must be a prime power field
-    order with k <= g+1.
+    Groups are the contiguous ranges ig..ig+g-1, and block (x,y) takes x, y
+    and the entry (x,y) of each of k-2 mutually orthogonal Latin squares.
+    For k = 3 the cyclic Latin square works for every g >= 2; otherwise
+    the squares come from mols, so g must be a prime power field order
+    with k <= g+1.
     """
     if k < 3:
         raise ParameterDomain(f"k = {k} < 3")
     if g < 2:
         raise ParameterDomain(f"g = {g} < 2")
-    groups = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(k))
-    blocks = []
     if k == 3:
-        for x in range(g):
-            for y in range(g):
-                blocks.append(canonical_line([x, g + y, 2 * g + (x + y) % g]))
+        squares = [[[(x + y) % g for y in range(g)] for x in range(g)]]
     else:
         try:
-            f = field(g)
-        except (NotPrimePower, FieldTooLarge) as exc:
-            raise NoConstructionAvailable(f"no TD({k},{g}) recipe here: {exc}")
-        if k - 2 > g - 1:
-            raise NoConstructionAvailable(f"TD({k},{g}) needs {k - 2} MOLS, only {g - 1} exist")
-        for x in range(g):
-            for y in range(g):
-                block = [x, g + y]
-                for a in range(1, k - 1):
-                    block.append((a + 1) * g + f.add(f.mul(a, x), y))
-                blocks.append(canonical_line(block))
-    design = Gdd(k=k, groups=groups, blocks=frozenset(blocks))
+            squares = mols(g, k - 2)
+        except (NotPrimePower, FieldTooLarge, TooManySquares) as exc:
+            raise NoConstructionAvailable(f"no TD({k},{g}) recipe here: {exc}") from exc
+    groups = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(k))
+    blocks = frozenset(
+        canonical_line([x, g + y] + [(i + 2) * g + sq[x][y] for i, sq in enumerate(squares)])
+        for x in range(g)
+        for y in range(g)
+    )
+    design = Gdd(k=k, groups=groups, blocks=blocks)
     verify_gdd(design)
     return design
 

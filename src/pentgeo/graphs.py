@@ -28,20 +28,11 @@ class Graph:
     n: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def degree(self, x: int) -> int:
-        return len(self.adjacency[x])
-
-    def neighbours(self, x: int) -> tuple[int, ...]:
-        return self.adjacency[x]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -10,13 +10,21 @@ one in pentgeo.designs raises the same exceptions with the same messages.
 _attempt is the original hill-climb attempt, which scores every common
 neighbour of the chosen pair by two class lookups; tests/test_hillclimb.py
 asserts that the set-algebra step in pentgeo.hillclimb makes the same moves
-and the same random draws.  Nothing in the package imports this module.
+and the same random draws.  Pent3Plan, _pent3_preconditions, plan_pent3,
+Pent5Plan, plan_pent5 and _split_into_parts are the original planners, whose
+searches restate their plans' checks and whose PENT(5,r) plan keeps all q
+summands; tests/test_planners.py asserts that pentgeo.construct returns the
+same plans and that its checks accept and reject the same doctored plans.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
+from fractions import Fraction
 
 from pentgeo.core import Geometry, Line, PentParams, canonical_line
 from pentgeo.designs import Gdd, SteinerSystem
@@ -28,6 +36,8 @@ from pentgeo.errors import (
     PairMissing,
     ParameterDomain,
     PartitionFailed,
+    PlanInvalid,
+    PreconditionFailed,
     SplitMismatch,
 )
 from pentgeo.graphs import Graph, GraphReport, graph_from_edges
@@ -623,3 +633,192 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
         cover_class(c_xz, triple)
         cover_class(c_yz, triple)
     return (added if n_uncovered == 0 else None), iterations
+
+
+@dataclass(frozen=True)
+class Pent3Plan:
+    """Recipe r = (v2/2)u + (v1/2)t + r3 for a PENT(3,target_r,w), from three
+    ingredient replication numbers r0 = 0, r1, r2 != 0 (mod 3)."""
+
+    r0: int
+    r1: int
+    r2: int
+    w: int
+    r3: int
+    t: int
+    u: int
+
+    @property
+    def v0(self) -> int:
+        return 2 * self.r0 + self.w + 1
+
+    @property
+    def v1(self) -> int:
+        return 2 * self.r1 + self.w + 1
+
+    @property
+    def v2(self) -> int:
+        return 2 * self.r2 + self.w + 1
+
+    @property
+    def target_r(self) -> int:
+        return (self.v2 // 2) * self.u + (self.v1 // 2) * self.t + self.r3
+
+    def t_min(self) -> Fraction:
+        return 1 + max(Fraction(2), Fraction(self.v0, self.v1))
+
+    def u_min(self) -> Fraction:
+        return 1 + max(
+            Fraction(2),
+            Fraction(self.v1 * (self.t + 1), self.v2),
+            Fraction(self.v1 * self.t + self.v0, self.v2),
+        )
+
+    def check(self) -> None:
+        _pent3_preconditions(self.r0, self.r1, self.r2, self.w)
+        if self.r3 not in (self.r0, self.r1):
+            raise PlanInvalid(f"r3 = {self.r3} not in {{r0, r1}}")
+        if self.t < self.t_min():
+            raise PlanInvalid(f"t = {self.t} < t_min = {self.t_min()}")
+        if self.u < self.u_min():
+            raise PlanInvalid(f"u = {self.u} < u_min = {self.u_min()}")
+
+
+def _pent3_preconditions(r0: int, r1: int, r2: int, w: int) -> None:
+    if w < 3 or min(r0, r1, r2) < 1:
+        raise PreconditionFailed("need w >= 3 and positive replication numbers")
+    if r0 % 3 != 0:
+        raise PreconditionFailed(f"r0 = {r0} must be divisible by 3")
+    if r1 % 3 == 0 or r2 % 3 == 0:
+        raise PreconditionFailed(f"r1 = {r1} and r2 = {r2} must not be divisible by 3")
+    v1 = 2 * r1 + w + 1
+    v2 = 2 * r2 + w + 1
+    if math.gcd(v1, v2) != 6:
+        raise PreconditionFailed(f"gcd(v1,v2) = {math.gcd(v1, v2)} != 6")
+
+
+def plan_pent3(r0: int, r1: int, r2: int, w: int, target_r: int) -> Pent3Plan | None:
+    """Search for (t, u, r3) hitting target_r; None when no plan exists.
+
+    t is scanned from its lower bound far enough to exhaust every residue
+    class that could divide out, so None really means unreachable.
+    """
+    _pent3_preconditions(r0, r1, r2, w)
+    if target_r < 1:
+        raise PreconditionFailed(f"target_r = {target_r} < 1")
+    v0 = 2 * r0 + w + 1
+    v1 = 2 * r1 + w + 1
+    v2 = 2 * r2 + w + 1
+    t_min = 1 + max(Fraction(2), Fraction(v0, v1))
+    t_start = math.ceil(t_min)
+    half1, half2 = v1 // 2, v2 // 2
+    for r3 in (r0, r1):
+        for t in range(t_start, t_start + 6 * v2 + 1):
+            rem = target_r - r3 - half1 * t
+            if rem < 0:
+                break
+            if rem % half2 != 0:
+                continue
+            u = rem // half2
+            u_min = 1 + max(
+                Fraction(2), Fraction(v1 * (t + 1), v2), Fraction(v1 * t + v0, v2)
+            )
+            if u >= u_min:
+                plan = Pent3Plan(r0=r0, r1=r1, r2=r2, w=w, r3=r3, t=t, u=u)
+                plan.check()
+                return plan
+    return None
+
+
+# Summand sizes allowed when splitting m across q groups.
+PENT5_PART_SIZES = (10, 18, 30)
+
+
+@dataclass(frozen=True)
+class Pent5Plan:
+    """Decomposition v = 100q + m, m = sum of q summands from {10,18,30},
+    supporting a girth->=5 PENT(5,r,5) at v = 4r+6."""
+
+    r: int
+    v: int
+    h: int
+    q: int
+    m: int
+    parts: tuple[int, ...]
+
+    def check(self) -> None:
+        r, v, h, q, m = self.r, self.v, self.h, self.q, self.m
+        if r % 5 not in (0, 1):
+            raise PlanInvalid(f"r = {r} is not 0 or 1 (mod 5)")
+        if v != 4 * r + 6:
+            raise PlanInvalid(f"v = {v} != 4r+6")
+        if h != 86 + 4 * (r % 5):
+            raise PlanInvalid(f"h = {h} != 86 + 4*(r mod 5)")
+        if q % 2 == 0 or q % 11 != 0:
+            raise PlanInvalid(f"q = {q} must be odd and divisible by 11")
+        if q < 1937:
+            raise PlanInvalid(f"q = {q} < 1937")
+        if not math.ceil(Fraction(v, 129)) <= q <= math.floor(Fraction(v, 111)):
+            raise PlanInvalid(f"q = {q} outside [v/129, v/111]")
+        if m != v - 100 * q:
+            raise PlanInvalid(f"m = {m} != v - 100q")
+        if not 11 * q <= m <= 29 * q:
+            raise PlanInvalid(f"m = {m} outside [11q, 29q]")
+        if m % 4 != 2:
+            raise PlanInvalid(f"m = {m} != 2 (mod 4)")
+        if m % h != 0:
+            raise PlanInvalid(f"h = {h} does not divide m = {m}")
+        b = m // h
+        if b < 21 or b % 2 == 0:
+            raise PlanInvalid(f"m/h = {b} must be odd and >= 21")
+        if h == 86 and b % 10 != 1:
+            raise PlanInvalid(f"m/h = {b} must be 1 (mod 10) when h = 86")
+        if len(self.parts) != q:
+            raise PlanInvalid(f"{len(self.parts)} summands != q = {q}")
+        if any(p not in PENT5_PART_SIZES for p in self.parts):
+            raise PlanInvalid("summand outside {10, 18, 30}")
+        if sum(self.parts) != m:
+            raise PlanInvalid(f"summands total {sum(self.parts)} != m = {m}")
+
+
+def plan_pent5(r: int) -> Pent5Plan | None:
+    """Plan a girth->=5 PENT(5,r,5); guaranteed for admissible r >= 200000,
+    best effort below.  None when the search space is empty."""
+    if r < 1 or r % 5 not in (0, 1):
+        return None
+    v = 4 * r + 6
+    h = 86 + 4 * (r % 5)
+    q_lo = math.ceil(Fraction(v, 129))
+    q_hi = math.floor(Fraction(v, 111))
+    for q in range(q_lo, q_hi + 1):
+        if q % 2 == 0 or q % 11 != 0 or q < 1937:
+            continue
+        m = v - 100 * q
+        if m % h != 0:
+            continue
+        b = m // h
+        if b < 21 or b % 2 == 0 or (h == 86 and b % 10 != 1):
+            continue
+        parts = _split_into_parts(m, q)
+        if parts is None:
+            continue
+        plan = Pent5Plan(r=r, v=v, h=h, q=q, m=m, parts=parts)
+        plan.check()
+        return plan
+    return None
+
+
+def _split_into_parts(m: int, q: int) -> tuple[int, ...] | None:
+    """m as q summands from {10,18,30}: upgrades of 10 by +8 and +20."""
+    extra = m - 10 * q
+    if extra < 0:
+        return None
+    for n30 in range(min(extra // 20, q), -1, -1):
+        rest = extra - 20 * n30
+        if rest % 8 != 0:
+            continue
+        n18 = rest // 8
+        if n18 + n30 <= q:
+            n10 = q - n18 - n30
+            return (30,) * n30 + (18,) * n18 + (10,) * n10
+    return None

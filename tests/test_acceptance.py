@@ -213,7 +213,9 @@ def test_criterion_09_planners():
                 assert plan is not None, r
                 plan.check()
                 assert plan.m % 4 == 2
-                assert sum(plan.parts) == plan.m and len(plan.parts) == plan.q
+                n10, n18, n30 = plan.part_counts
+                assert 10 * n10 + 18 * n18 + 30 * n30 == plan.m and n10 + n18 + n30 == plan.q
+                assert min(n10, n18, n30) >= 0
                 found += 1
             r += 1
 

@@ -400,6 +400,16 @@ def test_plan_pent5(cli):
     assert sum(int(s) * n for s, n in payload["part_counts"].items()) == payload["m"]
 
 
+def test_plan_pent5_huge_r(cli):
+    code, out, _ = cli(["plan", "pent5", str(10**30)])
+    assert code == 0
+    payload = json.loads(out)
+    counts = payload["part_counts"]
+    assert list(counts) == ["10", "18", "30"]
+    assert sum(counts.values()) == payload["q"]
+    assert sum(int(s) * n for s, n in counts.items()) == payload["m"]
+
+
 def test_plan_pent5_unreachable(cli):
     code, out, _ = cli(["plan", "pent5", "200002"])
     assert code == 1

@@ -354,9 +354,10 @@ def test_plan_pent5_constraints():
         assert plan.q >= 1937 and plan.q % 2 == 1 and plan.q % 11 == 0
         assert plan.m == plan.v - 100 * plan.q
         assert plan.m % 4 == 2
-        assert len(plan.parts) == plan.q
-        assert sum(plan.parts) == plan.m
-        assert set(plan.parts) <= {10, 18, 30}
+        n10, n18, n30 = plan.part_counts
+        assert n10 + n18 + n30 == plan.q
+        assert 10 * n10 + 18 * n18 + 30 * n30 == plan.m
+        assert min(n10, n18, n30) >= 0
         b = plan.m // plan.h
         assert plan.m % plan.h == 0 and b >= 21 and b % 2 == 1
         if plan.h == 86:
@@ -373,7 +374,8 @@ def test_plan_pent5_unreachable():
 def test_pent5_plan_check_rejects_doctored_values():
     plan = plan_pent5(200000)
     assert plan is not None
-    worse = dataclasses.replace(plan, parts=(18,) + plan.parts[1:])
+    n10, n18, n30 = plan.part_counts
+    worse = dataclasses.replace(plan, part_counts=(n10 - 1, n18 + 1, n30))
     with pytest.raises(PlanInvalid):
         worse.check()
     with pytest.raises(PlanInvalid):

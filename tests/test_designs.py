@@ -1,6 +1,7 @@
 """Finite fields, Steiner systems, planes, MOLS, transversal designs."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -164,6 +165,28 @@ def test_uniform_gdd(k, g):
     verify_gdd(design)
 
 
+# Digest of the sorted blocks of uniform_gdd(k, g), measured before the
+# transversal designs were built from mols.
+PINNED_TD = {
+    (3, 2): "9d4263313ec3",
+    (3, 10): "8549a94dd758",
+    (4, 3): "96b8bc9a5c98",
+    (4, 8): "d2642e2fb6f5",
+    (5, 5): "44c48ff1d9ee",
+    (7, 7): "758b6ec81422",
+    (6, 9): "8cd788f30717",
+    (11, 11): "35b18215332e",
+}
+
+
+@pytest.mark.parametrize("k,g", sorted(PINNED_TD))
+def test_uniform_gdd_blocks_pinned(k, g):
+    design = uniform_gdd(k, g)
+    assert design.groups == tuple(tuple(range(i * g, (i + 1) * g)) for i in range(k))
+    digest = hashlib.sha256(repr(sorted(design.blocks)).encode()).hexdigest()[:12]
+    assert digest == PINNED_TD[(k, g)]
+
+
 def test_uniform_gdd_errors():
     with pytest.raises(ParameterDomain):
         uniform_gdd(2, 4)
@@ -173,6 +196,11 @@ def test_uniform_gdd_errors():
         uniform_gdd(4, 6)  # needs MOLS of side 6
     with pytest.raises(NoConstructionAvailable):
         uniform_gdd(5, 2)  # needs 3 MOLS of side 2
+
+
+def test_uniform_gdd_field_too_large():
+    with pytest.raises(NoConstructionAvailable):
+        uniform_gdd(4, 53)
 
 
 def test_verify_steiner_negatives():
