@@ -7,18 +7,26 @@ triples already covering the two far pairs are displaced.  Moves displacing
 fewer triples are preferred, and a long stall sheds a couple of placed
 triples so the walk can leave the basin it is circling.
 
-The step scores candidates by set algebra rather than point by point.  With
-U(x) the partners of x whose pair class is still uncovered, a third point z
-common to the target neighbourhoods of x and y displaces
-2 - [z in U(x)] - [z in U(y)] triples, so its tiers are U(x) & U(y),
-(U(x) ^ U(y)) & avail(x) & avail(y), and the rest of the common points.
+The state is Python int masks.  Bit y of avail[x] marks a target pair {x,y}
+not owned by a fixed line, and bit y of U(x) one whose pair class is still
+uncovered.  The step scores candidates by mask algebra rather than point by
+point: a third point z common to the target neighbourhoods of x and y
+displaces 2 - [z in U(x)] - [z in U(y)] triples, so its tiers are
+U(x) & U(y), (U(x) ^ U(y)) & avail(x) & avail(y), and the rest of the common
+points.
 
 A problem may declare a cyclic symmetry x -> x + shift (mod v) of its target
 pairs.  The climb then works on whole pair orbits and develops every chosen
 triple around the cycle, which shrinks the search space by the orbit length.
+Since whole orbits are covered, U(x + shift) = rotate(U(x), shift) (mod v)
+holds throughout, so U is stored for the g = gcd(v, shift) point-orbit
+representatives only and read by rotation, and covering or uncovering a
+class flips two bits.  Without a shift g = v and every rotation is by 0:
+both kinds of problem run the same code.
 
-Runs are deterministic: restart i draws from random.Random(seed + i), and all
-random choices are made over sorted snapshots.
+Runs are deterministic: restart i draws from random.Random(seed + i), and
+every random choice indexes a list in ascending order, either a sorted
+snapshot or bits() of a mask, which lists the set positions in that order.
 """
 
 from __future__ import annotations
@@ -26,10 +34,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .core import Line, canonical_line
 from .designs import Gdd, SteinerSystem, verify_gdd, verify_steiner
 from .errors import ClimbFailed, Inadmissible, ParameterDomain
+from .graphs import bits
 
 Pair = tuple[int, int]
 
@@ -139,12 +149,31 @@ class ClimbConfig:
     restarts: int = 20
 
 
+class AttemptLog(NamedTuple):
+    """What one climb attempt did: the steps it took, the kicks it gave after
+    a stall, and the fewest classes it ever left uncovered (0 once complete)."""
+
+    iterations: int
+    kicks: int
+    best_uncovered: int
+
+
 @dataclass(frozen=True)
 class ClimbOutcome:
+    """attempts logs every attempt run, in order; when status is COMPLETE the
+    last one completed."""
+
     status: str
     lines: frozenset[Line]
-    iterations_used: int
-    attempts_used: int
+    attempts: tuple[AttemptLog, ...]
+
+    @property
+    def iterations_used(self) -> int:
+        return sum(a.iterations for a in self.attempts)
+
+    @property
+    def attempts_used(self) -> int:
+        return len(self.attempts)
 
 
 def _develop(added: set[Line], problem: ClimbProblem) -> frozenset[Line]:
@@ -162,102 +191,123 @@ def _develop(added: set[Line], problem: ClimbProblem) -> frozenset[Line]:
     return frozenset(out)
 
 
-def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
-    row, members, fixed_cover = problem.rows, problem.members, problem.fixed_cover
-    shifted = problem.shift is not None
+class _Attempt(tuple):
+    """The pair (added triples or None, iterations) that one attempt returns,
+    which is how it unpacks and compares; log carries its AttemptLog."""
 
-    # y in avail[x] iff {x,y} is a target pair not owned by a fixed line;
-    # y in uncovered_at[x] additionally requires its class to be uncovered.
-    avail: list[set[int]] = [set() for _ in range(problem.v)]
+    log: AttemptLog
+
+    def __new__(cls, added: set[Line] | None, log: AttemptLog):
+        self = super().__new__(cls, (added, log.iterations))
+        self.log = log
+        return self
+
+
+def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt:
+    v, row, fixed_cover = problem.v, problem.rows, problem.fixed_cover
+    # x, x + shift, x + 2 shift, ... (mod v) make up the point orbit of x mod g,
+    # and it has order points.  Without a shift order = 1 and g = v.
+    order = problem.order
+    g = v // order
+    full = (1 << v) - 1
+
+    # Bit y of avail[x] is set iff {x,y} is a target pair not owned by a fixed
+    # line.  Bit y of U(x) additionally requires the class of {x,y} to be
+    # uncovered.  The climb covers whole classes, which are the shift orbits
+    # of pairs, so U(x + shift) is U(x) rotated by shift (mod v): U is kept
+    # for the orbit representatives r < g only, and U(r + d) for d a multiple
+    # of g is uncovered[r] rotated by d.  Class {a,b} then owns one bit of
+    # uncovered[a % g] and one of uncovered[b % g] (distinct bits when
+    # a = b (mod g), as its orbit is full), and covering or uncovering it
+    # flips those two bits.
+    avail = [0] * v
     for x, y in problem.target_pairs:
         if (x, y) not in fixed_cover:
-            avail[x].add(y)
-            avail[y].add(x)
-    uncovered_at = [set(ys) for ys in avail]
+            avail[x] |= 1 << y
+            avail[y] |= 1 << x
+    uncovered = avail[:g]
     # Without a shift every class is one pair; with one, no pair is fixed.
-    n_uncovered = len(members) - len(fixed_cover)
+    n_open = len(problem.members) - len(fixed_cover)
 
     cover: dict[Pair, Line] = {}
     added: set[Line] = set()
-    # live holds exactly the points x with uncovered_at[x] non-empty.
-    live = {x for x in range(problem.v) if uncovered_at[x]}
-    live_list = sorted(live)
+    # Bit r of live is set iff uncovered[r] is non-empty, so the points with
+    # an uncovered pair are the d + r, r in live_reps, d in 0, g, 2g, ...; in
+    # ascending order, the i-th of them is (i // L) g + live_reps[i % L] with
+    # L = len(live_reps).  Like every list the draws index, live_reps is in
+    # ascending order, which bits() gives.
+    live = sum(1 << r for r in range(g) if uncovered[r])
+    live_reps = bits(live)
     live_dirty = False
 
-    def cover_class(c: Pair, ln: Line):
-        nonlocal n_uncovered, live_dirty
-        cover[c] = ln
-        n_uncovered -= 1
-        for x, y in members[c]:
-            at = uncovered_at[x]
-            at.discard(y)
-            if not at:
-                live.discard(x)
-                live_dirty = True
-            at = uncovered_at[y]
-            at.discard(x)
-            if not at:
-                live.discard(y)
-                live_dirty = True
-
-    def uncover_class(c: Pair):
-        nonlocal n_uncovered, live_dirty
-        del cover[c]
-        n_uncovered += 1
-        for x, y in members[c]:
-            at = uncovered_at[x]
-            at.add(y)
-            if len(at) == 1:
-                live.add(x)
-                live_dirty = True
-            at = uncovered_at[y]
-            at.add(x)
-            if len(at) == 1:
-                live.add(y)
-                live_dirty = True
+    def flip(c: Pair):
+        # Cover c if uncovered, or uncover it if covered.  Representative r
+        # turns dead or live when its mask becomes empty or becomes the one
+        # bit just set.
+        nonlocal live, live_dirty
+        a, b = c
+        r = a % g
+        bit = 1 << (b - a + r) % v
+        m = uncovered[r] = uncovered[r] ^ bit
+        if not m or m == bit:
+            live ^= 1 << r
+            live_dirty = True
+        r = b % g
+        bit = 1 << (a - b + r) % v
+        m = uncovered[r] = uncovered[r] ^ bit
+        if not m or m == bit:
+            live ^= 1 << r
+            live_dirty = True
 
     def remove_triple(t: Line):
         a, b, c = t
         added.discard(t)
-        uncover_class(row[a][b])
-        uncover_class(row[a][c])
-        uncover_class(row[b][c])
+        ra = row[a]
+        for cl in (ra[b], ra[c], row[b][c]):
+            del cover[cl]
+            flip(cl)
 
-    iterations = 0
-    best = n_uncovered
+    iterations = kicks = 0
+    best = n_open
     since_best = 0
-    while n_uncovered > 0 and iterations < budget:
+    while len(cover) < n_open and iterations < budget:
         iterations += 1
         since_best += 1
-        if n_uncovered < best:
-            best = n_uncovered
+        if n_open - len(cover) < best:
+            best = n_open - len(cover)
             since_best = 0
         if since_best > _STALL_LIMIT:
             since_best = 0
+            kicks += 1
             pool = sorted(added)
             for _ in range(min(_KICK_SIZE, len(pool))):
                 t = pool[rng.randrange(len(pool))]
                 if t in added:
                     remove_triple(t)
         if live_dirty:
-            live_list = sorted(live)
+            live_reps = bits(live)
             live_dirty = False
+        n_reps = len(live_reps)
         move = None
         for _ in range(_PATIENCE):
-            x = live_list[rng.randrange(len(live_list))]
-            ux = uncovered_at[x]
-            partners = sorted(ux)
-            if not partners:
-                continue
+            d, j = divmod(rng.randrange(n_reps * order), n_reps)
+            r = live_reps[j]
+            d *= g
+            x = d + r
+            m = uncovered[r]
+            ux = (m << d | m >> (v - d)) & full
+            partners = bits(ux)
             y = partners[rng.randrange(len(partners))]
-            uy = uncovered_at[y]
+            r = y % g
+            m, d = uncovered[r], y - r
+            uy = (m << d | m >> (v - d)) & full
             # A third point z in avail[x] & avail[y] displaces one triple per
             # covered class among {x,z} and {y,z}, and the class of {x,z} is
-            # covered iff z is not in U(x) = uncovered_at[x].  So z costs
+            # covered iff z is not in U(x).  So z costs
             # 2 - [z in U(x)] - [z in U(y)], and the tiers by cost are:
             #   0: U(x) & U(y)
             #   1: (U(x) ^ U(y)) & avail[x] & avail[y]
-            #   2: (avail[x] & avail[y]) - U(x) - U(y)
+            #   2: avail[x] & avail[y] & ~U(x) & ~U(y)
             for cost in range(3):
                 if cost == 0:
                     tier = ux & uy
@@ -265,12 +315,17 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
                     common = avail[x] & avail[y]
                     tier = (ux ^ uy) & common
                 else:
-                    tier = common - ux - uy
+                    tier = common & ~(ux | uy)
                 if not tier:
                     continue
-                tier = sorted(tier)
-                if shifted:
-                    # Orbits can make two of the three pairs one class.
+                tier = bits(tier)
+                if (x - y) % g == 0:
+                    # Two of the three pairs share a class when one is the
+                    # other moved by a multiple d != 0 of g.  Each of
+                    # {x,z} = {x,y} + d, {y,z} = {x,y} + d and
+                    # {x,z} = {y,z} + d makes x - y one of d, -d, 2d, so
+                    # only x = y (mod g) needs this check, never a problem
+                    # without a shift.
                     rx, ry = row[x], row[y]
                     c_xy = rx[y]
                     tier = [z for z in tier if c_xy != rx[z] != ry[z] != c_xy]
@@ -283,17 +338,20 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
         if move is None:
             continue
         x, y, z = move
-        c_xy, c_xz, c_yz = row[x][y], row[x][z], row[y][z]
+        rx = row[x]
+        c_xy, c_xz, c_yz = rx[y], rx[z], row[y][z]
         for c in (c_xz, c_yz):
             t = cover.get(c)
             if t is not None:
                 remove_triple(t)
         triple = canonical_line(move)
         added.add(triple)
-        cover_class(c_xy, triple)
-        cover_class(c_xz, triple)
-        cover_class(c_yz, triple)
-    return (added if n_uncovered == 0 else None), iterations
+        for c in (c_xy, c_xz, c_yz):
+            cover[c] = triple
+            flip(c)
+    n_uncovered = n_open - len(cover)
+    log = AttemptLog(iterations, kicks, min(best, n_uncovered))
+    return _Attempt(added if n_uncovered == 0 else None, log)
 
 
 def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutcome:
@@ -306,24 +364,14 @@ def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutc
         budget = 100 * len(problem.target_pairs)
     elif budget < 1:
         raise ParameterDomain(f"max_iterations = {budget} < 1")
-    total = 0
+    logs: list[AttemptLog] = []
     for attempt in range(config.restarts):
-        rng = random.Random(config.seed + attempt)
-        added, used = _attempt(problem, rng, budget)
-        total += used
+        result = _attempt(problem, random.Random(config.seed + attempt), budget)
+        logs.append(result.log)
+        added, _ = result
         if added is not None:
-            return ClimbOutcome(
-                status=COMPLETE,
-                lines=_develop(added, problem),
-                iterations_used=total,
-                attempts_used=attempt + 1,
-            )
-    return ClimbOutcome(
-        status=EXHAUSTED,
-        lines=frozenset(),
-        iterations_used=total,
-        attempts_used=config.restarts,
-    )
+            return ClimbOutcome(COMPLETE, _develop(added, problem), tuple(logs))
+    return ClimbOutcome(EXHAUSTED, frozenset(), tuple(logs))
 
 
 def climb_sts(w: int, config: ClimbConfig | None = None) -> SteinerSystem:

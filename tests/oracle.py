@@ -9,7 +9,7 @@ each with its own pair loop; tests/test_designs.py asserts that the shared
 one in pentgeo.designs raises the same exceptions with the same messages.
 _attempt is the original hill-climb attempt, which scores every common
 neighbour of the chosen pair by two class lookups; tests/test_hillclimb.py
-asserts that the set-algebra step in pentgeo.hillclimb makes the same moves
+asserts that the mask step in pentgeo.hillclimb makes the same moves
 and the same random draws.  Pent3Plan, _pent3_preconditions, plan_pent3,
 Pent5Plan, plan_pent5 and _split_into_parts are the original planners, whose
 searches restate their plans' checks and whose PENT(5,r) plan keeps all q

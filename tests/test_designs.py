@@ -146,6 +146,30 @@ def test_mols_are_orthogonal_latin_squares():
         assert len(pairs) == 25
 
 
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+FIELD_ORDERS = [q for q in range(2, 50) if is_prime_power(q)]
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_mols_complete_sets_are_orthogonal(q):
+    # mols builds its squares unchecked; count every pair of entries here.
+    squares = mols(q, q - 1)
+    assert len(squares) == q - 1
+    symbols = list(range(q))
+    for sq in squares:
+        assert all(sorted(row) == symbols for row in sq)
+        assert all(sorted(col) == symbols for col in zip(*sq))
+    cells = [[e for row in sq for e in row] for sq in squares]
+    for a, b in itertools.combinations(cells, 2):
+        assert len(set(zip(a, b))) == q * q
+
+
 def test_mols_errors():
     with pytest.raises(TooManySquares):
         mols(4, 4)

@@ -5,10 +5,13 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pentgeo.errors import ParameterDomain, PentSyntaxError, PointOutOfRange, StepNotDividingV
 from pentgeo.graphs import (
     Graph,
+    bits,
     components,
     distance3_graph,
     generalized_petersen,
@@ -210,6 +213,31 @@ def test_graph_file_errors():
         parse_graph_file("4\n0 1 2\n")
     with pytest.raises(ParameterDomain):
         parse_graph_file("4\n0 9\n")
+
+
+def sparse_masks():
+    return st.sets(st.integers(0, 700), max_size=40).map(lambda ps: sum(1 << p for p in ps))
+
+
+def boundary_masks():
+    # 8 * popcount == bit_length: the densest mask bits() still reads bit by bit.
+    def build(n):
+        top = 8 * n - 1
+        rest = st.sets(st.integers(0, top - 1), min_size=n - 1, max_size=n - 1)
+        return rest.map(lambda ps: sum(1 << p for p in ps) | 1 << top)
+
+    return st.integers(1, 60).flatmap(build)
+
+
+@given(st.one_of(st.integers(0, 2**700), sparse_masks(), boundary_masks()))
+@example(0)
+@example(1)
+@example(1 << 7)  # on the boundary, 8 == 8: read bit by bit
+@example(0b11 << 14)  # on the boundary, 16 == 16
+@example(1 << 8)  # below it, 8 < 9: read bit by bit
+@example(0b11 << 13)  # above it, 16 > 15: read from the binary digits
+def test_bits_lists_set_positions_ascending(m):
+    assert bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def test_graph_from_edges_dedupes():

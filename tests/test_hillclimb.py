@@ -18,6 +18,7 @@ from pentgeo.graphs import orbit_graph
 from pentgeo.hillclimb import (
     COMPLETE,
     EXHAUSTED,
+    AttemptLog,
     ClimbConfig,
     ClimbProblem,
     _attempt,
@@ -210,6 +211,27 @@ def test_seeded_climb_pinned(w, seed):
     assert got == PINNED_CLIMBS[w, seed]
 
 
+@pytest.mark.parametrize("w,seed", sorted(PINNED_CLIMBS))
+def test_attempt_logs_total_the_pins(w, seed):
+    outcome = climb(ClimbProblem(v=w, target_pairs=all_pairs(w)), ClimbConfig(seed=seed))
+    iterations, attempts, _ = PINNED_CLIMBS[w, seed]
+    assert len(outcome.attempts) == attempts
+    assert sum(a.iterations for a in outcome.attempts) == iterations
+    assert outcome.attempts[-1].best_uncovered == 0
+    assert all(a.best_uncovered > 0 for a in outcome.attempts[:-1])
+
+
+@pytest.mark.parametrize("budget,kicks", [(400, 0), (401, 1), (802, 2), (900, 2)])
+def test_attempt_log_counts_kicks(budget, kicks):
+    # No triple covers three hexagon edges, so nothing is ever covered and
+    # each attempt kicks once every _STALL_LIMIT + 1 = 401 iterations.
+    targets = frozenset(tuple(sorted((i, (i + 1) % 6))) for i in range(6))
+    problem = ClimbProblem(v=6, target_pairs=targets)
+    outcome = climb(problem, ClimbConfig(seed=0, restarts=3, max_iterations=budget))
+    assert outcome.attempts == (AttemptLog(budget, kicks, 6),) * 3
+    assert outcome.iterations_used == 3 * budget
+
+
 def test_problem_derives_classes():
     fixed = frozenset({(0, 1, 2)})
     plain = ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed)
@@ -283,7 +305,16 @@ def c36_problem(size):
     return c36_shift_problem()
 
 
-# Complete pair sets, 3-GDD pair sets, fixed lines, and the two kinds of
+def quotient_problem(size):
+    # 1 < gcd(v, shift) < v: several point orbits, and classes {a,b} with
+    # a = b (mod gcd) whose two ends share a representative.  (15, 5) and
+    # (21, 7) leave a number of pair orbits not divisible by 3, so those
+    # attempts always run out.
+    v, shift = ((9, 3), (15, 3), (15, 5), (21, 3), (21, 7), (27, 9))[size]
+    return ClimbProblem(v=v, target_pairs=all_pairs(v), shift=shift)
+
+
+# Complete pair sets, 3-GDD pair sets, fixed lines, and the three kinds of
 # shift problem.
 FAMILIES = {
     "sts": sts_problem,
@@ -291,6 +322,7 @@ FAMILIES = {
     "fixed": fixed_problem,
     "cyclic": cyclic_problem,
     "c36": c36_problem,
+    "quotient": quotient_problem,
 }
 
 
