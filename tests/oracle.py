@@ -41,7 +41,7 @@ from pentgeo.errors import (
     SplitMismatch,
 )
 from pentgeo.graphs import Graph, GraphReport, graph_from_edges
-from pentgeo.hillclimb import _KICK_SIZE, _PATIENCE, _STALL_LIMIT, ClimbProblem, Pair
+from pentgeo.hillclimb import _KICK_SIZE, _PATIENCE, ClimbProblem, Pair, _stall_limit
 from pentgeo.pent import (
     AXIOM_OPPOSITE,
     AXIOM_PARTIAL_LINEAR,
@@ -543,6 +543,7 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
     uncovered_at = {x: set(avail[x]) for x in range(problem.v)}
     # Without a shift every class is one pair; with one, no pair is fixed.
     n_uncovered = len(members) - len(fixed_cover)
+    stall_limit = _stall_limit(n_uncovered)
 
     cover: dict[Pair, Line] = {}
     added: set[Line] = set()
@@ -589,7 +590,7 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
         if n_uncovered < best:
             best = n_uncovered
             since_best = 0
-        if since_best > _STALL_LIMIT:
+        if since_best > stall_limit:
             since_best = 0
             pool = sorted(added)
             for _ in range(min(_KICK_SIZE, len(pool))):

@@ -196,10 +196,10 @@ PINNED_CLIMBS = {
     (31, 1): (463, 1, "0c117c48c2db"),
     (31, 2): (285, 1, "03b8c2b50502"),
     (69, 0): (1775, 1, "0a58b5257146"),
-    (69, 1): (2435, 1, "710d126c6784"),
+    (69, 1): (1942, 1, "6b61f47dbc3f"),
     (69, 2): (1747, 1, "cd9a4aebdac1"),
-    (99, 0): (5222, 1, "8942c1528321"),
-    (99, 1): (4413, 1, "9c37bfa25998"),
+    (99, 0): (4377, 1, "a4891f4deadb"),
+    (99, 1): (4054, 1, "4c8c9bec4697"),
 }
 
 
@@ -221,15 +221,32 @@ def test_attempt_logs_total_the_pins(w, seed):
     assert all(a.best_uncovered > 0 for a in outcome.attempts[:-1])
 
 
-@pytest.mark.parametrize("budget,kicks", [(400, 0), (401, 1), (802, 2), (900, 2)])
+@pytest.mark.parametrize("budget,kicks", [(1, 0), (2, 1), (3, 1), (4, 2), (5, 2)])
 def test_attempt_log_counts_kicks(budget, kicks):
-    # No triple covers three hexagon edges, so nothing is ever covered and
-    # each attempt kicks once every _STALL_LIMIT + 1 = 401 iterations.
+    # No triple covers three hexagon edges, so nothing is ever covered.  The
+    # 6 open classes give a stall limit of 6 // 4 = 1, so each attempt kicks
+    # on every second iteration: budgets 1 | 2 and 3 | 4 straddle the first
+    # two kicks.
     targets = frozenset(tuple(sorted((i, (i + 1) % 6))) for i in range(6))
     problem = ClimbProblem(v=6, target_pairs=targets)
     outcome = climb(problem, ClimbConfig(seed=0, restarts=3, max_iterations=budget))
     assert outcome.attempts == (AttemptLog(budget, kicks, 6),) * 3
     assert outcome.iterations_used == 3 * budget
+
+
+def test_small_climbs_complete_on_first_attempt():
+    # The stall limit scales with the open classes: 5 at STS(7), 1 for the
+    # 6 shift orbits of v = 13, 0 for 3 open classes.  Small problems must
+    # still finish without a restart.
+    problems = [
+        ClimbProblem(v=w, target_pairs=all_pairs(w)) for w in range(3, 28) if w % 6 in (1, 3)
+    ]
+    problems += [ClimbProblem(v=v, target_pairs=all_pairs(v), shift=1) for v in (7, 13, 19, 25)]
+    for problem in problems:
+        for seed in range(30):
+            outcome = climb(problem, ClimbConfig(seed=seed))
+            assert outcome.status == COMPLETE, (problem.v, problem.shift, seed)
+            assert outcome.attempts_used == 1, (problem.v, problem.shift, seed)
 
 
 def test_problem_derives_classes():
