@@ -44,8 +44,9 @@ completion were:
     STS(99) (1040-1069)       115,587  3,761   4,507        114,958  3,747   4,397
 
 Runs are deterministic: restart i draws from random.Random(seed + i), and
-every random choice indexes a list in ascending order, either a sorted
-snapshot or bits() of a mask, which lists the set positions in that order.
+each draw picks by rank among the set bits of a mask in ascending order
+(_select), or from the kick's sorted snapshot of the placed triples, with
+the getrandbits calls that randrange makes (_draw_below).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import Line, canonical_line
 from .designs import Gdd, SteinerSystem, verify_gdd, verify_steiner
@@ -225,6 +226,48 @@ class _Attempt(tuple):
         return self
 
 
+def _select(m: int, i: int, n: int) -> int:
+    """Position of the set bit of rank i (from 0, ascending) in m >= 0, which
+    has n > i set bits."""
+    # A dense mask is halved, keeping the half that holds rank i, until few
+    # set bits are left; then the i lowest of them are cleared one by one.
+    pos = 0
+    while n > 8:
+        half = m.bit_length() >> 1
+        low = m & ((1 << half) - 1)
+        k = low.bit_count()
+        if i < k:
+            m, n = low, k
+        else:
+            m >>= half
+            pos += half
+            i -= k
+            n -= k
+    while i:
+        m &= m - 1
+        i -= 1
+    return pos + (m & -m).bit_length() - 1
+
+
+def _draw_below(rng: random.Random) -> Callable[[int], int]:
+    """below(n) for n > 0, a uniform draw from range(n).
+
+    It makes the same getrandbits calls as rng.randrange(n), which is
+    rng._randbelow(n) on Python 3.10 to 3.13, so it returns the same value
+    and leaves rng in the same state, without randrange's argument checks.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt:
     v, row, fixed_cover = problem.v, problem.rows, problem.fixed_cover
     # x, x + shift, x + 2 shift, ... (mod v) make up the point orbit of x mod g,
@@ -232,6 +275,7 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
     order = problem.order
     g = v // order
     full = (1 << v) - 1
+    below = _draw_below(rng)
 
     # Bit y of avail[x] is set iff {x,y} is a target pair not owned by a fixed
     # line.  Bit y of U(x) additionally requires the class of {x,y} to be
@@ -241,13 +285,19 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
     # of g is uncovered[r] rotated by d.  Class {a,b} then owns one bit of
     # uncovered[a % g] and one of uncovered[b % g] (distinct bits when
     # a = b (mod g), as its orbit is full), and covering or uncovering it
-    # flips those two bits.
+    # flips those two bits, which flips[c] names.
     avail = [0] * v
     for x, y in problem.target_pairs:
         if (x, y) not in fixed_cover:
             avail[x] |= 1 << y
             avail[y] |= 1 << x
     uncovered = avail[:g]
+    bit = [1 << y for y in range(v)]
+    flips = {}
+    for c in problem.members:
+        a, b = c
+        ra, rb = a % g, b % g
+        flips[c] = (ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v])
     # Without a shift every class is one pair; with one, no pair is fixed.
     n_open = len(problem.members) - len(fixed_cover)
     stall_limit = _stall_limit(n_open)
@@ -255,32 +305,23 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
     cover: dict[Pair, Line] = {}
     added: set[Line] = set()
     # Bit r of live is set iff uncovered[r] is non-empty, so the points with
-    # an uncovered pair are the d + r, r in live_reps, d in 0, g, 2g, ...; in
-    # ascending order, the i-th of them is (i // L) g + live_reps[i % L] with
-    # L = len(live_reps).  Like every list the draws index, live_reps is in
-    # ascending order, which bits() gives.
+    # an uncovered pair are the d + r, r a set bit of live, d in 0, g, 2g, ...;
+    # in ascending order, the i-th of them is (i // L) g plus the set bit of
+    # rank i % L in live, with L set bits in all.
     live = sum(1 << r for r in range(g) if uncovered[r])
-    live_reps = bits(live)
-    live_dirty = False
 
     def flip(c: Pair):
         # Cover c if uncovered, or uncover it if covered.  Representative r
         # turns dead or live when its mask becomes empty or becomes the one
         # bit just set.
-        nonlocal live, live_dirty
-        a, b = c
-        r = a % g
-        bit = 1 << (b - a + r) % v
-        m = uncovered[r] = uncovered[r] ^ bit
-        if not m or m == bit:
-            live ^= 1 << r
-            live_dirty = True
-        r = b % g
-        bit = 1 << (a - b + r) % v
-        m = uncovered[r] = uncovered[r] ^ bit
-        if not m or m == bit:
-            live ^= 1 << r
-            live_dirty = True
+        nonlocal live
+        ra, ba, rb, bb = flips[c]
+        m = uncovered[ra] = uncovered[ra] ^ ba
+        if not m or m == ba:
+            live ^= 1 << ra
+        m = uncovered[rb] = uncovered[rb] ^ bb
+        if not m or m == bb:
+            live ^= 1 << rb
 
     def remove_triple(t: Line):
         a, b, c = t
@@ -304,23 +345,20 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
             kicks += 1
             pool = sorted(added)
             for _ in range(min(_KICK_SIZE, len(pool))):
-                t = pool[rng.randrange(len(pool))]
+                t = pool[below(len(pool))]
                 if t in added:
                     remove_triple(t)
-        if live_dirty:
-            live_reps = bits(live)
-            live_dirty = False
-        n_reps = len(live_reps)
+        n_live = live.bit_count()
         move = None
         for _ in range(_PATIENCE):
-            d, j = divmod(rng.randrange(n_reps * order), n_reps)
-            r = live_reps[j]
+            d, j = divmod(below(n_live * order), n_live)
+            r = _select(live, j, n_live)
             d *= g
             x = d + r
             m = uncovered[r]
             ux = (m << d | m >> (v - d)) & full
-            partners = bits(ux)
-            y = partners[rng.randrange(len(partners))]
+            n = m.bit_count()
+            y = _select(ux, below(n), n)
             r = y % g
             m, d = uncovered[r], y - r
             uy = (m << d | m >> (v - d)) & full
@@ -341,7 +379,6 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
                     tier = common & ~(ux | uy)
                 if not tier:
                     continue
-                tier = bits(tier)
                 if (x - y) % g == 0:
                     # Two of the three pairs share a class when one is the
                     # other moved by a multiple d != 0 of g.  Each of
@@ -351,10 +388,14 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
                     # without a shift.
                     rx, ry = row[x], row[y]
                     c_xy = rx[y]
-                    tier = [z for z in tier if c_xy != rx[z] != ry[z] != c_xy]
-                    if not tier:
+                    zs = [z for z in bits(tier) if c_xy != rx[z] != ry[z] != c_xy]
+                    if not zs:
                         continue
-                move = (x, y, tier[rng.randrange(len(tier))])
+                    z = zs[below(len(zs))]
+                else:
+                    n = tier.bit_count()
+                    z = _select(tier, below(n), n)
+                move = (x, y, z)
                 break
             if tier and cost <= 1:
                 break
@@ -367,7 +408,10 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
             t = cover.get(c)
             if t is not None:
                 remove_triple(t)
-        triple = canonical_line(move)
+        # y is in U(x), which excludes x, and z in avail[x] & avail[y], which
+        # excludes both, so the three points are distinct and the sorted
+        # move is already a canonical line.
+        triple = tuple(sorted(move))
         added.add(triple)
         for c in (c_xy, c_xz, c_yz):
             cover[c] = triple

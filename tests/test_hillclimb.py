@@ -8,13 +8,13 @@ from unittest import mock
 
 import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentgeo import construct
 from pentgeo.designs import SteinerSystem, sts, verify_gdd, verify_steiner
 from pentgeo.errors import ClimbFailed, Inadmissible, ParameterDomain
-from pentgeo.graphs import orbit_graph
+from pentgeo.graphs import bits, orbit_graph
 from pentgeo.hillclimb import (
     COMPLETE,
     EXHAUSTED,
@@ -22,6 +22,8 @@ from pentgeo.hillclimb import (
     ClimbConfig,
     ClimbProblem,
     _attempt,
+    _draw_below,
+    _select,
     climb,
     climb_3gdd,
     climb_sts,
@@ -379,3 +381,59 @@ def test_attempt_matches_oracle_to_completion(make, seed):
     assert fast[0] is not None
     assert fast == slow
     assert fast_rng.getstate() == slow_rng.getstate()
+
+
+def test_attempt_matches_oracle_on_dense_masks():
+    # The other oracle tests stop at v = 99.  At STS(201) U(x) and the live
+    # representatives start with 200 and 201 set bits, which _select narrows
+    # by halves.
+    problem = ClimbProblem(v=201, target_pairs=all_pairs(201))
+    sizes = []
+
+    def spy(m, i, n):
+        sizes.append(n)
+        return _select(m, i, n)
+
+    fast_rng, slow_rng = random.Random(7), random.Random(7)
+    with mock.patch("pentgeo.hillclimb._select", spy):
+        fast = _attempt(problem, fast_rng, 3000)
+    slow = oracle._attempt(problem, slow_rng, 3000)
+    assert fast == slow
+    assert fast_rng.getstate() == slow_rng.getstate()
+    assert max(sizes) > 100
+
+
+def dense_masks():
+    # A set top bit below 600 and arbitrary bits under it.
+    return st.integers(1, 600).flatmap(lambda top: st.integers(1 << (top - 1), (1 << top) - 1))
+
+
+def sparse_masks():
+    return st.sets(st.integers(0, 599), min_size=1, max_size=12).map(
+        lambda ps: sum(1 << p for p in ps)
+    )
+
+
+@given(st.one_of(dense_masks(), sparse_masks()))
+@example(1)
+@example(1 << 599)
+@example((1 << 600) - 1)
+@example(0b100000001 << 591)  # 2 bits, the top one at 599
+@example(sum(1 << p for p in range(0, 600, 67)))  # 9 bits: one halving
+def test_select_reads_bits_by_rank(m):
+    n = m.bit_count()
+    positions = bits(m)
+    assert [_select(m, i, n) for i in range(n)] == positions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+def test_draw_below_is_randrange(seed):
+    # below(n) must consume the generator exactly as randrange(n) does, so a
+    # Python whose randrange draws differently fails here before any pin.
+    # n = 2^j + 1 rejects almost half of its draws; n = 2^j none.
+    sizes = list(range(1, 300)) + [2**j + e for j in range(9, 71) for e in (-1, 0, 1)]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    below = _draw_below(ours)
+    for n in sizes * 3:
+        assert below(n) == theirs.randrange(n)
+    assert ours.getstate() == theirs.getstate()
