@@ -46,7 +46,7 @@ from .errors import (
     PreconditionFailed,
     ResultFailedVerification,
 )
-from .graphs import Graph, distance3_graph, inflate, report, shift_automorphisms
+from .graphs import Graph, bits, distance3_graph, inflate, report, shift_automorphisms
 from .hillclimb import COMPLETE, ClimbConfig, ClimbProblem, climb, climb_3gdd
 
 def _steiner(k: int, w: int) -> SteinerSystem:
@@ -250,7 +250,7 @@ def from_girth5_graph(d: Graph, config: ClimbConfig | None = None) -> Geometry:
     r = (d.n - 4) // 2
     if not is_admissible(3, r, 3):
         raise BadSeedGraph(f"r = (n-4)/2 = {r} is not admissible for k = w = 3")
-    placed = {canonical_line(d.adjacency[x]) for x in range(d.n)}
+    placed = {canonical_line(bits(m)) for m in d.masks}
     lines = _climb_completion(d.n, d, placed, config, f"PENT(3,{r},3) completion")
     return _finish(lines, 3, r, 3, "geometry from cubic girth-5 graph")
 
@@ -291,7 +291,7 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
     lines: set[Line] = set()
     for p in range(c.n):
         lines.update(canonical_line(h * p + x for x in blk) for blk in system.blocks)
-        nbrs = sorted(c.adjacency[p])
+        nbrs = bits(c.masks[p])
         for blk in gdd.blocks:
             lines.add(canonical_line(h * nbrs[x // h] + x % h for x in blk))
     expected_opp = v * (w * (w - h) + h * (h - 1)) // (h * k * (k - 1))

@@ -1,14 +1,11 @@
 """Simple undirected graphs: girth, named families, inflation, distance-3.
 
 Deficiency graphs of pentagonal geometries are what these functions exist
-for, but nothing here knows about geometries.  Graphs are immutable; girth
+for, but nothing here knows about geometries.  A Graph is its neighbourhood
+bit masks (Python ints, bit y of masks[x] set when xy is an edge), and every
+invariant reads them directly, so pentgeo.pent hands a geometry's deficiency
+masks over as a Graph without conversion.  Graphs are immutable; girth
 returns None for acyclic graphs rather than a sentinel number.
-
-The invariants run on neighbourhood bit masks (Python ints, bit y set when
-y is a neighbour): the mask_* functions take the masks directly, so
-pentgeo.pent passes a geometry's deficiency masks without building a Graph,
-and girth, components, report and the intersection profile convert a Graph
-with adjacency_masks first.
 """
 
 from __future__ import annotations
@@ -18,35 +15,52 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParameterDomain, PentSyntaxError, PointOutOfRange, StepNotDividingV
+
+MAX_VERTICES = 1 << 14
 
 
 @dataclass(frozen=True)
 class Graph:
+    """A simple graph on 0..n-1: bit y of masks[x] is set when xy is an edge.
+
+    The masks take up to n*n/8 bytes, 32 MiB at n = MAX_VERTICES = 2^14;
+    graph_from_edges and inflate refuse more vertices than that, before
+    allocating.  Deficiency graphs from pentgeo.pent wrap a geometry's own
+    masks and are bounded by the geometry instead.
+    """
+
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
+        """Edges (u, v) with u < v, in ascending order."""
+        return [(u, u + 1 + v) for u, m in enumerate(self.masks) for v in bits(m >> u + 1)]
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(map(int.bit_count, self.masks)) // 2
+
+
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise ParameterDomain(f"n = {n} < 0")
+    if n > MAX_VERTICES:
+        raise ParameterDomain(f"n = {n} > {MAX_VERTICES} vertices")
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    if n < 0:
-        raise ParameterDomain(f"n = {n} < 0")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    _check_order(n)
+    masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ParameterDomain(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:
             raise ParameterDomain(f"loop at {u}")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -59,17 +73,6 @@ class GraphReport:
     girth: int | None
     connected: bool
     component_sizes: tuple[int, ...]
-
-
-def adjacency_masks(g: Graph) -> list[int]:
-    """Neighbourhoods as bit masks: bit y of masks[x] is set when xy is an edge."""
-    out = []
-    for nbrs in g.adjacency:
-        m = 0
-        for y in nbrs:
-            m |= 1 << y
-        out.append(m)
-    return out
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -90,8 +93,8 @@ def bits(m: int) -> list[int]:
     return out
 
 
-def mask_girth(adj: Sequence[int]) -> int | None:
-    """Girth of the graph with neighbourhood masks adj; None when acyclic.
+def girth(g: Graph) -> int | None:
+    """Length of a shortest cycle, or None for an acyclic graph.
 
     With reach the union of the neighbourhoods of x's neighbours, there is a
     triangle through x when reach meets adj[x], and a 4-cycle through x when
@@ -99,9 +102,12 @@ def mask_girth(adj: Sequence[int]) -> int | None:
     the sum of their sizes less one each.  Only when neither occurs anywhere
     does a BFS run, and it stops at the first 5-cycle.
     """
+    adj = g.masks
     four = False
-    for x, nx in enumerate(adj):
-        around = list(map(adj.__getitem__, bits(nx)))
+    # Masks are read by comprehension here and below: a tuple's __getitem__
+    # passed to map() is about twice as slow.
+    for nx in adj:
+        around = [adj[y] for y in bits(nx)]
         reach = reduce(or_, around, 0)
         if reach & nx:
             return 3
@@ -112,7 +118,7 @@ def mask_girth(adj: Sequence[int]) -> int | None:
     return _bfs_girth(adj)
 
 
-def _bfs_girth(adj: Sequence[int]) -> int | None:
+def _bfs_girth(adj: tuple[int, ...]) -> int | None:
     """Shortest cycle of a graph with no cycle shorter than 5.
 
     From each source s, layer d closes a cycle of length at most 2d when one
@@ -134,7 +140,7 @@ def _bfs_girth(adj: Sequence[int]) -> int | None:
             if (best is None or 2 * d + 1 < best) and any(adj[u] & layer for u in members):
                 best = 2 * d + 1
                 break
-            prev, layer = layer, reduce(or_, map(adj.__getitem__, members)) & ~seen
+            prev, layer = layer, reduce(or_, [adj[u] for u in members]) & ~seen
             seen |= layer
             d += 1
         if best == 5:
@@ -142,54 +148,41 @@ def _bfs_girth(adj: Sequence[int]) -> int | None:
     return best
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for an acyclic graph."""
-    return mask_girth(adjacency_masks(g))
-
-
-def mask_components(adj: Sequence[int]) -> list[int]:
-    """Component masks, ordered by their smallest vertex."""
-    rest = (1 << len(adj)) - 1
+def components(g: Graph) -> list[list[int]]:
+    """Vertices of each component, ascending, ordered by their smallest vertex."""
+    adj = g.masks
+    rest = (1 << g.n) - 1
     out = []
     while rest:
         comp = frontier = rest & -rest
         while frontier:
-            frontier = reduce(or_, map(adj.__getitem__, bits(frontier))) & ~comp
+            frontier = reduce(or_, [adj[y] for y in bits(frontier)]) & ~comp
             comp |= frontier
-        out.append(comp)
+        out.append(bits(comp))
         rest &= ~comp
     return out
 
 
-def components(g: Graph) -> list[list[int]]:
-    return [bits(c) for c in mask_components(adjacency_masks(g))]
-
-
-def mask_report(adj: Sequence[int]) -> GraphReport:
-    degrees = {m.bit_count() for m in adj}
-    comps = mask_components(adj)
-    return GraphReport(
-        n=len(adj),
-        regular_degree=degrees.pop() if len(degrees) == 1 else None,
-        girth=mask_girth(adj),
-        connected=len(comps) <= 1,
-        component_sizes=tuple(sorted(c.bit_count() for c in comps)),
-    )
-
-
 def report(g: Graph) -> GraphReport:
-    return mask_report(adjacency_masks(g))
+    degrees = set(map(int.bit_count, g.masks))
+    comps = components(g)
+    return GraphReport(
+        n=g.n,
+        regular_degree=degrees.pop() if len(degrees) == 1 else None,
+        girth=girth(g),
+        connected=len(comps) <= 1,
+        component_sizes=tuple(sorted(map(len, comps))),
+    )
 
 
 def generalized_petersen(n: int) -> Graph:
     """GP(n,2): outer n-cycle, spokes, inner vertices joined at step 2."""
     if n < 5:
         raise ParameterDomain(f"n = {n} < 5")
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))
-        edges.append((i, n + i))
-        edges.append((n + i, n + (i + 2) % n))
+    # A generator: graph_from_edges refuses too large an n before any edge is made.
+    edges = (
+        e for i in range(n) for e in ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + 2) % n))
+    )
     return graph_from_edges(2 * n, edges)
 
 
@@ -222,58 +215,53 @@ def orbit_graph(base_edges: Iterable[tuple[int, int]], step: int, modulus: int) 
         raise ParameterDomain(f"modulus = {modulus} < 1")
     if step < 1 or modulus % step != 0:
         raise StepNotDividingV(f"step = {step} does not divide modulus = {modulus}")
-    edges: set[tuple[int, int]] = set()
-    for u, v in base_edges:
+    base = list(base_edges)
+    for u, v in base:
         if not (0 <= u < modulus and 0 <= v < modulus):
             raise PointOutOfRange(f"edge ({u},{v}) outside 0..{modulus - 1}")
         if u == v:
             raise ParameterDomain(f"loop at {u}")
-        a, b = u, v
-        while True:
-            edges.add((a, b) if a < b else (b, a))
-            a, b = (a + step) % modulus, (b + step) % modulus
-            if {a, b} == {u, v}:
-                break
-    return graph_from_edges(modulus, edges)
+    shifts = range(0, modulus, step)
+    return graph_from_edges(
+        modulus, (((u + t) % modulus, (v + t) % modulus) for u, v in base for t in shifts)
+    )
 
 
 def inflate(g: Graph, h: int) -> Graph:
     """Replace each vertex p by h copies hp..hp+h-1 and each edge by K_{h,h}.
 
-    inflate(g, 1) returns g itself.  For h >= 2 any edge yields a 4-cycle, so
-    the result has girth 4.
+    inflate(g, 1) returns a graph equal to g.  For h >= 2 any edge yields a
+    4-cycle, so the result has girth 4.
     """
     if h < 1:
         raise ParameterDomain(f"h = {h} < 1")
-    edges = []
-    for u, v in g.edges():
-        for s in range(h):
-            for t in range(h):
-                edges.append((h * u + s, h * v + t))
-    return graph_from_edges(h * g.n, edges)
+    _check_order(h * g.n)
+    block = (1 << h) - 1
+    masks = []
+    for m in g.masks:
+        spread = 0
+        for y in bits(m):
+            spread |= block << h * y
+        masks.extend([spread] * h)
+    return Graph(h * g.n, tuple(masks))
 
 
 def shift_automorphisms(g: Graph) -> tuple[int, ...]:
-    """Shifts s for which x -> x + s (mod n) preserves adjacency.
+    """Shifts s for which x -> x + s (mod n) preserves adjacency: the mask
+    of x, rotated by s, is the mask of x + s.
 
     Graphs developed from base edges by a step admit their step; most other
     vertex numberings admit none.
     """
-    edges = {frozenset(e) for e in g.edges()}
-    found = []
-    for s in range(1, g.n):
-        if all(frozenset(((a + s) % g.n, (b + s) % g.n)) in edges for a, b in g.edges()):
-            found.append(s)
-    return tuple(found)
-
-
-def distance3_masks(adj: Sequence[int]) -> list[int]:
-    """Per vertex, the vertices at distance at least 3 (or unreachable)."""
-    full = (1 << len(adj)) - 1
-    return [
-        full & ~reduce(or_, map(adj.__getitem__, bits(nx)), nx | 1 << x)
-        for x, nx in enumerate(adj)
-    ]
+    n, adj = g.n, g.masks
+    full = (1 << n) - 1
+    return tuple(
+        s
+        for s in range(1, n)
+        if all(
+            (m << s | m >> n - s) & full == adj[(x + s) % n] for x, m in enumerate(adj)
+        )
+    )
 
 
 def distance3_graph(g: Graph) -> Graph:
@@ -281,21 +269,22 @@ def distance3_graph(g: Graph) -> Graph:
 
     Vertices in different components are at infinite distance, hence joined.
     """
-    far = distance3_masks(adjacency_masks(g))
-    return Graph(n=g.n, adjacency=tuple(tuple(bits(m)) for m in far))
-
-
-def intersection_profile(adj: Sequence[int]) -> Counter:
-    """Multiset of |adj[x] & adj[y]| over unordered pairs x < y."""
-    profile: Counter = Counter()
-    for x, nx in enumerate(adj):
-        profile.update(map(int.bit_count, map(nx.__and__, adj[x + 1 :])))
-    return profile
+    adj = g.masks
+    full = (1 << g.n) - 1
+    far = tuple(
+        full & ~reduce(or_, [adj[y] for y in bits(nx)], nx | 1 << x)
+        for x, nx in enumerate(adj)
+    )
+    return Graph(g.n, far)
 
 
 def neighborhood_intersection_profile(g: Graph) -> Counter:
     """Multiset of |N(x) & N(y)| over unordered vertex pairs."""
-    return intersection_profile(adjacency_masks(g))
+    adj = g.masks
+    profile: Counter = Counter()
+    for x, nx in enumerate(adj):
+        profile.update(map(int.bit_count, map(nx.__and__, adj[x + 1 :])))
+    return profile
 
 
 def parse_graph_file(text: str) -> Graph:

@@ -13,10 +13,10 @@ axioms become popcount identities:
   an S(2,k,w) exactly when those lines hold w(w-1)/2 pairs, that is when
   there are w(w-1)/(k(k-1)) of them.
 
-The overlap profile is |N[x] & N[y]| over point pairs, and the
-distance->=3 neighbourhood of x is ALL & ~(N[x] | {x} | OR(N[u] for u in
-N(x))); girth, components and K_{w,w} components come from the mask
-routines of pentgeo.graphs.
+The masks N[x] are the deficiency graph itself (a pentgeo.graphs.Graph),
+so its girth, components, overlap profile |N[x] & N[y]| and distance->=3
+graph come from the graph functions without conversion; the K_{w,w}
+components are counted here from its components.
 
 verify() never raises on bad input: it reports each failed axiom with up to
 WITNESS_LIMIT witnesses.  Witnesses are searched for only where an identity
@@ -107,8 +107,8 @@ class _Index:
             for x in ln:
                 degree[x] += 1
                 closed[x] |= m
-        self.full = (1 << v) - 1
-        self.nbrs = [self.full ^ c for c in closed]
+        self.full = full = (1 << v) - 1
+        self.deficiency = Graph(v, tuple(full ^ c for c in closed))
 
     def opposite(self) -> list[int]:
         """Per line, the mask of points whose deficiency neighbourhood
@@ -133,21 +133,19 @@ class _Index:
 
 def deficiency_graph(geom: Geometry) -> Graph:
     """Graph joining x and y exactly when no line contains both."""
-    nbrs = _Index(geom).nbrs
-    return Graph(n=len(nbrs), adjacency=tuple(tuple(bits(m)) for m in nbrs))
+    return _Index(geom).deficiency
 
 
-def _count_kww_components(adj: list[int], w: int) -> int:
+def _count_kww_components(g: Graph, w: int) -> int:
     """Components that are complete bipartite K_{w,w}: 2w vertices, all
-    degrees w, and no edge inside either side of the first vertex's split."""
-    count = 0
-    for comp in graphs.mask_components(adj):
-        members = bits(comp)
+    degrees w, no edge inside the first vertex's neighbourhood, and every
+    vertex outside that neighbourhood adjacent to all of it."""
+    adj, count = g.masks, 0
+    for members in graphs.components(g):
         if len(members) != 2 * w or any(adj[x].bit_count() != w for x in members):
             continue
         side = adj[members[0]]
-        other = comp & ~side
-        if all(not adj[x] & (side if side >> x & 1 else other) for x in members):
+        if all(not adj[x] & side if side >> x & 1 else adj[x] == side for x in members):
             count += 1
     return count
 
@@ -219,7 +217,8 @@ def verify(geom: Geometry) -> VerificationReport:
     params = geom.params
     k, r, w, v = params.k, params.r, params.w, params.v
     ix = _Index(geom)
-    lines, degree, closed, nbrs = ix.lines, ix.degree, ix.closed, ix.nbrs
+    lines, degree, closed, dgraph = ix.lines, ix.degree, ix.closed, ix.deficiency
+    nbrs = dgraph.masks
 
     uniform_witnesses = []
     if set(map(len, lines)) - {k}:
@@ -269,14 +268,14 @@ def verify(geom: Geometry) -> VerificationReport:
         _check(AXIOM_REGULAR, regular_witnesses),
         _check(AXIOM_OPPOSITE, opposite_witnesses),
     )
-    dreport = graphs.mask_report(nbrs)
-    kww = _count_kww_components(nbrs, w)
+    dreport = graphs.report(dgraph)
+    kww = _count_kww_components(dgraph, w)
 
     geometry_type, split, profile = TYPE_INVALID, None, None
     if all(a.passed for a in axioms):
         geometry_type = _classify(params, dreport, kww)
         split = _split(params, sum(1 for m in opposite if m), len(lines), dreport.girth)
-        profile = dict(sorted(graphs.intersection_profile(nbrs).items()))
+        profile = dict(sorted(graphs.neighborhood_intersection_profile(dgraph).items()))
     return VerificationReport(
         params=params,
         axioms=axioms,
@@ -313,7 +312,7 @@ def line_split(geom: Geometry) -> LineSplit:
     """
     ix = _Index(geom)
     b_opp = sum(1 for m in ix.opposite() if m)
-    return _split(geom.params, b_opp, len(ix.lines), graphs.mask_girth(ix.nbrs))
+    return _split(geom.params, b_opp, len(ix.lines), graphs.girth(ix.deficiency))
 
 
 def overlap_profile(geom: Geometry) -> dict[int, int]:
@@ -324,13 +323,14 @@ def overlap_profile(geom: Geometry) -> dict[int, int]:
     ForbiddenOverlap.
     """
     k = geom.params.k
-    nbrs = _Index(geom).nbrs
-    profile = graphs.intersection_profile(nbrs)
+    dgraph = _Index(geom).deficiency
+    profile = graphs.neighborhood_intersection_profile(dgraph)
 
     def forbidden(u: int) -> bool:
         return 2 <= u <= k - 1 or k + 1 <= u <= k * k - k
 
     if any(forbidden(u) for u in profile):
+        nbrs = dgraph.masks
         for x, nx in enumerate(nbrs):
             for y in range(x + 1, len(nbrs)):
                 u = (nx & nbrs[y]).bit_count()
@@ -380,7 +380,7 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     params = geom.params
     k, r, w = params.k, params.r, params.w
     ix = _Index(geom)
-    far = graphs.distance3_masks(ix.nbrs)
+    far = graphs.distance3_graph(ix.deficiency).masks
 
     bound = r * (k - 1) - w * (w - 1)
     degrees = [m.bit_count() for m in far]
@@ -388,7 +388,7 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     if min_degree < bound:
         x = degrees.index(min_degree)
         raise DegreeBoundViolated(f"point {x}: degree {min_degree} < bound {bound}")
-    dgirth = graphs.mask_girth(ix.nbrs)
+    dgirth = graphs.girth(ix.deficiency)
     tight = all(d == bound for d in degrees)
     if (dgirth is None or dgirth >= 5) and not tight:
         x = next(i for i, d in enumerate(degrees) if d != bound)

@@ -1,16 +1,18 @@
 """Reference oracle: the original set-based verifier, kept as written.
 
 verify, line_split, overlap_profile and dist3_analysis here walk Python sets
-point by point, and girth is a plain BFS from every vertex.  They are slow
-and obviously correct; tests/test_kernel.py asserts that the bitset kernel in
-pentgeo.pent and pentgeo.graphs gives equal results, witness strings
-included.  verify_steiner and verify_gdd are the original design verifiers,
-each with its own pair loop; tests/test_designs.py asserts that the shared
-one in pentgeo.designs raises the same exceptions with the same messages.
-_attempt is the original hill-climb attempt, which scores every common
-neighbour of the chosen pair by two class lookups; tests/test_hillclimb.py
-asserts that the mask step in pentgeo.hillclimb makes the same moves
-and the same random draws.  Pent3Plan, _pent3_preconditions, plan_pent3,
+point by point, and girth is a plain BFS from every vertex.  inflate and
+shift_automorphisms are the original edge-list versions.  Graphs are read
+through neighbours() and _edges(), which test each bit of a mask in turn.
+They are slow and obviously correct; tests/test_kernel.py asserts that the
+bitset kernel in pentgeo.pent and pentgeo.graphs gives equal results,
+witness strings included.  verify_steiner and verify_gdd are the original
+design verifiers, each with its own pair loop; tests/test_designs.py asserts
+that the shared one in pentgeo.designs raises the same exceptions with the
+same messages.  _attempt is the original hill-climb attempt, which scores
+every common neighbour of the chosen pair by two class lookups;
+tests/test_hillclimb.py asserts that the mask step in pentgeo.hillclimb makes
+the same moves and the same random draws.  Pent3Plan, _pent3_preconditions, plan_pent3,
 Pent5Plan, plan_pent5 and _split_into_parts are the original planners, whose
 searches restate their plans' checks and whose PENT(5,r) plan keeps all q
 summands; tests/test_planners.py asserts that pentgeo.construct returns the
@@ -56,12 +58,31 @@ from pentgeo.pent import (
 )
 
 
+def neighbours(g: Graph, x: int) -> list[int]:
+    """Neighbours of x, ascending."""
+    return [y for y in range(g.n) if g.masks[x] >> y & 1]
+
+
+def _adjacency(g: Graph) -> list[list[int]]:
+    return [neighbours(g, x) for x in range(g.n)]
+
+
+def _edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges (u, v) with u < v, in ascending order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.masks[u] >> v & 1]
+
+
+def _graph(v: int, adjacency) -> Graph:
+    return Graph(n=v, masks=tuple(sum(1 << y for y in a) for a in adjacency))
+
+
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, by BFS from every vertex.
 
     A BFS from s may overestimate the shortest cycle through s, but the
     minimum over all start vertices is exact.
     """
+    adjacency = _adjacency(g)
     best: int | None = None
     for s in range(g.n):
         dist = [-1] * g.n
@@ -72,7 +93,7 @@ def girth(g: Graph) -> int | None:
             u = queue.popleft()
             if best is not None and 2 * dist[u] >= best:
                 break
-            for x in g.adjacency[u]:
+            for x in adjacency[u]:
                 if dist[x] == -1:
                     dist[x] = dist[u] + 1
                     parent[x] = u
@@ -85,6 +106,7 @@ def girth(g: Graph) -> int | None:
 
 
 def components(g: Graph) -> list[list[int]]:
+    adjacency = _adjacency(g)
     seen = [False] * g.n
     out: list[list[int]] = []
     for s in range(g.n):
@@ -95,7 +117,7 @@ def components(g: Graph) -> list[list[int]]:
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for x in g.adjacency[u]:
+            for x in adjacency[u]:
                 if not seen[x]:
                     seen[x] = True
                     comp.append(x)
@@ -105,7 +127,7 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def report(g: Graph) -> GraphReport:
-    degrees = {len(a) for a in g.adjacency}
+    degrees = {len(a) for a in _adjacency(g)}
     comps = components(g)
     return GraphReport(
         n=g.n,
@@ -122,15 +144,38 @@ def distance3_graph(g: Graph) -> Graph:
 
     Vertices in different components are at infinite distance, hence joined.
     """
+    adjacency = _adjacency(g)
     edges = []
     for x in range(g.n):
-        ball = set(g.adjacency[x])
+        ball = set(adjacency[x])
         ball.add(x)
-        for u in g.adjacency[x]:
-            ball.update(g.adjacency[u])
+        for u in adjacency[x]:
+            ball.update(adjacency[u])
         edges.extend((x, y) for y in range(x + 1, g.n) if y not in ball)
     return graph_from_edges(g.n, edges)
 
+
+
+def inflate(g: Graph, h: int) -> Graph:
+    """Replace each vertex p by h copies hp..hp+h-1 and each edge by K_{h,h}."""
+    if h < 1:
+        raise ParameterDomain(f"h = {h} < 1")
+    edges = []
+    for u, v in _edges(g):
+        for s in range(h):
+            for t in range(h):
+                edges.append((h * u + s, h * v + t))
+    return graph_from_edges(h * g.n, edges)
+
+
+def shift_automorphisms(g: Graph) -> tuple[int, ...]:
+    """Shifts s for which x -> x + s (mod n) preserves adjacency."""
+    edges = {frozenset(e) for e in _edges(g)}
+    found = []
+    for s in range(1, g.n):
+        if all(frozenset(((a + s) % g.n, (b + s) % g.n)) in edges for a, b in _edges(g)):
+            found.append(s)
+    return tuple(found)
 
 
 def _collinear_sets(geom: Geometry) -> tuple[list[set[int]], list[str]]:
@@ -170,7 +215,7 @@ def deficiency_graph(geom: Geometry) -> Graph:
     adjacency = tuple(
         tuple(y for y in range(v) if y != x and y not in collinear[x]) for x in range(v)
     )
-    return Graph(n=v, adjacency=adjacency)
+    return _graph(v, adjacency)
 
 
 def _bipartite(adjacency, vertices: list[int]) -> bool:
@@ -190,13 +235,14 @@ def _bipartite(adjacency, vertices: list[int]) -> bool:
 def _count_kww_components(graph: Graph, w: int) -> int:
     """Components that are complete bipartite K_{w,w}: 2w vertices, all
     degrees w, bipartite.  Regular bipartite on 2w vertices forces K_{w,w}."""
+    adjacency = _adjacency(graph)
     count = 0
     for comp in components(graph):
         if len(comp) != 2 * w:
             continue
-        if any(len(graph.adjacency[x]) != w for x in comp):
+        if any(len(adjacency[x]) != w for x in comp):
             continue
-        if _bipartite(graph.adjacency, comp):
+        if _bipartite(adjacency, comp):
             count += 1
     return count
 
@@ -321,7 +367,7 @@ def verify(geom: Geometry) -> VerificationReport:
     )
 
     adjacency = tuple(tuple(sorted(neighbour_sets[x])) for x in range(v))
-    dgraph = Graph(n=v, adjacency=adjacency)
+    dgraph = _graph(v, adjacency)
     dreport = report(dgraph)
     kww = _count_kww_components(dgraph, w)
 
@@ -403,7 +449,7 @@ def overlap_profile(geom: Geometry) -> dict[int, int]:
     """
     k = geom.params.k
     dgraph = deficiency_graph(geom)
-    sets = [set(a) for a in dgraph.adjacency]
+    sets = [set(a) for a in _adjacency(dgraph)]
     profile: Counter = Counter()
     for x in range(geom.v):
         for y in range(x + 1, geom.v):
@@ -430,12 +476,13 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
         {y for y in range(v) if y != x and y not in collinear[x]} for x in range(v)
     ]
     adjacency = tuple(tuple(sorted(neighbour_sets[x])) for x in range(v))
-    dgraph = Graph(n=v, adjacency=adjacency)
+    dgraph = _graph(v, adjacency)
     egraph = distance3_graph(dgraph)
     opposite = _opposite_lines_of(geom, neighbour_sets)
 
     bound = r * (k - 1) - w * (w - 1)
-    degrees = [len(egraph.adjacency[x]) for x in range(v)]
+    eadjacency = _adjacency(egraph)
+    degrees = [len(eadjacency[x]) for x in range(v)]
     min_degree = min(degrees)
     if min_degree < bound:
         x = degrees.index(min_degree)
@@ -450,7 +497,7 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
 
     by_point = _lines_by_point(geom)
     blade_counts = []
-    esets = [set(a) for a in egraph.adjacency]
+    esets = [set(a) for a in eadjacency]
     for x in range(v):
         blades = [ln for ln in by_point[x] if ln not in opposite]
         seen: set[int] = set()

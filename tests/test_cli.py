@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 from conftest import fixture_text
@@ -15,7 +16,7 @@ from pentgeo.errors import (
     ParameterDomain,
     PentSyntaxError,
 )
-from pentgeo.graphs import generalized_petersen, petersen, write_graph_file
+from pentgeo.graphs import MAX_VERTICES, generalized_petersen, petersen, write_graph_file
 
 ORBIT_SEED_FILE = "20\n0 4\n1 5\n2 6\n0 3\n1 3\n2 3\n"
 
@@ -176,6 +177,18 @@ def test_graph_gp_requires_n(cli):
     code, _, err = cli(["graph", "gp"])
     assert code == 2
     assert "pentctl:" in err
+
+
+def test_graph_gp_over_vertex_limit_exits_2(cli):
+    tracemalloc.start()
+    try:
+        code, out, err = cli(["graph", "gp", str(MAX_VERTICES // 2 + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert f"> {MAX_VERTICES} vertices" in err
+    assert peak < 1 << 20
 
 
 def test_graph_gp(cli):

@@ -1,7 +1,9 @@
 """Graph utilities checked against networkx and hand-derived facts."""
 
+import hashlib
 import math
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from pentgeo.errors import ParameterDomain, PentSyntaxError, PointOutOfRange, StepNotDividingV
 from pentgeo.graphs import (
+    MAX_VERTICES,
     Graph,
     bits,
     components,
@@ -102,7 +105,7 @@ def test_orbit_graph_single_edge():
 def test_orbit_graph_rotation_invariance():
     g = orbit_graph(ORBIT_BASE, 4, 20)
     rotated = [((a + 4) % 20, (b + 4) % 20) for a, b in ORBIT_BASE]
-    assert orbit_graph(rotated, 4, 20).adjacency == g.adjacency
+    assert orbit_graph(rotated, 4, 20).masks == g.masks
 
 
 def test_orbit_graph_errors():
@@ -121,7 +124,7 @@ def test_inflate_petersen():
 
 
 def test_inflate_identity():
-    assert inflate(petersen(), 1).adjacency == petersen().adjacency
+    assert inflate(petersen(), 1).masks == petersen().masks
 
 
 def test_inflate_keeps_components():
@@ -201,7 +204,64 @@ def test_graph_file_round_trip():
     g = generalized_petersen(7)
     again = parse_graph_file(write_graph_file(g))
     assert again.n == g.n
-    assert again.adjacency == g.adjacency
+    assert again.masks == g.masks
+
+
+# sha256 of write_graph_file's output as it was when Graph kept adjacency
+# tuples; the text pentctl graph prints must not move.
+WRITER_DIGESTS = {
+    "hoffman_singleton": (
+        hoffman_singleton,
+        "c8b509ebeabad2f1f0da143efde0e60cd0a5d1c1a8144636f66a9a979559ea87",
+    ),
+    "gp7": (
+        lambda: generalized_petersen(7),
+        "a59d9224df75a062f312a62453eae2168b3f5ae7de002fdd69ce7a3ec2b89652",
+    ),
+    "orbit": (
+        lambda: orbit_graph(ORBIT_BASE, 4, 20),
+        "c3fe62f5ddef24b1c0d9e7c3e8a1f78e6bba4791020bd2a120ad82978992c86a",
+    ),
+    "orbit_inflated_3": (
+        lambda: inflate(orbit_graph(ORBIT_BASE, 4, 20), 3),
+        "98f547716ea994e0ebd07eaaca0803092c49a9b11b7917a6043eba175a4de8a0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_DIGESTS)
+def test_graph_file_output_is_pinned(name):
+    build, digest = WRITER_DIGESTS[name]
+    assert hashlib.sha256(write_graph_file(build()).encode()).hexdigest() == digest
+
+
+def test_vertex_limit_is_accepted():
+    g = graph_from_edges(MAX_VERTICES, [])
+    assert (g.n, g.edge_count()) == (MAX_VERTICES, 0)
+
+
+OVER_VERTEX_LIMIT = {
+    "file_with_one_edge": lambda: report(parse_graph_file("100000\n0 99999\n")),
+    "file_without_edges": lambda: parse_graph_file("1000000\n"),
+    "orbit": lambda: orbit_graph([(0, 1)], 1, 1 << 20),
+}
+
+
+@pytest.mark.parametrize("name", OVER_VERTEX_LIMIT)
+def test_over_vertex_limit_refused_before_allocating(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterDomain):
+            OVER_VERTEX_LIMIT[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_inflate_over_vertex_limit_refused():
+    with pytest.raises(ParameterDomain):
+        inflate(graph_from_edges(MAX_VERTICES // 2 + 1, []), 2)
 
 
 def test_graph_file_errors():

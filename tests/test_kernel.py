@@ -3,7 +3,8 @@
 verify, line_split, overlap_profile and dist3_analysis must agree with the
 oracle on every fixture, on constructed geometries of every deficiency type,
 and on line mutations of the fixtures, down to witness strings and the
-message of any exception.  The mask graph routines must agree with BFS.
+message of any exception.  The mask graph routines must agree with BFS and
+with the edge-list inflate and shift_automorphisms.
 """
 
 import random
@@ -25,9 +26,12 @@ from pentgeo.graphs import (
     girth,
     graph_from_edges,
     hoffman_singleton,
+    inflate,
     neighborhood_intersection_profile,
+    orbit_graph,
     petersen,
     report,
+    shift_automorphisms,
 )
 from pentgeo.pent import dist3_analysis, overlap_profile
 
@@ -113,7 +117,7 @@ def add_line(lines, rng, params):
     """Add a line of k points inside the deficiency neighbourhood of a point,
     where it covers pairs that lines of the opposite design already cover."""
     x = rng.randrange(params.v)
-    nbrs = oracle.deficiency_graph(geometry(params, lines)).adjacency[x]
+    nbrs = oracle.neighbours(oracle.deficiency_graph(geometry(params, lines)), x)
     if len(nbrs) >= params.k:
         lines.append(tuple(rng.sample(nbrs, params.k)))
 
@@ -170,13 +174,16 @@ def assert_graph_agrees(g):
     assert report(g) == oracle.report(g)
     assert components(g) == oracle.components(g)
     assert distance3_graph(g) == oracle.distance3_graph(g)
-    sets = [set(a) for a in g.adjacency]
+    sets = [set(oracle.neighbours(g, x)) for x in range(g.n)]
     brute = {}
     for x in range(g.n):
         for y in range(x + 1, g.n):
             u = len(sets[x] & sets[y])
             brute[u] = brute.get(u, 0) + 1
     assert neighborhood_intersection_profile(g) == brute
+    for h in (1, 2, 3):
+        assert inflate(g, h) == oracle.inflate(g, h)
+    assert shift_automorphisms(g) == oracle.shift_automorphisms(g)
 
 
 NAMED_GRAPHS = (
@@ -201,3 +208,15 @@ def test_random_graph_matches_bfs(n, density, seed):
     rng = random.Random(seed)
     edges = [(x, y) for x in range(n) for y in range(x + 1, n) if rng.random() < density]
     assert_graph_agrees(graph_from_edges(n, edges))
+
+
+@settings(max_examples=100)
+@given(n=st.integers(1, 24), step_index=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+def test_random_orbit_graph_matches_oracle(n, step_index, seed):
+    steps = [d for d in range(1, n + 1) if n % d == 0]
+    step = steps[step_index % len(steps)]
+    rng = random.Random(seed)
+    base = [(x, y) for x in range(step) for y in range(x + 1, n) if rng.random() < 0.3]
+    g = orbit_graph(base, step, n)
+    assert step == n or step in shift_automorphisms(g)
+    assert_graph_agrees(g)
