@@ -49,6 +49,17 @@ from .errors import (
 from .graphs import Graph, bits, distance3_graph, inflate, report, shift_automorphisms
 from .hillclimb import COMPLETE, ClimbConfig, ClimbProblem, climb, climb_3gdd
 
+# The most target pairs a completion climb takes on.  A ClimbProblem and an
+# attempt on it hold about 370 bytes per pair (tracemalloc, the 118,860
+# cross-group pairs of a 3-GDD of type 60^3 66^5 10^1), so 2^18 pairs is
+# about 90 MiB.  A cubic girth-5 seed on n vertices has n(n-10)/2 pairs at
+# distance 3 or more, so this admits seeds up to n = 728, far beyond every
+# completion the tests and the benchmark run (the largest has 900 pairs: the
+# 20-vertex orbit graph inflated with h = 3).  A larger pair set is refused
+# before it is built: generalized_petersen(8192) has 134,135,808.
+MAX_COMPLETION_PAIRS = 1 << 18
+
+
 def _steiner(k: int, w: int) -> SteinerSystem:
     """S(2,k,w) from the recipes at hand, or NoIngredient."""
     try:
@@ -206,7 +217,11 @@ def _climb_completion(
     what: str,
     shifts: tuple[int, ...] = (),
 ) -> set[Line]:
-    targets = frozenset(distance3_graph(dgraph).edges())
+    far = distance3_graph(dgraph)
+    n_pairs = far.edge_count()
+    if n_pairs > MAX_COMPLETION_PAIRS:
+        raise ParameterDomain(f"{what}: {n_pairs} pairs to complete > {MAX_COMPLETION_PAIRS}")
+    targets = frozenset(far.edges())
     if not targets:
         return placed
     spent = 0

@@ -24,6 +24,13 @@ representatives only and read by rotation, and covering or uncovering a
 class flips two bits.  Without a shift g = v and every rotation is by 0:
 both kinds of problem run the same code.
 
+The step hashes no pair.  A problem numbers its pair classes once, and an
+attempt reads them by id: rows[x][y] is the id of the class of {x,y},
+flips[i] the two mask bits class i owns, and cover[i] the placed triple
+covering class i, or None.  The ids and flip bits depend only on the
+problem, so restarts share them; rows holds one entry per target pair end
+and never a v x v table.
+
 The stall limit is the number of steps an attempt takes without a new
 fewest uncovered count before it kicks, and it scales with the problem: an
 attempt that starts with n_open open classes (shift orbits, or pairs without
@@ -59,7 +66,6 @@ from typing import Callable, NamedTuple
 from .core import Line, canonical_line
 from .designs import Gdd, SteinerSystem, verify_gdd, verify_steiner
 from .errors import ClimbFailed, Inadmissible, ParameterDomain
-from .graphs import bits
 
 Pair = tuple[int, int]
 
@@ -92,8 +98,11 @@ class ClimbProblem:
     Checking the problem derives what every climb attempt reads: the target
     pairs the fixed lines cover, and the pair classes the climb covers whole
     (the shift orbits, or single pairs without a shift).  canon maps a target
-    pair to its class representative, members a representative to its class,
-    and rows[x][y] is the class of {x,y}, read by the climb step.
+    pair to its class representative and members a representative to its
+    class.  The climb step numbers the classes instead: a class's id is its
+    position in members, and rows[x][y] is the id of the class of {x,y}.
+    flips[i] is (ra, ba, rb, bb): covering or uncovering class i flips mask
+    bits ba of uncovered[ra] and bb of uncovered[rb] (see _attempt).
     """
 
     v: int
@@ -103,7 +112,8 @@ class ClimbProblem:
     fixed_cover: frozenset[Pair] = field(init=False, repr=False, compare=False)
     canon: dict[Pair, Pair] = field(init=False, repr=False, compare=False)
     members: dict[Pair, tuple[Pair, ...]] = field(init=False, repr=False, compare=False)
-    rows: tuple[dict[int, Pair], ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    flips: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v, shift, targets = self.v, self.shift, self.target_pairs
@@ -148,14 +158,23 @@ class ClimbProblem:
                 for q in orbit:
                     canon[q] = p
                 members[p] = tuple(orbit)
-        rows: tuple[dict[int, Pair], ...] = tuple({} for _ in range(v))
-        for (x, y), c in canon.items():
-            rows[x][y] = c
-            rows[y][x] = c
+        rows: tuple[dict[int, int], ...] = tuple({} for _ in range(v))
+        for i, orbit in enumerate(members.values()):
+            for x, y in orbit:
+                rows[x][y] = rows[y][x] = i
+        # Class {a,b} owns bit b of U(a), which lies in uncovered[a % g]
+        # rotated by a - a % g, and bit a of U(b) likewise.
+        g = v // self.order
+        bit = [1 << y for y in range(v)]
+        flips = []
+        for a, b in members:
+            ra, rb = a % g, b % g
+            flips.append((ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v]))
         object.__setattr__(self, "fixed_cover", frozenset(covered))
         object.__setattr__(self, "canon", canon)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "flips", tuple(flips))
 
     @property
     def order(self) -> int:
@@ -269,13 +288,14 @@ def _draw_below(rng: random.Random) -> Callable[[int], int]:
 
 
 def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt:
-    v, row, fixed_cover = problem.v, problem.rows, problem.fixed_cover
+    v, row, flips, fixed_cover = problem.v, problem.rows, problem.flips, problem.fixed_cover
     # x, x + shift, x + 2 shift, ... (mod v) make up the point orbit of x mod g,
     # and it has order points.  Without a shift order = 1 and g = v.
     order = problem.order
     g = v // order
     full = (1 << v) - 1
     below = _draw_below(rng)
+    select = _select
 
     # Bit y of avail[x] is set iff {x,y} is a target pair not owned by a fixed
     # line.  Bit y of U(x) additionally requires the class of {x,y} to be
@@ -285,60 +305,55 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
     # of g is uncovered[r] rotated by d.  Class {a,b} then owns one bit of
     # uncovered[a % g] and one of uncovered[b % g] (distinct bits when
     # a = b (mod g), as its orbit is full), and covering or uncovering it
-    # flips those two bits, which flips[c] names.
+    # flips those two bits, which problem.flips names.
     avail = [0] * v
     for x, y in problem.target_pairs:
         if (x, y) not in fixed_cover:
             avail[x] |= 1 << y
             avail[y] |= 1 << x
     uncovered = avail[:g]
-    bit = [1 << y for y in range(v)]
-    flips = {}
-    for c in problem.members:
-        a, b = c
-        ra, rb = a % g, b % g
-        flips[c] = (ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v])
     # Without a shift every class is one pair; with one, no pair is fixed.
-    n_open = len(problem.members) - len(fixed_cover)
+    n_open = len(flips) - len(fixed_cover)
     stall_limit = _stall_limit(n_open)
 
-    cover: dict[Pair, Line] = {}
+    # cover[i] is the placed triple covering class i, or None.
+    cover: list[Line | None] = [None] * len(flips)
+    n_covered = 0
     added: set[Line] = set()
     # Bit r of live is set iff uncovered[r] is non-empty, so the points with
     # an uncovered pair are the d + r, r a set bit of live, d in 0, g, 2g, ...;
     # in ascending order, the i-th of them is (i // L) g plus the set bit of
-    # rank i % L in live, with L set bits in all.
+    # rank i % L in live, with L set bits in all.  Flipping a bit of
+    # uncovered[r] turns r dead or live when the mask becomes empty or
+    # becomes the one bit just set.
     live = sum(1 << r for r in range(g) if uncovered[r])
 
-    def flip(c: Pair):
-        # Cover c if uncovered, or uncover it if covered.  Representative r
-        # turns dead or live when its mask becomes empty or becomes the one
-        # bit just set.
-        nonlocal live
-        ra, ba, rb, bb = flips[c]
-        m = uncovered[ra] = uncovered[ra] ^ ba
-        if not m or m == ba:
-            live ^= 1 << ra
-        m = uncovered[rb] = uncovered[rb] ^ bb
-        if not m or m == bb:
-            live ^= 1 << rb
-
+    # Covering or uncovering a class flips its two bits, written out here and
+    # in the move below: a call per class took about 12% of a climb under
+    # cProfile.
     def remove_triple(t: Line):
+        nonlocal live, n_covered
         a, b, c = t
         added.discard(t)
-        ra = row[a]
-        for cl in (ra[b], ra[c], row[b][c]):
-            del cover[cl]
-            flip(cl)
+        for i in (row[a][b], row[a][c], row[b][c]):
+            cover[i] = None
+            ra, ba, rb, bb = flips[i]
+            m = uncovered[ra] = uncovered[ra] ^ ba
+            if not m or m == ba:
+                live ^= 1 << ra
+            m = uncovered[rb] = uncovered[rb] ^ bb
+            if not m or m == bb:
+                live ^= 1 << rb
+        n_covered -= 3
 
     iterations = kicks = 0
     best = n_open
     since_best = 0
-    while len(cover) < n_open and iterations < budget:
+    while n_covered < n_open and iterations < budget:
         iterations += 1
         since_best += 1
-        if n_open - len(cover) < best:
-            best = n_open - len(cover)
+        if n_open - n_covered < best:
+            best = n_open - n_covered
             since_best = 0
         if since_best > stall_limit:
             since_best = 0
@@ -352,13 +367,13 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
         move = None
         for _ in range(_PATIENCE):
             d, j = divmod(below(n_live * order), n_live)
-            r = _select(live, j, n_live)
+            r = select(live, j, n_live)
             d *= g
             x = d + r
             m = uncovered[r]
             ux = (m << d | m >> (v - d)) & full
             n = m.bit_count()
-            y = _select(ux, below(n), n)
+            y = select(ux, below(n), n)
             r = y % g
             m, d = uncovered[r], y - r
             uy = (m << d | m >> (v - d)) & full
@@ -369,43 +384,39 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
             #   0: U(x) & U(y)
             #   1: (U(x) ^ U(y)) & avail[x] & avail[y]
             #   2: avail[x] & avail[y] & ~U(x) & ~U(y)
-            for cost in range(3):
-                if cost == 0:
-                    tier = ux & uy
-                elif cost == 1:
-                    common = avail[x] & avail[y]
-                    tier = (ux ^ uy) & common
-                else:
-                    tier = common & ~(ux | uy)
-                if not tier:
-                    continue
-                if (x - y) % g == 0:
-                    # Two of the three pairs share a class when one is the
-                    # other moved by a multiple d != 0 of g.  Each of
-                    # {x,z} = {x,y} + d, {y,z} = {x,y} + d and
-                    # {x,z} = {y,z} + d makes x - y one of d, -d, 2d, so
-                    # only x = y (mod g) needs this check, never a problem
-                    # without a shift.
-                    rx, ry = row[x], row[y]
-                    c_xy = rx[y]
-                    zs = [z for z in bits(tier) if c_xy != rx[z] != ry[z] != c_xy]
-                    if not zs:
-                        continue
-                    z = zs[below(len(zs))]
-                else:
-                    n = tier.bit_count()
-                    z = _select(tier, below(n), n)
-                move = (x, y, z)
-                break
-            if tier and cost <= 1:
-                break
+            # The move draws from the first non-empty tier, and a move of
+            # cost 0 or 1 ends the resampling.
+            common = avail[x] & avail[y]
+            if (x - y) % g == 0:
+                # Two of the three pairs share a class when one is the other
+                # moved by a multiple d != 0 of g: {x,z} = {x,y} + d makes
+                # d = x - y and z = 2x - y, {y,z} = {x,y} + d makes z = 2y - x,
+                # and {x,z} = {y,z} + d makes z = y + d with 2d = x - y
+                # (mod v).  Each needs x = y (mod g), which a problem without
+                # a shift never has; these few z leave every tier.
+                e = (x - y) % v
+                bad = 1 << (x + e) % v | 1 << (y - e) % v
+                if v & 1:
+                    bad |= 1 << (y + e * ((v + 1) >> 1)) % v
+                elif not e & 1:
+                    for d in (e >> 1, (e + v) >> 1):
+                        if not d % g:
+                            bad |= 1 << (y + d) % v
+                common &= ~bad
+            cheap = ux & uy & common or (ux ^ uy) & common
+            tier = cheap or common & ~(ux | uy)
+            if tier:
+                n = tier.bit_count()
+                move = (x, y, select(tier, below(n), n))
+                if cheap:
+                    break
         if move is None:
             continue
         x, y, z = move
         rx = row[x]
         c_xy, c_xz, c_yz = rx[y], rx[z], row[y][z]
-        for c in (c_xz, c_yz):
-            t = cover.get(c)
+        for i in (c_xz, c_yz):
+            t = cover[i]
             if t is not None:
                 remove_triple(t)
         # y is in U(x), which excludes x, and z in avail[x] & avail[y], which
@@ -413,10 +424,17 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
         # move is already a canonical line.
         triple = tuple(sorted(move))
         added.add(triple)
-        for c in (c_xy, c_xz, c_yz):
-            cover[c] = triple
-            flip(c)
-    n_uncovered = n_open - len(cover)
+        for i in (c_xy, c_xz, c_yz):
+            cover[i] = triple
+            ra, ba, rb, bb = flips[i]
+            m = uncovered[ra] = uncovered[ra] ^ ba
+            if not m or m == ba:
+                live ^= 1 << ra
+            m = uncovered[rb] = uncovered[rb] ^ bb
+            if not m or m == bb:
+                live ^= 1 << rb
+        n_covered += 3
+    n_uncovered = n_open - n_covered
     log = AttemptLog(iterations, kicks, min(best, n_uncovered))
     return _Attempt(added if n_uncovered == 0 else None, log)
 

@@ -2,13 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from conftest import fixture_text
 
+import pentgeo
 from pentgeo import develop, errors, geometry, geometry_to_json, parse_pent_file, verify
 from pentgeo.cli import _exit_code, _report_dict, main
+from pentgeo.construct import MAX_COMPLETION_PAIRS
 from pentgeo.designs import gdd_to_json_dict, uniform_gdd
 from pentgeo.errors import (
     ClimbFailed,
@@ -312,6 +318,29 @@ def test_construct_girth5(cli, tmp_path):
     payload = json.loads(out)
     assert (payload["r"], payload["w"]) == (13, 3)
     assert len(payload["lines"]) == 130
+
+
+def test_construct_girth5_over_pair_limit_exits_2(tmp_path):
+    # generalized_petersen(8192) is a valid cubic girth-5 seed of 260 KB whose
+    # 134,135,808 pairs at distance 3 or more would take tens of GB as a
+    # target set.  The run is a child process capped at 512 MiB of address
+    # space, so a missing bound fails here instead of exhausting the machine.
+    path = tmp_path / "gp8192.graph"
+    path.write_text(write_graph_file(generalized_petersen(8192)))
+    cap = 512 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from pentgeo.cli import main\n"
+        f"sys.exit(main(['construct', 'girth5', {str(path)!r}]))\n"
+    )
+    paths = [str(Path(pentgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert f"134135808 pairs to complete > {MAX_COMPLETION_PAIRS}" in proc.stderr
 
 
 def test_construct_c36(cli, tmp_path):

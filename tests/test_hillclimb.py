@@ -267,6 +267,21 @@ def test_problem_derives_classes():
     assert cyclic == ClimbProblem(v=7, target_pairs=all_pairs(7), shift=1)
     assert hash(plain) == hash(ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed))
 
+    # A class's id is its position in members, and rows[x][y] = rows[y][x]
+    # is the id of the class of {x,y}, with one entry per end of a target pair.
+    gdd = gdd_problem(4)
+    for problem in (gdd, plain, cyclic, c36_shift_problem()):
+        ids = {c: i for i, c in enumerate(problem.members)}
+        for x, y in problem.target_pairs:
+            assert problem.rows[x][y] == problem.rows[y][x] == ids[problem.canon[x, y]]
+        assert sum(map(len, problem.rows)) == 2 * len(problem.target_pairs)
+        assert len(problem.flips) == len(problem.members)
+    # Without a shift g = v, so class {a,b} flips bit b of uncovered[a] and
+    # bit a of uncovered[b]; with shift 1, g = 1 and U(a) is uncovered[0]
+    # rotated by a.
+    assert all(gdd.flips[i] == (a, 1 << b, b, 1 << a) for i, (a, b) in enumerate(gdd.members))
+    assert cyclic.flips == ((0, 1 << 1, 0, 1 << 6), (0, 1 << 2, 0, 1 << 5), (0, 1 << 3, 0, 1 << 4))
+
 
 def test_problem_validation_messages():
     with pytest.raises(ParameterDomain, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
@@ -369,8 +384,10 @@ def test_attempt_matches_oracle(family, size, seed, budget):
         (lambda: ClimbProblem(v=13, target_pairs=all_pairs(13), shift=1), 3),
         (c36_shift_problem, 6),
         (c36_shift_problem, 12),
+        # STS(19) over 20 fixed lines: 111 open classes of 171, 8 kicks.
+        (lambda: fixed_problem(5), 5),
     ],
-    ids=["sts69", "sts99", "cyclic13", "c36-6", "c36-12"],
+    ids=["sts69", "sts99", "cyclic13", "c36-6", "c36-12", "fixed19"],
 )
 def test_attempt_matches_oracle_to_completion(make, seed):
     problem = make()
@@ -381,6 +398,22 @@ def test_attempt_matches_oracle_to_completion(make, seed):
     assert fast[0] is not None
     assert fast == slow
     assert fast_rng.getstate() == slow_rng.getstate()
+
+
+@pytest.mark.parametrize("v,shift", [(20, 4), (28, 4)])
+def test_attempt_matches_oracle_on_even_quotients(v, shift):
+    # The degenerate third points of a pair x = y (mod g) include z = y + d
+    # with 2d = x - y (mod v), which has two roots d when v is even.  Of the
+    # families above only c36 has an even v; here g = 4, and exactly one of
+    # the two roots is a multiple of g.  Neither problem can complete, so
+    # every attempt runs its whole budget.
+    problem = ClimbProblem(v=v, target_pairs=all_pairs(v), shift=shift)
+    for seed in range(10):
+        fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+        fast = _attempt(problem, fast_rng, 1500)
+        slow = oracle._attempt(problem, slow_rng, 1500)
+        assert fast == slow
+        assert fast_rng.getstate() == slow_rng.getstate()
 
 
 def test_attempt_matches_oracle_on_dense_masks():
