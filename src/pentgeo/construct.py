@@ -209,6 +209,11 @@ def gdd_fill(plan: GddFillPlan) -> Geometry:
     return _finish(lines, k, r_out, w, "filled geometry")
 
 
+def _check_pair_count(n_pairs: int, what: str) -> None:
+    if n_pairs > MAX_COMPLETION_PAIRS:
+        raise ParameterDomain(f"{what}: {n_pairs} pairs to complete > {MAX_COMPLETION_PAIRS}")
+
+
 def _climb_completion(
     v: int,
     dgraph: Graph,
@@ -218,9 +223,7 @@ def _climb_completion(
     shifts: tuple[int, ...] = (),
 ) -> set[Line]:
     far = distance3_graph(dgraph)
-    n_pairs = far.edge_count()
-    if n_pairs > MAX_COMPLETION_PAIRS:
-        raise ParameterDomain(f"{what}: {n_pairs} pairs to complete > {MAX_COMPLETION_PAIRS}")
+    _check_pair_count(far.edge_count(), what)
     targets = frozenset(far.edges())
     if not targets:
         return placed
@@ -265,8 +268,12 @@ def from_girth5_graph(d: Graph, config: ClimbConfig | None = None) -> Geometry:
     r = (d.n - 4) // 2
     if not is_admissible(3, r, 3):
         raise BadSeedGraph(f"r = (n-4)/2 = {r} is not admissible for k = w = 3")
+    what = f"PENT(3,{r},3) completion"
+    # Cubic, connected and of girth >= 5, the seed has 1 + 3 + 6 vertices
+    # within distance 2 of each vertex, so the rest are the pairs to complete.
+    _check_pair_count(d.n * (d.n - 10) // 2, what)
     placed = {canonical_line(bits(m)) for m in d.masks}
-    lines = _climb_completion(d.n, d, placed, config, f"PENT(3,{r},3) completion")
+    lines = _climb_completion(d.n, d, placed, config, what)
     return _finish(lines, 3, r, 3, "geometry from cubic girth-5 graph")
 
 

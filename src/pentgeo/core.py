@@ -1,16 +1,19 @@
-"""Parameter arithmetic, base-block files and the Geometry container.
+"""Parameter arithmetic, base-block files, the Geometry container and its
+incidence index.
 
 A pentagonal geometry PENT(k,r,w) is a partial linear space with k points on
 every line and r lines through every point, in which the points not collinear
 with any point x form a Steiner system S(2,k,w) whose blocks are lines.  This
-module knows the counting identities and the on-disk formats; the axioms
-themselves are checked in pentgeo.pent.
+module knows the counting identities and the on-disk formats, and builds the
+per-point masks every analysis reads; the axioms themselves are checked in
+pentgeo.pent.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -22,6 +25,7 @@ from .errors import (
     PointOutOfRange,
     StepNotDividingV,
 )
+from .graphs import MAX_VERTICES, Graph
 
 # A line is a sorted, duplicate-free tuple of point identifiers.
 Line = tuple[int, ...]
@@ -81,7 +85,9 @@ class Geometry:
 
     Holding lines as a frozenset makes duplicates impossible by type; nothing
     here promises that the axioms hold.  |lines| equals params.b exactly when
-    the geometry is complete.
+    the geometry is complete.  Its incidence index (2*v*v/8 bytes of masks)
+    is built on first use and kept with this object, so every analysis of it
+    shares one build; an equal geometry built separately builds its own.
     """
 
     params: PentParams
@@ -93,6 +99,36 @@ class Geometry:
 
     def lines_sorted(self) -> list[Line]:
         return sorted(self.lines)
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        return Incidence(self)
+
+
+class Incidence:
+    """Per point x of a geometry whose lines lie in 0..v-1, as geometry() and
+    develop() make them: its degree, its closed collinearity mask closed[x]
+    (x and every point on a line with x) and, as the deficiency graph, its
+    mask N[x] = ALL & ~closed[x].  Masks are Python ints, bit y for point y.
+    More than MAX_VERTICES points are refused before any mask is allocated,
+    so the masks take at most 2*v*v/8 bytes = 64 MiB."""
+
+    def __init__(self, geom: Geometry):
+        v = geom.v
+        if v > MAX_VERTICES:
+            raise ParameterDomain(f"v = {v} > {MAX_VERTICES} points")
+        degree = [0] * v
+        closed = [1 << x for x in range(v)]
+        for ln in geom.lines:
+            m = 0
+            for x in ln:
+                m |= 1 << x
+            for x in ln:
+                degree[x] += 1
+                closed[x] |= m
+        self.degree, self.closed = tuple(degree), tuple(closed)
+        full = (1 << v) - 1
+        self.deficiency = Graph(v, tuple(full ^ c for c in closed))
 
 
 def geometry(params: PentParams, lines: Iterable[Iterable[int]]) -> Geometry:

@@ -1,10 +1,12 @@
 """Axiom verification, deficiency graphs and the A-F classification.
 
-Every analysis reads one incidence index of the geometry (_Index): a bit
-mask per line and, per point x, its degree, its closed collinearity mask
-closed[x] (x and every point on a line with x) and its deficiency mask
-N[x] = ALL & ~closed[x].  Masks are Python ints, bit y for point y.  The
-axioms become popcount identities:
+Every analysis reads the geometry's incidence index (core.Incidence), which
+is built once per Geometry object and kept with it: per point x, its
+degree, its closed collinearity mask closed[x] (x and every point on a line
+with x) and its deficiency mask N[x] = ALL & ~closed[x], 2*v*v/8 bytes of
+masks in all.  Masks are Python ints, bit y for point y.  Per-line masks are
+not kept; each analysis derives the few it needs.  The axioms become
+popcount identities:
 
 - partial_linear, once every line has k points: |closed[x]| = 1 + deg(x)(k-1).
 - opposite_designs: line l lies inside N(x) exactly when x is in
@@ -18,11 +20,12 @@ so its girth, components, overlap profile |N[x] & N[y]| and distance->=3
 graph come from the graph functions without conversion; the K_{w,w}
 components are counted here from its components.
 
-verify() never raises on bad input: it reports each failed axiom with up to
-WITNESS_LIMIT witnesses.  Witnesses are searched for only where an identity
-failed, point by point in sorted order, so the report is the same whichever
-identity caught the failure.  The other operations assume a valid geometry
-and raise when an identity forced by validity does not hold.
+verify() never raises on bad input of at most graphs.MAX_VERTICES points: it
+reports each failed axiom with up to WITNESS_LIMIT witnesses.  Witnesses are
+searched for only where an identity failed, point by point in sorted order,
+so the report is the same whichever identity caught the failure.  The other
+operations assume a valid geometry and raise when an identity forced by
+validity does not hold.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from . import graphs
 from .core import Geometry, Line, PentParams
@@ -88,52 +92,30 @@ class VerificationReport:
         return tuple(a.name for a in self.axioms if not a.passed)
 
 
-class _Index:
-    """Incidence masks of a geometry whose lines lie in 0..v-1, as
-    core.geometry and core.develop make them.  Lines are kept unsorted;
-    witness searches sort them."""
+def _opposite(geom: Geometry, lines: Iterable[Line]) -> list[int]:
+    """Per line, the mask of points whose deficiency neighbourhood contains
+    it (0 for an empty line); a line is opposite when its mask is non-zero."""
+    closed, full, out = geom.incidence.closed, (1 << geom.v) - 1, []
+    for ln in lines:
+        c = 0
+        for p in ln:
+            c |= closed[p]
+        out.append(full & ~c if c else 0)
+    return out
 
-    def __init__(self, geom: Geometry):
-        v = geom.v
-        self.lines = lines = list(geom.lines)
-        self.degree = degree = [0] * v
-        self.closed = closed = [1 << x for x in range(v)]
-        self.masks = masks = []
-        for ln in lines:
-            m = 0
-            for x in ln:
-                m |= 1 << x
-            masks.append(m)
-            for x in ln:
-                degree[x] += 1
-                closed[x] |= m
-        self.full = full = (1 << v) - 1
-        self.deficiency = Graph(v, tuple(full ^ c for c in closed))
 
-    def opposite(self) -> list[int]:
-        """Per line, the mask of points whose deficiency neighbourhood
-        contains it (0 for an empty line); a line is opposite when its mask
-        is non-zero."""
-        closed, out = self.closed, []
-        for ln in self.lines:
-            c = 0
-            for p in ln:
-                c |= closed[p]
-            out.append(self.full & ~c if c else 0)
-        return out
-
-    def lines_by_point(self) -> list[list[Line]]:
-        """Lines through each point, in sorted order."""
-        by_point: list[list[Line]] = [[] for _ in self.degree]
-        for ln in sorted(self.lines):
-            for x in ln:
-                by_point[x].append(ln)
-        return by_point
+def _lines_by_point(geom: Geometry) -> list[list[Line]]:
+    """Lines through each point, in sorted order."""
+    by_point: list[list[Line]] = [[] for _ in range(geom.v)]
+    for ln in geom.lines_sorted():
+        for x in ln:
+            by_point[x].append(ln)
+    return by_point
 
 
 def deficiency_graph(geom: Geometry) -> Graph:
     """Graph joining x and y exactly when no line contains both."""
-    return _Index(geom).deficiency
+    return geom.incidence.deficiency
 
 
 def _count_kww_components(g: Graph, w: int) -> int:
@@ -216,8 +198,8 @@ def verify(geom: Geometry) -> VerificationReport:
     """
     params = geom.params
     k, r, w, v = params.k, params.r, params.w, params.v
-    ix = _Index(geom)
-    lines, degree, closed, dgraph = ix.lines, ix.degree, ix.closed, ix.deficiency
+    ix = geom.incidence
+    lines, degree, closed, dgraph = list(geom.lines), ix.degree, ix.closed, ix.deficiency
     nbrs = dgraph.masks
 
     uniform_witnesses = []
@@ -231,7 +213,7 @@ def verify(geom: Geometry) -> VerificationReport:
     # x fails opposite_designs unless |N(x)| = w, the lines inside N(x) hold
     # w(w-1)/2 pairs, and no two of them share a pair (clashing marks the x
     # where two do; only possible when partial linearity fails).
-    opposite = ix.opposite()
+    opposite = _opposite(geom, lines)
     pl_witnesses: list[str] = []
     clashing = 0
     if uniform_witnesses or any(c.bit_count() != 1 + d * (k - 1) for c, d in zip(closed, degree)):
@@ -257,7 +239,7 @@ def verify(geom: Geometry) -> VerificationReport:
             opposite_witnesses.append(f"point {x}: {size} non-collinear points, expected {w}")
         elif 2 * held[x] != w * (w - 1) or clashing >> x & 1:
             if by_point is None:
-                by_point = ix.lines_by_point()
+                by_point = _lines_by_point(geom)
             _opposite_witnesses(x, set(bits(nbrs[x])), by_point, opposite_witnesses)
         if len(opposite_witnesses) >= WITNESS_LIMIT:
             break
@@ -310,9 +292,8 @@ def line_split(geom: Geometry) -> LineSplit:
     With girth >= 5 the counts must satisfy the closed-form identities; at
     girth 4 the raw counts are returned without assertion.
     """
-    ix = _Index(geom)
-    b_opp = sum(1 for m in ix.opposite() if m)
-    return _split(geom.params, b_opp, len(ix.lines), graphs.girth(ix.deficiency))
+    b_opp = sum(1 for m in _opposite(geom, geom.lines) if m)
+    return _split(geom.params, b_opp, len(geom.lines), graphs.girth(geom.incidence.deficiency))
 
 
 def overlap_profile(geom: Geometry) -> dict[int, int]:
@@ -323,7 +304,7 @@ def overlap_profile(geom: Geometry) -> dict[int, int]:
     ForbiddenOverlap.
     """
     k = geom.params.k
-    dgraph = _Index(geom).deficiency
+    dgraph = geom.incidence.deficiency
     profile = graphs.neighborhood_intersection_profile(dgraph)
 
     def forbidden(u: int) -> bool:
@@ -379,8 +360,9 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     """
     params = geom.params
     k, r, w = params.k, params.r, params.w
-    ix = _Index(geom)
-    far = graphs.distance3_graph(ix.deficiency).masks
+    ix = geom.incidence
+    dgraph = ix.deficiency
+    far = graphs.distance3_graph(dgraph).masks
 
     bound = r * (k - 1) - w * (w - 1)
     degrees = [m.bit_count() for m in far]
@@ -388,7 +370,7 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     if min_degree < bound:
         x = degrees.index(min_degree)
         raise DegreeBoundViolated(f"point {x}: degree {min_degree} < bound {bound}")
-    dgirth = graphs.girth(ix.deficiency)
+    dgirth = graphs.girth(dgraph)
     tight = all(d == bound for d in degrees)
     if (dgirth is None or dgirth >= 5) and not tight:
         x = next(i for i, d in enumerate(degrees) if d != bound)
@@ -399,12 +381,19 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     # x's blades are its non-opposite lines.  Leaving x out, they must be
     # disjoint and make up far[x].  That they are cliques then follows: a
     # blade through x is a blade of each of its points a, so its other points
-    # lie in far[a].
+    # lie in far[a].  A line is non-opposite when its points are collinear
+    # with every point.
     v = geom.v
+    closed, full = ix.closed, (1 << v) - 1
     covered, sizes, counts = [0] * v, [0] * v, [0] * v
-    opposite = ix.opposite()
-    for ln, m, opp in zip(ix.lines, ix.masks, opposite):
-        if not opp:
+    for ln in geom.lines:
+        c = 0
+        for p in ln:
+            c |= closed[p]
+        if c == full:
+            m = 0
+            for x in ln:
+                m |= 1 << x
             for x in ln:
                 covered[x] |= m
                 sizes[x] += len(ln) - 1
@@ -414,8 +403,9 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
         for x, (c, f, n) in enumerate(zip(covered, far, sizes))
     )
     if not partitioned:
-        by_point = ix.lines_by_point()
-        opposite_lines = {ln for ln, opp in zip(ix.lines, opposite) if opp}
+        by_point = _lines_by_point(geom)
+        lines = list(geom.lines)
+        opposite_lines = {ln for ln, opp in zip(lines, _opposite(geom, lines)) if opp}
         for x in range(v):
             failure = _blade_failure(x, [ln for ln in by_point[x] if ln not in opposite_lines], far)
             if failure:

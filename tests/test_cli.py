@@ -132,6 +132,29 @@ def test_verify_malformed_geometry_json_exits_2(cli, tmp_path, pent33, change):
     assert "Traceback" not in err
 
 
+def test_verify_over_point_limit_exits_2(tmp_path):
+    # 40 bytes of JSON name v = 80,004 points, whose incidence masks would
+    # take about 1.6 GB.  The run is a child process capped at 1 GiB of
+    # address space, so a missing bound fails here instead of exhausting the
+    # machine.
+    path = tmp_path / "huge.json"
+    path.write_text('{"k":3,"r":40000,"w":3,"lines":[[0,1,2]]}')
+    cap = 1 << 30
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from pentgeo.cli import main\n"
+        f"sys.exit(main(['verify', {str(path)!r}]))\n"
+    )
+    paths = [str(Path(pentgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert f"v = 80004 > {MAX_VERTICES} points" in proc.stderr
+
+
 def test_develop_writes_geometry_json(cli, fix18, tmp_path):
     out_path = tmp_path / "geom.json"
     code, out, _ = cli(["develop", fix18, "-o", str(out_path)])

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pentgeo import pent, verify
+from pentgeo import construct, pent, verify
 from pentgeo.construct import (
     GddFillPlan,
     Pent3Plan,
@@ -224,6 +224,19 @@ def test_from_girth5_graph_rejections():
     )
     with pytest.raises(BadSeedGraph):
         from_girth5_graph(doubled)  # disconnected
+
+
+def test_from_girth5_graph_refuses_pair_count_before_distance3(monkeypatch):
+    # A cubic girth-5 seed on n vertices has n(n-10)/2 pairs to complete:
+    # n = 730 is the first even n past MAX_COMPLETION_PAIRS = 2^18.
+    def no_distance3(g):
+        raise AssertionError("distance-3 graph built")
+
+    monkeypatch.setattr(construct, "distance3_graph", no_distance3)
+    with pytest.raises(ParameterDomain, match=r": 262800 pairs to complete > 262144$"):
+        from_girth5_graph(generalized_petersen(365))
+    with pytest.raises(AssertionError, match="distance-3 graph built"):
+        from_girth5_graph(generalized_petersen(363))  # 259,908 pairs are admitted
 
 
 def test_construction36_moore_seed():

@@ -8,14 +8,15 @@ with the edge-list inflate and shift_automorphisms.
 """
 
 import random
+from functools import cache
 
 import oracle
 import pytest
-from conftest import FIXTURE_FACTS, FIXTURE_NAMES
+from conftest import FIXTURE_FACTS, FIXTURE_NAMES, fixture_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentgeo import deficiency_graph, geometry, line_split, verify
+from pentgeo import deficiency_graph, develop, geometry, line_split, parse_pent_file, verify
 from pentgeo.construct import GddFillPlan, gdd_fill, make_degenerate
 from pentgeo.designs import uniform_gdd
 from pentgeo.graphs import (
@@ -59,11 +60,18 @@ def assert_agrees(geom):
         assert outcome(kernel, geom) == outcome(reference, geom), kernel.__name__
 
 
+@cache
+def fixture_oracle(name):
+    """The oracle's outcome of each analysis on a freshly loaded fixture."""
+    geom = develop(parse_pent_file(fixture_text(name)))
+    return tuple(outcome(reference, geom) for _, reference in ANALYSES)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_matches_oracle(name, geometries):
     geom = geometries[name]
-    for kernel, reference in ANALYSES:
-        assert kernel(geom) == reference(geom), kernel.__name__
+    for (kernel, _), expected in zip(ANALYSES, fixture_oracle(name)):
+        assert kernel(geom) == expected, kernel.__name__
     assert deficiency_graph(geom) == oracle.deficiency_graph(geom)
 
 
@@ -160,6 +168,33 @@ def test_single_mutation_matches_oracle(geometries, name, kind, seed):
 )
 def test_double_mutation_matches_oracle(geometries, name, kinds, seed):
     assert_agrees(mutant(geometries, name, kinds, seed))
+
+
+# Every fixture, and one mutant of each small fixture, the mutation kinds
+# taken in turn.
+WARM_CASES = [(name, ()) for name in FIXTURE_NAMES] + [
+    (name, (MUTATIONS[i % len(MUTATIONS)],)) for i, name in enumerate(MUTABLE_NAMES)
+]
+
+
+@pytest.mark.parametrize(
+    "name, kinds", WARM_CASES, ids=["-".join([n, *(k.__name__ for k in ks)]) for n, ks in WARM_CASES]
+)
+def test_warm_index_matches_oracle_on_fresh_object(geometries, name, kinds):
+    """Every analysis of a geometry whose index earlier calls built and kept
+    equals the oracle's on a separately built equal geometry."""
+    if kinds:
+        geom = mutant(geometries, name, kinds, 0)
+        fresh = geometry(geom.params, geom.lines)
+        expected = tuple(outcome(reference, fresh) for _, reference in ANALYSES)
+    else:
+        geom = geometry(geometries[name].params, geometries[name].lines)
+        expected = fixture_oracle(name)
+    for kernel, _ in ANALYSES:
+        outcome(kernel, geom)
+    assert "incidence" in vars(geom)
+    for (kernel, _), want in zip(ANALYSES, expected):
+        assert outcome(kernel, geom) == want, kernel.__name__
 
 
 # --- graph invariants --------------------------------------------------------

@@ -1,12 +1,16 @@
 """Axiom verification, deficiency classification, line splits."""
 
+import tracemalloc
+from itertools import permutations
+
 import pytest
 from conftest import FIXTURE_FACTS, FIXTURE_NAMES, GIRTH5_NAMES
 
-from pentgeo import classify, deficiency_graph, derive_params, geometry, line_split, verify
+from pentgeo import classify, core, deficiency_graph, derive_params, geometry, line_split, verify
 from pentgeo.construct import GddFillPlan, from_girth5_graph, gdd_fill, make_degenerate
 from pentgeo.designs import uniform_gdd
-from pentgeo.graphs import generalized_petersen, petersen
+from pentgeo.errors import ParameterDomain
+from pentgeo.graphs import MAX_VERTICES, generalized_petersen, petersen
 from pentgeo.pent import dist3_analysis, overlap_profile
 
 AXIOMS = ("partial_linear", "uniform", "regular", "opposite_designs")
@@ -162,3 +166,60 @@ def test_dist3_girth4_runs(geometries):
     rep = dist3_analysis(geometries["pent_3_25_9"])
     assert rep.min_degree >= rep.degree_bound
     assert sum(rep.blade_counts) == 300 * 3  # every non-opposite line has 3 blades
+
+
+# --- the incidence index kept with each geometry ------------------------------
+
+ANALYSES = (verify, line_split, deficiency_graph, overlap_profile, dist3_analysis)
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Geometries whose index is built while the fixture is active."""
+    built = []
+
+    class Counting(core.Incidence):
+        def __init__(self, geom):
+            built.append(geom)
+            super().__init__(geom)
+
+    monkeypatch.setattr(core, "Incidence", Counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["pent_3_3_3", "pent_3_25_9"])
+def test_index_built_once_in_any_call_order(geometries, index_builds, name):
+    shared = geometries[name]
+    for order in permutations(ANALYSES):
+        geom = geometry(shared.params, shared.lines)
+        for analysis in order:
+            analysis(geom)
+        assert len(index_builds) == 1 and index_builds[0] is geom
+        index_builds.clear()
+
+
+def test_equal_geometries_do_not_share_an_index(pent33, index_builds):
+    first = geometry(pent33.params, pent33.lines)
+    second = geometry(pent33.params, pent33.lines)
+    assert first == second and hash(first) == hash(second)
+    verify(first)
+    assert "incidence" not in vars(second)
+    verify(second)
+    assert len(index_builds) == 2
+    assert index_builds[0] is first and index_builds[1] is second
+    assert first.incidence is not second.incidence
+    assert first.incidence.closed == second.incidence.closed
+
+
+def test_index_refuses_more_points_than_the_limit_before_allocating():
+    params = derive_params(3, MAX_VERTICES // 2 - 1, 3)  # v = MAX_VERTICES + 2
+    geom = geometry(params, [(0, 1, 2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterDomain, match=f"> {MAX_VERTICES} points"):
+            verify(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "incidence" not in vars(geom)
