@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -305,7 +306,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pentctl argument parser, built once per process and shared by
+    every main() call."""
     parser = argparse.ArgumentParser(prog="pentctl", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -7,12 +7,20 @@ with any point x form a Steiner system S(2,k,w) whose blocks are lines.  This
 module knows the counting identities and the on-disk formats, and builds the
 per-point masks every analysis reads; the axioms themselves are checked in
 pentgeo.pent.
+
+Step rule: a Geometry carries a step dividing v for which x -> x + step
+(mod v) maps lines to lines.  develop() records the development step d of
+its base blocks; every other geometry has step = v, the identity, as no
+symmetry is known for it.  The points 0..step-1 represent the point orbits,
+and the masks of x are those of x % step rotated by x - x % step (mod v), so
+the incidence index is built from the lines through the representatives.
+Equality, hashing, repr and JSON ignore the step.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterable
@@ -25,7 +33,7 @@ from .errors import (
     PointOutOfRange,
     StepNotDividingV,
 )
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, orbit_masks
 
 # A line is a sorted, duplicate-free tuple of point identifiers.
 Line = tuple[int, ...]
@@ -88,10 +96,16 @@ class Geometry:
     the geometry is complete.  Its incidence index (2*v*v/8 bytes of masks)
     is built on first use and kept with this object, so every analysis of it
     shares one build; an equal geometry built separately builds its own.
+    step is the cyclic automorphism of the module docstring: v here, the
+    development step for a geometry that develop() returns.
     """
 
     params: PentParams
     lines: frozenset[Line]
+    step: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "step", self.params.v)
 
     @property
     def v(self) -> int:
@@ -99,6 +113,14 @@ class Geometry:
 
     def lines_sorted(self) -> list[Line]:
         return sorted(self.lines)
+
+    def representative_lines(self) -> Iterable[Line]:
+        """The lines through a representative 0..step-1: as lines are
+        sorted, those that start below the step, and all of them when
+        step = v."""
+        if self.step == self.v:
+            return self.lines
+        return [ln for ln in self.lines if ln and ln[0] < self.step]
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -108,27 +130,32 @@ class Geometry:
 class Incidence:
     """Per point x of a geometry whose lines lie in 0..v-1, as geometry() and
     develop() make them: its degree, its closed collinearity mask closed[x]
-    (x and every point on a line with x) and, as the deficiency graph, its
-    mask N[x] = ALL & ~closed[x].  Masks are Python ints, bit y for point y.
-    More than MAX_VERTICES points are refused before any mask is allocated,
-    so the masks take at most 2*v*v/8 bytes = 64 MiB."""
+    (x and every point on a line with x) and, as the deficiency graph with
+    the geometry's step, its mask N[x] = ALL & ~closed[x].  Masks are Python
+    ints, bit y for point y.  They are built for the representatives from
+    the lines through them and rotated to the other points.  More than
+    MAX_VERTICES points are refused before any mask is allocated, so the
+    masks take at most 2*v*v/8 bytes = 64 MiB."""
 
     def __init__(self, geom: Geometry):
-        v = geom.v
+        v, step = geom.v, geom.step
         if v > MAX_VERTICES:
             raise ParameterDomain(f"v = {v} > {MAX_VERTICES} points")
+        # Points above the step gather part of their lines; only the
+        # representatives' entries are kept.
         degree = [0] * v
         closed = [1 << x for x in range(v)]
-        for ln in geom.lines:
+        for ln in geom.representative_lines():
             m = 0
             for x in ln:
                 m |= 1 << x
             for x in ln:
                 degree[x] += 1
                 closed[x] |= m
-        self.degree, self.closed = tuple(degree), tuple(closed)
+        self.degree = tuple(degree[:step]) * (v // step)
+        self.closed = orbit_masks(closed[:step], v)
         full = (1 << v) - 1
-        self.deficiency = Graph(v, tuple(full ^ c for c in closed))
+        self.deficiency = Graph(v, tuple(full ^ c for c in self.closed), step)
 
 
 def geometry(params: PentParams, lines: Iterable[Iterable[int]]) -> Geometry:
@@ -214,23 +241,31 @@ def write_pent_file(file: BaseBlockFile) -> str:
 def develop(file: BaseBlockFile) -> Geometry:
     """Close the base blocks under x -> x+d (mod v) and deduplicate.
 
-    Blocks invariant under a multiple of d produce short orbits, so the
-    developed line count is at most (v/d) * len(blocks).
+    Each base block yields at most v/d lines, fewer when a multiple of d
+    less than v fixes it (a short orbit), so the developed line count is at
+    most (v/d) * len(blocks), whatever the line count b of the parameters.
+    A file can therefore ask for much more than its own size: one block
+    with d = 1 at r = 10^5 develops 200,004 lines.  The geometry records d
+    as its step.
     """
     params = file.params
-    v = params.v
-    if v % file.d != 0:
-        raise StepNotDividingV(f"d = {file.d} does not divide v = {v}")
+    v, d = params.v, file.d
+    if v % d != 0:
+        raise StepNotDividingV(f"d = {d} does not divide v = {v}")
     lines: set[Line] = set()
     for blk in file.blocks:
+        # A shift of a duplicate-free block stays duplicate-free, so only the
+        # base block itself is checked.
         start = canonical_line(blk)
-        cur = start
-        while True:
-            lines.add(cur)
-            cur = canonical_line((x + file.d) % v for x in cur)
+        lines.add(start)
+        for t in range(d, v, d):
+            cur = tuple(sorted([(x + t) % v for x in start]))
             if cur == start:
                 break
-    return Geometry(params=params, lines=frozenset(lines))
+            lines.add(cur)
+    geom = Geometry(params=params, lines=frozenset(lines))
+    object.__setattr__(geom, "step", d)
+    return geom
 
 
 def geometry_to_json(geom: Geometry, provenance: dict | None = None) -> str:

@@ -6,12 +6,20 @@ bit masks (Python ints, bit y of masks[x] set when xy is an edge), and every
 invariant reads them directly, so pentgeo.pent hands a geometry's deficiency
 masks over as a Graph without conversion.  Graphs are immutable; girth
 returns None for acyclic graphs rather than a sentinel number.
+
+Step rule: a Graph also carries a step dividing n for which x -> x + step
+(mod n) is an automorphism, checked when the Graph is made.  The points
+0..step-1 represent the point orbits, and the mask of x is the mask of its
+representative x % step rotated by x - x % step (mod n), so girth,
+distance3_graph and neighborhood_intersection_profile work on the
+representatives only.  step = n when no symmetry is known, which makes every
+point its own representative.  Equality and hashing ignore the step.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -29,11 +37,24 @@ class Graph:
     The masks take up to n*n/8 bytes, 32 MiB at n = MAX_VERTICES = 2^14;
     graph_from_edges and inflate refuse more vertices than that, before
     allocating.  Deficiency graphs from pentgeo.pent wrap a geometry's own
-    masks and are bounded by the geometry instead.
+    masks and are bounded by the geometry instead.  step (n when not given)
+    is a cyclic automorphism, as the module docstring says; one that is not
+    is refused.
     """
 
     n: int
     masks: tuple[int, ...]
+    step: int = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        n, step, masks = self.n, self.step, self.masks
+        if step is None:
+            object.__setattr__(self, "step", n)
+        elif step != n:
+            if not 0 < step < n or n % step:
+                raise StepNotDividingV(f"step = {step} does not divide n = {n}")
+            if not _preserves(masks, step, n):
+                raise ParameterDomain(f"x -> x + {step} (mod {n}) is not an automorphism")
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v, in ascending order."""
@@ -93,6 +114,16 @@ def bits(m: int) -> list[int]:
     return out
 
 
+def orbit_masks(reps: list[int], n: int) -> tuple[int, ...]:
+    """Masks of all n points from those of the representatives 0..step-1
+    (step = len(reps)) by the step rule: x takes the mask of x % step
+    rotated by x - x % step (mod n)."""
+    if len(reps) == n:
+        return tuple(reps)
+    full = (1 << n) - 1
+    return tuple((m << t | m >> n - t) & full for t in range(0, n, len(reps)) for m in reps)
+
+
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for an acyclic graph.
 
@@ -100,13 +131,15 @@ def girth(g: Graph) -> int | None:
     triangle through x when reach meets adj[x], and a 4-cycle through x when
     those neighbourhoods overlap outside x, i.e. |reach| - 1 is less than
     the sum of their sizes less one each.  Only when neither occurs anywhere
-    does a BFS run, and it stops at the first 5-cycle.
+    does a BFS run, and it stops at the first 5-cycle.  An automorphism maps
+    each cycle to one of the same length through the image points, so only
+    the representatives are looked at.
     """
     adj = g.masks
     four = False
     # Masks are read by comprehension here and below: a tuple's __getitem__
     # passed to map() is about twice as slow.
-    for nx in adj:
+    for nx in adj[: g.step]:
         around = [adj[y] for y in bits(nx)]
         reach = reduce(or_, around, 0)
         if reach & nx:
@@ -115,11 +148,12 @@ def girth(g: Graph) -> int | None:
             four = reach.bit_count() - 1 < sum(map(int.bit_count, around)) - len(around)
     if four:
         return 4
-    return _bfs_girth(adj)
+    return _bfs_girth(adj, g.step)
 
 
-def _bfs_girth(adj: tuple[int, ...]) -> int | None:
-    """Shortest cycle of a graph with no cycle shorter than 5.
+def _bfs_girth(adj: tuple[int, ...], sources: int) -> int | None:
+    """Shortest cycle of a graph with no cycle shorter than 5, searched from
+    the first `sources` vertices, which must meet every automorphism orbit.
 
     From each source s, layer d closes a cycle of length at most 2d when one
     of its vertices has two neighbours in layer d-1, and of length at most
@@ -127,7 +161,7 @@ def _bfs_girth(adj: tuple[int, ...]) -> int | None:
     the first such closure is the girth; a 5-cycle ends the search.
     """
     best: int | None = None
-    for s in range(len(adj)):
+    for s in range(sources):
         prev = 1 << s
         layer = adj[s]
         seen = prev | layer
@@ -222,16 +256,18 @@ def orbit_graph(base_edges: Iterable[tuple[int, int]], step: int, modulus: int) 
         if u == v:
             raise ParameterDomain(f"loop at {u}")
     shifts = range(0, modulus, step)
-    return graph_from_edges(
+    g = graph_from_edges(
         modulus, (((u + t) % modulus, (v + t) % modulus) for u, v in base for t in shifts)
     )
+    return Graph(g.n, g.masks, step)
 
 
 def inflate(g: Graph, h: int) -> Graph:
     """Replace each vertex p by h copies hp..hp+h-1 and each edge by K_{h,h}.
 
     inflate(g, 1) returns a graph equal to g.  For h >= 2 any edge yields a
-    4-cycle, so the result has girth 4.
+    4-cycle, so the result has girth 4.  x -> x + step lifts to
+    x -> x + h*step on the copies.
     """
     if h < 1:
         raise ParameterDomain(f"h = {h} < 1")
@@ -243,7 +279,7 @@ def inflate(g: Graph, h: int) -> Graph:
         for y in bits(m):
             spread |= block << h * y
         masks.extend([spread] * h)
-    return Graph(h * g.n, tuple(masks))
+    return Graph(h * g.n, tuple(masks), h * g.step)
 
 
 def shift_automorphisms(g: Graph) -> tuple[int, ...]:
@@ -253,38 +289,48 @@ def shift_automorphisms(g: Graph) -> tuple[int, ...]:
     Graphs developed from base edges by a step admit their step; most other
     vertex numberings admit none.
     """
-    n, adj = g.n, g.masks
+    return tuple(s for s in range(1, g.n) if _preserves(g.masks, s, g.n))
+
+
+def _preserves(masks: tuple[int, ...], s: int, n: int) -> bool:
+    """Whether the mask of each x, rotated by s (mod n), is the mask of x + s."""
     full = (1 << n) - 1
-    return tuple(
-        s
-        for s in range(1, n)
-        if all(
-            (m << s | m >> n - s) & full == adj[(x + s) % n] for x, m in enumerate(adj)
-        )
-    )
+    return all((m << s | m >> n - s) & full == masks[(x + s) % n] for x, m in enumerate(masks))
 
 
 def distance3_graph(g: Graph) -> Graph:
     """Join x and y when their distance in g is at least 3.
 
     Vertices in different components are at infinite distance, hence joined.
+    The result keeps the step of g.
     """
     adj = g.masks
     full = (1 << g.n) - 1
-    far = tuple(
+    far = [
         full & ~reduce(or_, [adj[y] for y in bits(nx)], nx | 1 << x)
-        for x, nx in enumerate(adj)
-    )
-    return Graph(g.n, far)
+        for x, nx in enumerate(adj[: g.step])
+    ]
+    return Graph(g.n, orbit_masks(far, g.n), g.step)
 
 
 def neighborhood_intersection_profile(g: Graph) -> Counter:
-    """Multiset of |N(x) & N(y)| over unordered vertex pairs."""
-    adj = g.masks
-    profile: Counter = Counter()
-    for x, nx in enumerate(adj):
-        profile.update(map(int.bit_count, map(nx.__and__, adj[x + 1 :])))
-    return profile
+    """Multiset of |N(x) & N(y)| over unordered vertex pairs.
+
+    Counted from every vertex, each pair is met twice, and the n/step
+    vertices of an orbit meet the same sizes as their representative x.  x
+    meets the representatives below it as they meet x, so each
+    representative is paired once with the vertices above it, and pairs of
+    two representatives weigh double.  Without a symmetry that is the plain
+    count over pairs x < y.
+    """
+    adj, step = g.masks, g.step
+    rest = adj[step:]
+    among: Counter = Counter()
+    across: Counter = Counter()
+    for x, nx in enumerate(adj[:step]):
+        among.update(map(int.bit_count, map(nx.__and__, adj[x + 1 : step])))
+        across.update(map(int.bit_count, map(nx.__and__, rest)))
+    return Counter({u: (2 * among[u] + across[u]) * g.n // step // 2 for u in among | across})
 
 
 def parse_graph_file(text: str) -> Graph:

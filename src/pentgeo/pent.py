@@ -20,6 +20,15 @@ so its girth, components, overlap profile |N[x] & N[y]| and distance->=3
 graph come from the graph functions without conversion; the K_{w,w}
 components are counted here from its components.
 
+Step rule: the geometry's step (core.Geometry.step) is a cyclic
+automorphism x -> x + step (mod v), the development step for a geometry
+from core.develop and v, the identity, when no symmetry is known.  The
+points 0..step-1 represent the point orbits, and the deficiency graph
+carries the same step, so the graph invariants and dist3_analysis's blade
+check work on the representatives only.  A failing point's representative
+fails too and is never larger than it, so the first witness or exception
+is the one a point-by-point search finds.  Equality ignores the step.
+
 verify() never raises on bad input of at most graphs.MAX_VERTICES points: it
 reports each failed axiom with up to WITNESS_LIMIT witnesses.  Witnesses are
 searched for only where an identity failed, point by point in sorted order,
@@ -363,9 +372,10 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     ix = geom.incidence
     dgraph = ix.deficiency
     far = graphs.distance3_graph(dgraph).masks
+    step = geom.step
 
     bound = r * (k - 1) - w * (w - 1)
-    degrees = [m.bit_count() for m in far]
+    degrees = [m.bit_count() for m in far[:step]]
     min_degree = min(degrees)
     if min_degree < bound:
         x = degrees.index(min_degree)
@@ -382,11 +392,12 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     # disjoint and make up far[x].  That they are cliques then follows: a
     # blade through x is a blade of each of its points a, so its other points
     # lie in far[a].  A line is non-opposite when its points are collinear
-    # with every point.
+    # with every point.  Only the representatives are checked, from the
+    # lines through them; points above the step gather part of theirs.
     v = geom.v
     closed, full = ix.closed, (1 << v) - 1
     covered, sizes, counts = [0] * v, [0] * v, [0] * v
-    for ln in geom.lines:
+    for ln in geom.representative_lines():
         c = 0
         for p in ln:
             c |= closed[p]
@@ -400,13 +411,13 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
                 counts[x] += 1
     partitioned = all(
         c & ~(1 << x) == f and f.bit_count() == n
-        for x, (c, f, n) in enumerate(zip(covered, far, sizes))
+        for x, (c, f, n) in enumerate(zip(covered[:step], far, sizes))
     )
     if not partitioned:
         by_point = _lines_by_point(geom)
         lines = list(geom.lines)
         opposite_lines = {ln for ln, opp in zip(lines, _opposite(geom, lines)) if opp}
-        for x in range(v):
+        for x in range(step):
             failure = _blade_failure(x, [ln for ln in by_point[x] if ln not in opposite_lines], far)
             if failure:
                 raise PartitionFailed(failure)
@@ -414,5 +425,5 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
         degree_bound=bound,
         min_degree=min_degree,
         degrees_tight=tight,
-        blade_counts=tuple(counts),
+        blade_counts=tuple(counts[:step]) * (v // step),
     )

@@ -13,7 +13,7 @@ from conftest import fixture_text
 
 import pentgeo
 from pentgeo import develop, errors, geometry, geometry_to_json, parse_pent_file, verify
-from pentgeo.cli import _exit_code, _report_dict, main
+from pentgeo.cli import _exit_code, _report_dict, build_parser, main
 from pentgeo.construct import MAX_COMPLETION_PAIRS
 from pentgeo.designs import gdd_to_json_dict, uniform_gdd
 from pentgeo.errors import (
@@ -485,6 +485,16 @@ def test_usage_errors(cli):
     assert cli([])[0] == 2
     assert cli(["frobnicate"])[0] == 2
     assert cli(["plan"])[0] == 2
+
+
+def test_parser_built_once_and_reused_after_usage_errors(cli, fix18):
+    """main() parses every call with the one parser built per process; a
+    usage error leaves it fit for the next call."""
+    assert build_parser() is build_parser()
+    calls = (["frobnicate"], ["verify", fix18], ["verify"], ["verify", fix18])
+    codes = [cli(argv)[0] for argv in calls]
+    assert codes == [2, 0, 2, 0]
+    assert build_parser.cache_info().currsize == 1
 
 
 def test_exit_code_mapping():

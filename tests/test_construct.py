@@ -30,6 +30,7 @@ from pentgeo.errors import (
     ParameterDomain,
     PlanInvalid,
     PreconditionFailed,
+    ResultFailedVerification,
 )
 from pentgeo.graphs import generalized_petersen, graph_from_edges, orbit_graph, petersen
 from pentgeo.hillclimb import ClimbConfig
@@ -90,6 +91,14 @@ def test_make_degenerate_verified_above_1500_points(monkeypatch):
     assert rep.params == geom.params
     assert rep.kww_components == 1
     assert (rep.deficiency.regular_degree, rep.deficiency.girth) == (751, 4)
+
+
+def test_finish_refuses_a_line_too_few(pent33):
+    short = set(sorted(pent33.lines)[1:])
+    with pytest.raises(
+        ResultFailedVerification, match=r"^short geometry: built 9 lines, expected 10$"
+    ):
+        construct._finish(short, 3, 3, 3, "short geometry")
 
 
 def test_make_degenerate_no_system():

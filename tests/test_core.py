@@ -238,3 +238,34 @@ def test_lines_sorted(pent33):
     listed = pent33.lines_sorted()
     assert listed == sorted(listed)
     assert set(listed) == pent33.lines
+
+
+# --- the development step carried by a developed geometry --------------------
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_developed_geometry_equals_plain_geometry(name):
+    """A developed geometry records its step d; the same lines given to
+    geometry() have step v.  Nothing else may tell the two apart, and the
+    index built by rotating the representatives' masks equals the one built
+    point by point."""
+    file = parse_pent_file(fixture_text(name))
+    developed = develop(file)
+    plain = geometry(developed.params, developed.lines)
+    assert (developed.step, plain.step) == (file.d, file.params.v)
+    assert developed == plain and hash(developed) == hash(plain)
+    assert "step" not in repr(developed)
+    text = geometry_to_json(developed)
+    assert text == geometry_to_json(plain)
+    assert geometry_from_json(text).step == file.params.v
+    ours, theirs = developed.incidence, plain.incidence
+    assert ours.degree == theirs.degree
+    assert ours.closed == theirs.closed
+    assert ours.deficiency == theirs.deficiency
+    assert (ours.deficiency.step, theirs.deficiency.step) == (file.d, file.params.v)
+
+
+def test_geometry_constructor_takes_no_step(pent33):
+    with pytest.raises(TypeError):
+        type(pent33)(params=pent33.params, lines=pent33.lines, step=5)
+    assert type(pent33)(params=pent33.params, lines=pent33.lines).step == pent33.v

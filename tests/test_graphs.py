@@ -303,3 +303,37 @@ def test_bits_lists_set_positions_ascending(m):
 def test_graph_from_edges_dedupes():
     g = graph_from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count() == 1
+
+
+# --- the step: a cyclic automorphism carried by the graph ---------------------
+
+
+def test_step_defaults_to_n_and_is_ignored_by_equality():
+    g = orbit_graph(ORBIT_BASE, 4, 20)
+    plain = Graph(g.n, g.masks)
+    assert (g.step, plain.step) == (4, 20)
+    assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+
+
+def test_step_carried_through_inflate_and_distance3():
+    g = orbit_graph(ORBIT_BASE, 4, 20)
+    assert inflate(g, 3).step == 12
+    assert distance3_graph(g).step == 4
+    assert distance3_graph(inflate(g, 3)).step == 12
+    assert orbit_graph(ORBIT_BASE, 20, 20).step == 20
+
+
+def test_graph_refuses_a_step_that_is_not_an_automorphism():
+    g = orbit_graph(ORBIT_BASE, 4, 20)
+    assert 2 not in shift_automorphisms(g)
+    with pytest.raises(ParameterDomain, match=r"x -> x \+ 2 \(mod 20\) is not an automorphism"):
+        Graph(g.n, g.masks, 2)
+    p = petersen()
+    assert shift_automorphisms(p) == ()
+    for step in (1, 2, 5):
+        with pytest.raises(ParameterDomain, match="not an automorphism"):
+            Graph(p.n, p.masks, step)
+    for step in (0, 3, 11, -5):
+        with pytest.raises(StepNotDividingV):
+            Graph(p.n, p.masks, step)
+    assert [Graph(20, ring(20).masks, s).step for s in (1, 10, 20)] == [1, 10, 20]

@@ -2,11 +2,13 @@
 
 verify, line_split, overlap_profile and dist3_analysis must agree with the
 oracle on every fixture, on constructed geometries of every deficiency type,
-and on line mutations of the fixtures, down to witness strings and the
-message of any exception.  The mask graph routines must agree with BFS and
-with the edge-list inflate and shift_automorphisms.
+on line mutations of the fixtures and on developed mutations of their base
+blocks, down to witness strings and the message of any exception.  The mask
+graph routines must agree with BFS and with the edge-list inflate and
+shift_automorphisms.
 """
 
+import dataclasses
 import random
 from functools import cache
 
@@ -255,3 +257,59 @@ def test_random_orbit_graph_matches_oracle(n, step_index, seed):
     g = orbit_graph(base, step, n)
     assert step == n or step in shift_automorphisms(g)
     assert_graph_agrees(g)
+
+
+# --- base-block mutations ----------------------------------------------------
+#
+# A developed mutant carries its step d, so every analysis works on the
+# representatives 0..d-1 and rotates the rest.  Every fixture here but
+# pent_3_3_3 has d < v, and change_step moves d to another divisor of v.
+
+
+def move_block_point(file, rng):
+    """Replace one point of a base block by a point off it."""
+    blocks = list(file.blocks)
+    i = rng.randrange(len(blocks))
+    block = blocks[i]
+    q = rng.choice([x for x in range(file.params.v) if x not in block])
+    j = rng.randrange(len(block))
+    blocks[i] = block[:j] + (q,) + block[j + 1 :]
+    return dataclasses.replace(file, blocks=tuple(blocks))
+
+
+def drop_block(file, rng):
+    blocks = list(file.blocks)
+    del blocks[rng.randrange(len(blocks))]
+    return dataclasses.replace(file, blocks=tuple(blocks))
+
+
+def add_block(file, rng):
+    block = tuple(rng.sample(range(file.params.v), file.k))
+    return dataclasses.replace(file, blocks=file.blocks + (block,))
+
+
+def change_step(file, rng):
+    """Develop by another divisor of v."""
+    v = file.params.v
+    return dataclasses.replace(
+        file, d=rng.choice([d for d in range(1, v + 1) if v % d == 0 and d != file.d])
+    )
+
+
+BLOCK_MUTATIONS = (move_block_point, drop_block, add_block, change_step)
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(MUTABLE_NAMES),
+    kinds=st.lists(st.sampled_from(BLOCK_MUTATIONS), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_base_block_mutation_matches_oracle(name, kinds, seed):
+    file = parse_pent_file(fixture_text(name))
+    rng = random.Random(seed)
+    for kind in kinds:
+        file = kind(file, rng)
+    geom = develop(file)
+    assert geom.step == file.d
+    assert_agrees(geom)

@@ -9,7 +9,7 @@ from conftest import FIXTURE_FACTS, FIXTURE_NAMES, GIRTH5_NAMES
 from pentgeo import classify, core, deficiency_graph, derive_params, geometry, line_split, verify
 from pentgeo.construct import GddFillPlan, from_girth5_graph, gdd_fill, make_degenerate
 from pentgeo.designs import uniform_gdd
-from pentgeo.errors import ParameterDomain
+from pentgeo.errors import NotValidGeometry, ParameterDomain
 from pentgeo.graphs import MAX_VERTICES, generalized_petersen, petersen
 from pentgeo.pent import dist3_analysis, overlap_profile
 
@@ -114,6 +114,13 @@ def test_invalid_partial_linear():
     assert rep.overlap_profile is None
     witnesses = rep.axiom("partial_linear").witnesses
     assert witnesses and any("0" in w and "1" in w for w in witnesses)
+
+
+def test_classify_refuses_an_invalid_report(pent33):
+    rep = verify(geometry(pent33.params, sorted(pent33.lines)[1:]))
+    assert rep.failed_axioms() == ("regular", "opposite_designs")
+    with pytest.raises(NotValidGeometry, match=r"^axioms failed: regular, opposite_designs$"):
+        classify(rep)
 
 
 def test_invalid_uniform():
