@@ -47,17 +47,15 @@ from .errors import (
     ResultFailedVerification,
 )
 from .graphs import Graph, bits, distance3_graph, inflate, report, shift_automorphisms
-from .hillclimb import COMPLETE, ClimbConfig, ClimbProblem, climb, climb_3gdd
-
-# The most target pairs a completion climb takes on.  A ClimbProblem and an
-# attempt on it hold about 370 bytes per pair (tracemalloc, the 118,860
-# cross-group pairs of a 3-GDD of type 60^3 66^5 10^1), so 2^18 pairs is
-# about 90 MiB.  A cubic girth-5 seed on n vertices has n(n-10)/2 pairs at
-# distance 3 or more, so this admits seeds up to n = 728, far beyond every
-# completion the tests and the benchmark run (the largest has 900 pairs: the
-# 20-vertex orbit graph inflated with h = 3).  A larger pair set is refused
-# before it is built: generalized_petersen(8192) has 134,135,808.
-MAX_COMPLETION_PAIRS = 1 << 18
+from .hillclimb import (
+    COMPLETE,
+    MAX_COMPLETION_PAIRS,
+    ClimbConfig,
+    ClimbProblem,
+    _check_pair_count,
+    climb,
+    climb_3gdd,
+)
 
 
 def _steiner(k: int, w: int) -> SteinerSystem:
@@ -207,11 +205,6 @@ def gdd_fill(plan: GddFillPlan) -> Geometry:
         raise PlanInvalid(f"(k-1) does not divide v-w-1 = {v_out - w - 1}")
     r_out = (v_out - w - 1) // (k - 1)
     return _finish(lines, k, r_out, w, "filled geometry")
-
-
-def _check_pair_count(n_pairs: int, what: str) -> None:
-    if n_pairs > MAX_COMPLETION_PAIRS:
-        raise ParameterDomain(f"{what}: {n_pairs} pairs to complete > {MAX_COMPLETION_PAIRS}")
 
 
 def _climb_completion(

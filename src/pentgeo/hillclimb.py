@@ -24,12 +24,13 @@ representatives only and read by rotation, and covering or uncovering a
 class flips two bits.  Without a shift g = v and every rotation is by 0:
 both kinds of problem run the same code.
 
-The step hashes no pair.  A problem numbers its pair classes once, and an
-attempt reads them by id: rows[x][y] is the id of the class of {x,y},
-flips[i] the two mask bits class i owns, and cover[i] the placed triple
-covering class i, or None.  The ids and flip bits depend only on the
-problem, so restarts share them; rows holds one entry per target pair end
-and never a v x v table.
+The step hashes no pair.  A problem derives avail and numbers its pair
+classes once, and an attempt reads them by id: rows[x][y] is the id of the
+class of {x,y}, flips[i] the two mask bits class i owns, and cover[i] the
+placed triple covering class i, or None.  A pair under a fixed line is in
+no class.  avail, the ids and the flip bits depend only on the problem, so
+restarts share them; rows holds one entry per end of an open pair and never
+a v x v table.
 
 The stall limit is the number of steps an attempt takes without a new
 fewest uncovered count before it kicks, and it scales with the problem: an
@@ -66,6 +67,7 @@ from typing import Callable, NamedTuple
 from .core import Line, canonical_line
 from .designs import Gdd, SteinerSystem, verify_gdd, verify_steiner
 from .errors import ClimbFailed, Inadmissible, ParameterDomain
+from .graphs import bits
 
 Pair = tuple[int, int]
 
@@ -75,9 +77,25 @@ EXHAUSTED = "exhausted"
 _PATIENCE = 5
 _KICK_SIZE = 2
 
+# The most target pairs a climb is built for.  Beyond the pair set itself,
+# building a ClimbProblem and climbing it peaks at about 320 bytes per pair
+# (tracemalloc, the 118,860 cross-group pairs of a 3-GDD of type
+# 60^3 66^5 10^1), so 2^18 pairs is about 80 MiB.  A cubic girth-5 seed on n
+# vertices has n(n-10)/2 pairs at distance 3 or more, so this admits seeds up
+# to n = 728, far beyond every completion the tests and the benchmark run
+# (the largest has 900 pairs: the 20-vertex orbit graph inflated with h = 3),
+# and STS(w) up to w = 723.  A larger pair set is refused before it is built:
+# generalized_petersen(8192) has 134,135,808 pairs and STS(20001) 200,010,000.
+MAX_COMPLETION_PAIRS = 1 << 18
+
 
 def _pair(x: int, y: int) -> Pair:
     return (x, y) if x < y else (y, x)
+
+
+def _check_pair_count(n_pairs: int, what: str) -> None:
+    if n_pairs > MAX_COMPLETION_PAIRS:
+        raise ParameterDomain(f"{what}: {n_pairs} pairs to complete > {MAX_COMPLETION_PAIRS}")
 
 
 def _stall_limit(n_open: int) -> int:
@@ -95,84 +113,77 @@ class ClimbProblem:
     pairs with every pair orbit of full length v/gcd(v, shift); the solution
     is then searched for among unions of triple orbits.
 
-    Checking the problem derives what every climb attempt reads: the target
-    pairs the fixed lines cover, and the pair classes the climb covers whole
-    (the shift orbits, or single pairs without a shift).  canon maps a target
-    pair to its class representative and members a representative to its
-    class.  The climb step numbers the classes instead: a class's id is its
-    position in members, and rows[x][y] is the id of the class of {x,y}.
-    flips[i] is (ra, ba, rb, bb): covering or uncovering class i flips mask
-    bits ba of uncovered[ra] and bb of uncovered[rb] (see _attempt).
+    Checking the problem derives, once, everything a climb attempt reads.
+    Bit y of avail[x] is set iff {x,y} is a target pair that no fixed line
+    covers.  The pairs in avail fall into the classes the climb covers whole:
+    the shift orbits, or single pairs without a shift.  Class ids run in the
+    order of each class's least pair, and a pair under a fixed line gets
+    none.  rows[x][y] is the id of the class of {x,y}, with one entry per end
+    of an open pair, and flips[i] is (ra, ba, rb, bb): covering or uncovering
+    class i flips mask bits ba of uncovered[ra] and bb of uncovered[rb] (see
+    _attempt).
     """
 
     v: int
     target_pairs: frozenset[Pair]
     fixed_lines: frozenset[Line] = frozenset()
     shift: int | None = None
-    fixed_cover: frozenset[Pair] = field(init=False, repr=False, compare=False)
-    canon: dict[Pair, Pair] = field(init=False, repr=False, compare=False)
-    members: dict[Pair, tuple[Pair, ...]] = field(init=False, repr=False, compare=False)
+    avail: tuple[int, ...] = field(init=False, repr=False, compare=False)
     rows: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
     flips: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v, shift, targets = self.v, self.shift, self.target_pairs
+        bit = [1 << y for y in range(v)]
+        avail = [0] * v
         for x, y in targets:
             if not (0 <= x < y < v):
                 raise ParameterDomain(f"bad pair ({x},{y})")
-        covered: set[Pair] = set()
+            avail[x] |= bit[y]
+            avail[y] |= bit[x]
+        # A fixed line takes its target pairs out of avail, so a target pair
+        # already out is covered twice.
+        fixed = False
         for ln in self.fixed_lines:
             for i in range(len(ln)):
                 for j in range(i + 1, len(ln)):
-                    p = _pair(ln[i], ln[j])
+                    p = a, b = _pair(ln[i], ln[j])
                     if p in targets:
-                        if p in covered:
+                        if not avail[a] & bit[b]:
                             raise ParameterDomain(f"fixed lines cover {p} twice")
-                        covered.add(p)
-        if shift is None:
-            canon = {p: p for p in targets}
-            members = {p: (p,) for p in targets}
-        else:
+                        avail[a] ^= bit[b]
+                        avail[b] ^= bit[a]
+                        fixed = True
+        if shift is not None:
             if not (1 <= shift < v):
                 raise ParameterDomain(f"shift {shift} out of range for v = {v}")
-            if covered:
+            if fixed:
                 raise ParameterDomain("shift requires fixed lines that cover no target pair")
-            # Walked in sorted order, each orbit is first met at its least pair.
-            canon = {}
-            members = {}
-            for p in sorted(targets):
-                if p in canon:
-                    continue
-                orbit = [p]
-                a, b = p
-                for _ in range(self.order - 1):
-                    a, b = (a + shift) % v, (b + shift) % v
-                    q = _pair(a, b)
-                    if q == p:
-                        raise ParameterDomain(
-                            f"pair ({p[0]},{p[1]}) has a short orbit under shift {shift}"
-                        )
-                    if q not in targets:
-                        raise ParameterDomain(f"shift {shift} does not preserve the target pairs")
-                    orbit.append(q)
-                for q in orbit:
-                    canon[q] = p
-                members[p] = tuple(orbit)
+        # Walked in sorted order, each class is first met at its least pair
+        # (a, b), which numbers it.  Class {a,b} owns bit b of U(a), which lies
+        # in uncovered[a % g] rotated by a - a % g, and bit a of U(b) likewise.
+        order = self.order
+        g = v // order
         rows: tuple[dict[int, int], ...] = tuple({} for _ in range(v))
-        for i, orbit in enumerate(members.values()):
-            for x, y in orbit:
-                rows[x][y] = rows[y][x] = i
-        # Class {a,b} owns bit b of U(a), which lies in uncovered[a % g]
-        # rotated by a - a % g, and bit a of U(b) likewise.
-        g = v // self.order
-        bit = [1 << y for y in range(v)]
         flips = []
-        for a, b in members:
-            ra, rb = a % g, b % g
-            flips.append((ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v]))
-        object.__setattr__(self, "fixed_cover", frozenset(covered))
-        object.__setattr__(self, "canon", canon)
-        object.__setattr__(self, "members", members)
+        for a in range(v):
+            for b in bits(avail[a] >> a + 1):
+                b += a + 1
+                if b in rows[a]:
+                    continue
+                i = len(flips)
+                rows[a][b] = rows[b][a] = i
+                x, y = a, b
+                for _ in range(order - 1):
+                    x, y = (x + shift) % v, (y + shift) % v
+                    if _pair(x, y) == (a, b):
+                        raise ParameterDomain(f"pair ({a},{b}) has a short orbit under shift {shift}")
+                    if not avail[x] & bit[y]:
+                        raise ParameterDomain(f"shift {shift} does not preserve the target pairs")
+                    rows[x][y] = rows[y][x] = i
+                ra, rb = a % g, b % g
+                flips.append((ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v]))
+        object.__setattr__(self, "avail", tuple(avail))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "flips", tuple(flips))
 
@@ -233,18 +244,6 @@ def _develop(added: set[Line], problem: ClimbProblem) -> frozenset[Line]:
     return frozenset(out)
 
 
-class _Attempt(tuple):
-    """The pair (added triples or None, iterations) that one attempt returns,
-    which is how it unpacks and compares; log carries its AttemptLog."""
-
-    log: AttemptLog
-
-    def __new__(cls, added: set[Line] | None, log: AttemptLog):
-        self = super().__new__(cls, (added, log.iterations))
-        self.log = log
-        return self
-
-
 def _select(m: int, i: int, n: int) -> int:
     """Position of the set bit of rank i (from 0, ascending) in m >= 0, which
     has n > i set bits."""
@@ -287,8 +286,10 @@ def _draw_below(rng: random.Random) -> Callable[[int], int]:
     return below
 
 
-def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt:
-    v, row, flips, fixed_cover = problem.v, problem.rows, problem.flips, problem.fixed_cover
+def _attempt(
+    problem: ClimbProblem, rng: random.Random, budget: int
+) -> tuple[set[Line] | None, AttemptLog]:
+    v, avail, row, flips = problem.v, problem.avail, problem.rows, problem.flips
     # x, x + shift, x + 2 shift, ... (mod v) make up the point orbit of x mod g,
     # and it has order points.  Without a shift order = 1 and g = v.
     order = problem.order
@@ -297,8 +298,7 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
     below = _draw_below(rng)
     select = _select
 
-    # Bit y of avail[x] is set iff {x,y} is a target pair not owned by a fixed
-    # line.  Bit y of U(x) additionally requires the class of {x,y} to be
+    # Bit y of U(x) is set iff bit y of avail[x] is and the class of {x,y} is
     # uncovered.  The climb covers whole classes, which are the shift orbits
     # of pairs, so U(x + shift) is U(x) rotated by shift (mod v): U is kept
     # for the orbit representatives r < g only, and U(r + d) for d a multiple
@@ -306,14 +306,8 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
     # uncovered[a % g] and one of uncovered[b % g] (distinct bits when
     # a = b (mod g), as its orbit is full), and covering or uncovering it
     # flips those two bits, which problem.flips names.
-    avail = [0] * v
-    for x, y in problem.target_pairs:
-        if (x, y) not in fixed_cover:
-            avail[x] |= 1 << y
-            avail[y] |= 1 << x
-    uncovered = avail[:g]
-    # Without a shift every class is one pair; with one, no pair is fixed.
-    n_open = len(flips) - len(fixed_cover)
+    uncovered = list(avail[:g])
+    n_open = len(flips)
     stall_limit = _stall_limit(n_open)
 
     # cover[i] is the placed triple covering class i, or None.
@@ -436,7 +430,7 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int) -> _Attempt
         n_covered += 3
     n_uncovered = n_open - n_covered
     log = AttemptLog(iterations, kicks, min(best, n_uncovered))
-    return _Attempt(added if n_uncovered == 0 else None, log)
+    return (added if n_uncovered == 0 else None), log
 
 
 def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutcome:
@@ -451,9 +445,8 @@ def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutc
         raise ParameterDomain(f"max_iterations = {budget} < 1")
     logs: list[AttemptLog] = []
     for attempt in range(config.restarts):
-        result = _attempt(problem, random.Random(config.seed + attempt), budget)
-        logs.append(result.log)
-        added, _ = result
+        added, log = _attempt(problem, random.Random(config.seed + attempt), budget)
+        logs.append(log)
         if added is not None:
             return ClimbOutcome(COMPLETE, _develop(added, problem), tuple(logs))
     return ClimbOutcome(EXHAUSTED, frozenset(), tuple(logs))
@@ -463,6 +456,7 @@ def climb_sts(w: int, config: ClimbConfig | None = None) -> SteinerSystem:
     """Steiner triple system on w points by hill climbing."""
     if w < 3 or w % 6 not in (1, 3):
         raise Inadmissible(f"no S(2,3,{w}): w must be 1 or 3 (mod 6)")
+    _check_pair_count(w * (w - 1) // 2, f"S(2,3,{w}) climb")
     pairs = frozenset((x, y) for x in range(w) for y in range(x + 1, w))
     outcome = climb(ClimbProblem(v=w, target_pairs=pairs), config)
     if outcome.status != COMPLETE:
@@ -485,6 +479,7 @@ def climb_3gdd(group_size: int, groups: int, config: ClimbConfig | None = None) 
         raise Inadmissible(f"{u} groups < 3")
     if (g * (u - 1)) % 2 != 0 or (g * g * u * (u - 1)) % 3 != 0:
         raise Inadmissible(f"no 3-GDD of type {g}^{u}")
+    _check_pair_count(g * g * u * (u - 1) // 2, f"3-GDD {g}^{u} climb")
     group_tuple = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(u))
     pairs = set()
     for gi in range(u):

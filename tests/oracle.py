@@ -10,9 +10,11 @@ witness strings included.  verify_steiner and verify_gdd are the original
 design verifiers, each with its own pair loop; tests/test_designs.py asserts
 that the shared one in pentgeo.designs raises the same exceptions with the
 same messages.  _attempt is the original hill-climb attempt, which scores
-every common neighbour of the chosen pair by two class lookups;
+every common neighbour of the chosen pair by two class lookups in the pair
+maps that climb_classes derives from the problem's inputs;
 tests/test_hillclimb.py asserts that the mask step in pentgeo.hillclimb makes
-the same moves and the same random draws.  Pent3Plan, _pent3_preconditions, plan_pent3,
+the same moves, random draws and kicks, and that the problem's own class
+tables group the pairs as climb_classes does.  Pent3Plan, _pent3_preconditions, plan_pent3,
 Pent5Plan, plan_pent5 and _split_into_parts are the original planners, whose
 searches restate their plans' checks and whose PENT(5,r) plan keeps all q
 summands; tests/test_planners.py asserts that pentgeo.construct returns the
@@ -43,7 +45,7 @@ from pentgeo.errors import (
     SplitMismatch,
 )
 from pentgeo.graphs import Graph, GraphReport, graph_from_edges
-from pentgeo.hillclimb import _KICK_SIZE, _PATIENCE, ClimbProblem, Pair, _stall_limit
+from pentgeo.hillclimb import _KICK_SIZE, _PATIENCE, AttemptLog, ClimbProblem, Pair, _stall_limit
 from pentgeo.pent import (
     AXIOM_OPPOSITE,
     AXIOM_PARTIAL_LINEAR,
@@ -577,8 +579,38 @@ def _pair(x: int, y: int) -> Pair:
     return (x, y) if x < y else (y, x)
 
 
+def climb_classes(problem: ClimbProblem):
+    """(fixed_cover, canon, members) of a checked problem: the target pairs
+    its fixed lines cover, a map from each target pair to its class
+    representative, and a map from each representative to its class, in
+    order of first meeting.  A class is a shift orbit, or one pair without a
+    shift; every target pair is in one, fixed or not."""
+    v, shift, targets = problem.v, problem.shift, problem.target_pairs
+    fixed_cover = set()
+    for ln in problem.fixed_lines:
+        for i in range(len(ln)):
+            for j in range(i + 1, len(ln)):
+                p = _pair(ln[i], ln[j])
+                if p in targets:
+                    fixed_cover.add(p)
+    canon: dict[Pair, Pair] = {}
+    members: dict[Pair, tuple[Pair, ...]] = {}
+    for p in sorted(targets):
+        if p in canon:
+            continue
+        orbit = [p]
+        a, b = p
+        for _ in range(problem.order - 1):
+            a, b = (a + shift) % v, (b + shift) % v
+            orbit.append(_pair(a, b))
+        for q in orbit:
+            canon[q] = p
+        members[p] = tuple(orbit)
+    return frozenset(fixed_cover), canon, members
+
+
 def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
-    canon, members, fixed_cover = problem.canon, problem.members, problem.fixed_cover
+    fixed_cover, canon, members = climb_classes(problem)
 
     # y in avail[x] iff {x,y} is a target pair not owned by a fixed line;
     # y in uncovered_at[x] additionally requires its orbit to be uncovered.
@@ -628,7 +660,7 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
             for j in range(i + 1, 3):
                 uncover_class(canon[_pair(t[i], t[j])])
 
-    iterations = 0
+    iterations = kicks = 0
     best = n_uncovered
     since_best = 0
     while n_uncovered > 0 and iterations < budget:
@@ -639,6 +671,7 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
             since_best = 0
         if since_best > stall_limit:
             since_best = 0
+            kicks += 1
             pool = sorted(added)
             for _ in range(min(_KICK_SIZE, len(pool))):
                 t = pool[rng.randrange(len(pool))]
@@ -680,7 +713,8 @@ def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
         cover_class(c_xy, triple)
         cover_class(c_xz, triple)
         cover_class(c_yz, triple)
-    return (added if n_uncovered == 0 else None), iterations
+    log = AttemptLog(iterations, kicks, min(best, n_uncovered))
+    return (added if n_uncovered == 0 else None), log
 
 
 @dataclass(frozen=True)

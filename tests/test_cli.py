@@ -366,6 +366,34 @@ def test_construct_girth5_over_pair_limit_exits_2(tmp_path):
     assert f"134135808 pairs to complete > {MAX_COMPLETION_PAIRS}" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,refusal",
+    [
+        (["sts", "20001", "--climb"], "S(2,3,20001) climb: 200010000"),
+        (["gdd", "3", "3000", "--groups", "3", "--climb"], "3-GDD 3000^3 climb: 27000000"),
+    ],
+    ids=["sts", "gdd"],
+)
+def test_climb_over_pair_limit_exits_2(argv, refusal):
+    # Each pair set would take gigabytes.  The run is a child process capped
+    # at 512 MiB of address space, so a missing bound fails here instead of
+    # exhausting the machine.
+    cap = 512 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from pentgeo.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    paths = [str(Path(pentgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"pentctl: {refusal} pairs to complete > {MAX_COMPLETION_PAIRS}\n"
+
+
 def test_construct_c36(cli, tmp_path):
     path = tmp_path / "petersen.graph"
     path.write_text(write_graph_file(petersen()))

@@ -18,10 +18,12 @@ from pentgeo.graphs import bits, orbit_graph
 from pentgeo.hillclimb import (
     COMPLETE,
     EXHAUSTED,
+    MAX_COMPLETION_PAIRS,
     AttemptLog,
     ClimbConfig,
     ClimbProblem,
     _attempt,
+    _check_pair_count,
     _draw_below,
     _select,
     climb,
@@ -82,6 +84,17 @@ def test_climb_3gdd_rejections():
         climb_3gdd(1, 5)  # block count not integral
 
 
+def test_climbs_past_the_pair_bound_refused():
+    # STS(727) has 263,901 pairs, past 2^18; STS(723) has 261,003.  Both
+    # refusals come before any pair is built.
+    bound = f"pairs to complete > {MAX_COMPLETION_PAIRS}$"
+    with pytest.raises(ParameterDomain, match=rf"^S\(2,3,727\) climb: 263901 {bound}"):
+        climb_sts(727)
+    _check_pair_count(723 * 722 // 2, "S(2,3,723) climb")
+    with pytest.raises(ParameterDomain, match=rf"^3-GDD 300\^3 climb: 270000 {bound}"):
+        climb_3gdd(300, 3)
+
+
 def test_exhausted_on_triangle_free_targets():
     # hexagon edges: no triple covers three of them at once
     targets = frozenset(tuple(sorted((i, (i + 1) % 6))) for i in range(6))
@@ -104,14 +117,14 @@ def test_fixed_lines_completion():
 
 
 def test_problem_validations():
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(ParameterDomain, match=r"^bad pair \(0,9\)$"):
         ClimbProblem(v=6, target_pairs=frozenset({(0, 9)}))
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(ParameterDomain, match=r"^bad pair \(3,3\)$"):
         ClimbProblem(v=6, target_pairs=frozenset({(3, 3)}))
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(ParameterDomain, match=r"^bad pair \(1,0\)$"):
         ClimbProblem(v=6, target_pairs=frozenset({(1, 0)}))
     # two fixed lines covering the same target pair
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(ParameterDomain, match=r"^fixed lines cover \(0, 1\) twice$"):
         ClimbProblem(
             v=6,
             target_pairs=frozenset({(0, 1)}),
@@ -121,22 +134,24 @@ def test_problem_validations():
 
 def test_shift_validations():
     pairs13 = all_pairs(13)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(ParameterDomain, match=r"^shift 0 out of range for v = 13$"):
         ClimbProblem(v=13, target_pairs=pairs13, shift=0)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(ParameterDomain, match=r"^shift 13 out of range for v = 13$"):
         ClimbProblem(v=13, target_pairs=pairs13, shift=13)
     # fixed lines may not touch any target when a shift is set
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(
+        ParameterDomain, match=r"^shift requires fixed lines that cover no target pair$"
+    ):
         ClimbProblem(
             v=13, target_pairs=pairs13, fixed_lines=frozenset({(0, 1, 2)}), shift=1
         )
     # targets not closed under the shift
     open_targets = frozenset(p for p in all_pairs(6) if 5 not in p)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(ParameterDomain, match=r"^shift 1 does not preserve the target pairs$"):
         ClimbProblem(v=6, target_pairs=open_targets, shift=1)
     # pair (0,3) maps to itself after 3 steps, not order = 2 steps... it IS
     # its own image under +3 (mod 6), a short orbit
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(ParameterDomain, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
         ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), shift=3)
 
 
@@ -251,35 +266,57 @@ def test_small_climbs_complete_on_first_attempt():
             assert outcome.attempts_used == 1, (problem.v, problem.shift, seed)
 
 
+def class_members(problem):
+    """The sorted pairs of each class, in id order, read from rows."""
+    members = [[] for _ in problem.flips]
+    for x, row in enumerate(problem.rows):
+        for y, i in row.items():
+            if x < y:
+                members[i].append((x, y))
+    return [tuple(sorted(pairs)) for pairs in members]
+
+
+def avail_pairs(problem):
+    pairs = {(x, y) for x, m in enumerate(problem.avail) for y in bits(m)}
+    assert pairs == {(y, x) for x, y in pairs}
+    return {(x, y) for x, y in pairs if x < y}
+
+
 def test_problem_derives_classes():
     fixed = frozenset({(0, 1, 2)})
     plain = ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed)
-    assert plain.fixed_cover == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert plain.canon == {p: p for p in all_pairs(7)}
-    assert plain.members == {p: (p,) for p in all_pairs(7)}
+    fixed_pairs = {(0, 1), (0, 2), (1, 2)}
+    assert avail_pairs(plain) == all_pairs(7) - fixed_pairs
+    assert all(y not in plain.rows[x] and x not in plain.rows[y] for x, y in fixed_pairs)
+    # the 18 open pairs are numbered in sorted order
+    assert [plain.rows[x][y] for x, y in sorted(all_pairs(7) - fixed_pairs)] == list(range(18))
 
     cyclic = ClimbProblem(v=7, target_pairs=all_pairs(7), shift=1)
-    assert cyclic.fixed_cover == frozenset()
-    assert sorted(cyclic.members) == [(0, 1), (0, 2), (0, 3)]
-    assert cyclic.members[0, 2] == ((0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (0, 5), (1, 6))
-    assert all(cyclic.canon[q] == rep for rep, orbit in cyclic.members.items() for q in orbit)
+    assert avail_pairs(cyclic) == all_pairs(7)
+    assert class_members(cyclic) == [
+        ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)),
+        tuple(sorted(((0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (0, 5), (1, 6)))),
+        ((0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)),
+    ]
     # derived data takes no part in equality or hashing
     assert cyclic == ClimbProblem(v=7, target_pairs=all_pairs(7), shift=1)
     assert hash(plain) == hash(ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed))
 
-    # A class's id is its position in members, and rows[x][y] = rows[y][x]
-    # is the id of the class of {x,y}, with one entry per end of a target pair.
+    # rows[x][y] = rows[y][x] is the id of the class of {x,y}, with one entry
+    # per end of an open pair.
     gdd = gdd_problem(4)
     for problem in (gdd, plain, cyclic, c36_shift_problem()):
-        ids = {c: i for i, c in enumerate(problem.members)}
-        for x, y in problem.target_pairs:
-            assert problem.rows[x][y] == problem.rows[y][x] == ids[problem.canon[x, y]]
-        assert sum(map(len, problem.rows)) == 2 * len(problem.target_pairs)
-        assert len(problem.flips) == len(problem.members)
+        for x, row in enumerate(problem.rows):
+            assert sorted(row) == bits(problem.avail[x])
+            assert all(problem.rows[y][x] == i for y, i in row.items())
+        assert set(itertools.chain.from_iterable(map(dict.values, problem.rows))) == set(
+            range(len(problem.flips))
+        )
     # Without a shift g = v, so class {a,b} flips bit b of uncovered[a] and
     # bit a of uncovered[b]; with shift 1, g = 1 and U(a) is uncovered[0]
     # rotated by a.
-    assert all(gdd.flips[i] == (a, 1 << b, b, 1 << a) for i, (a, b) in enumerate(gdd.members))
+    gdd_pairs = [pairs[0] for pairs in class_members(gdd)]
+    assert all(gdd.flips[i] == (a, 1 << b, b, 1 << a) for i, (a, b) in enumerate(gdd_pairs))
     assert cyclic.flips == ((0, 1 << 1, 0, 1 << 6), (0, 1 << 2, 0, 1 << 5), (0, 1 << 3, 0, 1 << 4))
 
 
@@ -358,6 +395,22 @@ FAMILIES = {
     "c36": c36_problem,
     "quotient": quotient_problem,
 }
+
+
+@pytest.mark.parametrize(
+    "family,size",
+    [(family, size) for family in sorted(FAMILIES) if family != "c36" for size in range(6)]
+    + [("c36", 0)],
+)
+def test_classes_match_oracle(family, size):
+    # The oracle derives the classes pair by pair from the problem's inputs.
+    # The ids run in the order of each class's least pair, and pairs under a
+    # fixed line are in no class.
+    problem = FAMILIES[family](size)
+    fixed_cover, _, members = oracle.climb_classes(problem)
+    expected = sorted(tuple(sorted(c)) for rep, c in members.items() if rep not in fixed_cover)
+    assert class_members(problem) == expected
+    assert avail_pairs(problem) == problem.target_pairs - fixed_cover
 
 
 @settings(max_examples=300)
