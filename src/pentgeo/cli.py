@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 negative verdict or missing ingredient, 2 malformed
 input or parameters outside their domain, 3 hill climb exhausted.
+
+The constructions, designs and hill climb are imported by the verbs that
+use them, so verify, develop and classify start without loading them.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import construct, pent
+from . import pent
 from .core import (
     Geometry,
     _json_int,
@@ -21,13 +24,6 @@ from .core import (
     geometry_from_json,
     geometry_to_json,
     parse_pent_file,
-)
-from .designs import (
-    Gdd,
-    gdd_to_json_dict,
-    steiner_to_json_dict,
-    sts,
-    uniform_gdd,
 )
 from .errors import ClimbFailed, ParameterDomain, PentError, PentSyntaxError, UsageError
 from .graphs import (
@@ -40,7 +36,11 @@ from .graphs import (
     report,
     write_graph_file,
 )
-from .hillclimb import ClimbConfig, climb_3gdd, climb_sts
+
+if TYPE_CHECKING:
+    from .construct import GddFillPlan
+    from .hillclimb import ClimbConfig
+
 
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, ClimbFailed):
@@ -78,6 +78,8 @@ def _load_graph(path: str) -> Graph:
 
 
 def _climb_config(args: argparse.Namespace) -> ClimbConfig:
+    from .hillclimb import ClimbConfig
+
     return ClimbConfig(seed=args.seed)
 
 
@@ -188,17 +190,23 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_sts(args: argparse.Namespace) -> int:
+    from .designs import steiner_to_json_dict, sts
+    from .hillclimb import climb_sts
+
     system = climb_sts(args.w, _climb_config(args)) if args.climb else sts(args.w)
     _emit(json.dumps(steiner_to_json_dict(system), separators=(",", ":")) + "\n", args.output)
     return 0
 
 
 def _cmd_gdd(args: argparse.Namespace) -> int:
+    from .designs import gdd_to_json_dict, uniform_gdd
+    from .hillclimb import climb_3gdd
+
     u = args.groups if args.groups is not None else args.k
     if args.climb or u != args.k:
         if args.k != 3:
             raise ParameterDomain(f"only 3-GDDs can be hill climbed, got k = {args.k}")
-        d: Gdd = climb_3gdd(args.g, u, _climb_config(args))
+        d = climb_3gdd(args.g, u, _climb_config(args))
     else:
         d = uniform_gdd(args.k, args.g)
     _emit(json.dumps(gdd_to_json_dict(d), separators=(",", ":")) + "\n", args.output)
@@ -211,12 +219,15 @@ def _json_ints(value, field: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _load_gdd_fill(path: str) -> construct.GddFillPlan:
+def _load_gdd_fill(path: str) -> GddFillPlan:
     """Load a gdd-fill spec, checking every type before reading an ingredient.
 
     The spec is {"gdd": {"k": int, "groups": [[int]], "lines": [[int]]},
     "ingredients": {"<group size>": "<geometry path>"}}; relative paths are
     taken from the spec's directory."""
+    from .construct import GddFillPlan
+    from .designs import Gdd
+
     try:
         spec = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -242,10 +253,12 @@ def _load_gdd_fill(path: str) -> construct.GddFillPlan:
             )
     base = Path(".") if path == "-" else Path(path).parent
     ingredients = {int(size): _load_geometry(str(base / rel)) for size, rel in named.items()}
-    return construct.GddFillPlan(gdd=design, ingredients=ingredients)
+    return GddFillPlan(gdd=design, ingredients=ingredients)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from . import construct
+
     config = _climb_config(args)
     if args.kind == "tripling":
         geom = construct.triple(_load_geometry(args.file))
@@ -272,6 +285,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from . import construct
+
     if args.family == "pent3":
         plan3 = construct.plan_pent3(args.r0, args.r1, args.r2, args.w, args.target)
         if plan3 is None:

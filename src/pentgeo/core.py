@@ -14,7 +14,9 @@ its base blocks; every other geometry has step = v, the identity, as no
 symmetry is known for it.  The points 0..step-1 represent the point orbits,
 and the masks of x are those of x % step rotated by x - x % step (mod v), so
 the incidence index is built from the lines through the representatives.
-Equality, hashing, repr and JSON ignore the step.
+Those are the lines whose least point is below the step, and they are all
+a developed geometry keeps until its full line set is first read.
+Equality, hashing, repr and JSON ignore the step and read the full lines.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ class Geometry:
     is built on first use and kept with this object, so every analysis of it
     shares one build; an equal geometry built separately builds its own.
     step is the cyclic automorphism of the module docstring: v here, the
-    development step for a geometry that develop() returns.
+    development step for a geometry that develop() returns.  Such a geometry
+    keeps only its representative lines and builds lines from them when it
+    is first read, then keeps it.
     """
 
     params: PentParams
@@ -107,6 +111,35 @@ class Geometry:
     def __post_init__(self):
         object.__setattr__(self, "step", self.params.v)
 
+    @classmethod
+    def _developed(cls, params: PentParams, step: int, reps: tuple[Line, ...]) -> Geometry:
+        """The geometry that x -> x + step develops from reps, its lines
+        through 0..step-1, holding no other line yet."""
+        geom = cls.__new__(cls)
+        for name, value in (("params", params), ("step", step), ("_reps", reps)):
+            object.__setattr__(geom, name, value)
+        return geom
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set: the lines of a
+        # developed geometry before they are first read.  Each orbit is
+        # walked once, from its first representative.
+        if name != "lines" or "_reps" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        v, step = self.v, self.step
+        lines: set[Line] = set()
+        for rep in self._reps:
+            if rep in lines:
+                continue
+            lines.add(rep)
+            for t in range(step, v, step):
+                cur = tuple(sorted([(x + t) % v for x in rep]))
+                if cur == rep:
+                    break
+                lines.add(cur)
+        object.__setattr__(self, "lines", frozenset(lines))
+        return self.lines
+
     @property
     def v(self) -> int:
         return self.params.v
@@ -115,12 +148,13 @@ class Geometry:
         return sorted(self.lines)
 
     def representative_lines(self) -> Iterable[Line]:
-        """The lines through a representative 0..step-1: as lines are
-        sorted, those that start below the step, and all of them when
-        step = v."""
+        """The lines through a representative 0..step-1, each once: as lines
+        are sorted, those whose least point is below the step.  These are
+        all the lines when step = v, and the lines a developed geometry
+        keeps otherwise, so reading them never builds the full line set."""
         if self.step == self.v:
             return self.lines
-        return [ln for ln in self.lines if ln and ln[0] < self.step]
+        return self._reps
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -172,8 +206,9 @@ class BaseBlockFile:
     """Parsed .pent file: parameters, development step d and raw base blocks.
 
     Blocks are kept exactly as written so parse/write round-trips are stable;
-    develop() canonicalizes.  The block count is not constrained: listings
-    with short orbits supply more than (d*r)/k base blocks.
+    develop() canonicalizes.  Each has exactly k entries.  The block count is
+    not constrained: listings with short orbits supply more than (d*r)/k base
+    blocks.
     """
 
     k: int
@@ -187,6 +222,8 @@ class BaseBlockFile:
         if self.d < 1:
             raise ParameterDomain(f"d = {self.d} < 1")
         for blk in self.blocks:
+            if len(blk) != self.k:
+                raise ArityMismatch(f"block has {len(blk)} entries, expected {self.k}")
             for x in blk:
                 if not 0 <= x < params.v:
                     raise PointOutOfRange(f"point {x} outside 0..{params.v - 1}")
@@ -241,31 +278,31 @@ def write_pent_file(file: BaseBlockFile) -> str:
 def develop(file: BaseBlockFile) -> Geometry:
     """Close the base blocks under x -> x+d (mod v) and deduplicate.
 
-    Each base block yields at most v/d lines, fewer when a multiple of d
-    less than v fixes it (a short orbit), so the developed line count is at
-    most (v/d) * len(blocks), whatever the line count b of the parameters.
+    The geometry records d as its step.  For each base block B and each
+    window q = x // d of a point x of B it keeps the translate B - q*d;
+    these are its lines through 0..d-1, at most k per base block.  Its full
+    line set is built when lines is first read.  Only then does each base
+    block yield up to v/d lines, fewer when a multiple of d less than v
+    fixes it (a short orbit), so the full set holds at most
+    (v/d) * len(blocks) lines, whatever the line count b of the parameters.
     A file can therefore ask for much more than its own size: one block
-    with d = 1 at r = 10^5 develops 200,004 lines.  The geometry records d
-    as its step.
+    with d = 1 at r = 10^5 stands for 200,004 lines.  verify and the other
+    analyses count by orbits and never read them; only witness searches,
+    JSON output and equality do.
     """
     params = file.params
     v, d = params.v, file.d
     if v % d != 0:
         raise StepNotDividingV(f"d = {d} does not divide v = {v}")
-    lines: set[Line] = set()
+    reps: set[Line] = set()
     for blk in file.blocks:
         # A shift of a duplicate-free block stays duplicate-free, so only the
         # base block itself is checked.
         start = canonical_line(blk)
-        lines.add(start)
-        for t in range(d, v, d):
-            cur = tuple(sorted([(x + t) % v for x in start]))
-            if cur == start:
-                break
-            lines.add(cur)
-    geom = Geometry(params=params, lines=frozenset(lines))
-    object.__setattr__(geom, "step", d)
-    return geom
+        for q in {x // d for x in start}:
+            t = v - q * d
+            reps.add(tuple(sorted([(x + t) % v for x in start])))
+    return Geometry._developed(params, d, tuple(sorted(reps)))
 
 
 def geometry_to_json(geom: Geometry, provenance: dict | None = None) -> str:

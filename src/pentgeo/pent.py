@@ -29,6 +29,18 @@ check work on the representatives only.  A failing point's representative
 fails too and is never larger than it, so the first witness or exception
 is the one a point-by-point search finds.  Equality ignores the step.
 
+Orbit-weight rule: the representative lines (those through 0..step-1, the
+only lines a developed geometry keeps) stand for all lines.  The window of
+a point x is x // step.  A representative L meeting c windows stands for
+(v/step)/c lines, and so counts (v/step)/c towards the line and
+opposite-line totals.  Towards the pairs held[x] on the lines inside N(x)
+of a representative x it counts pairs(L) * |opp(L) & (x + step*Z)| / c,
+where opp(L) holds the points whose deficiency neighbourhood contains L.
+Each sum is taken in units of 1/s, s the lcm of the window counts, and
+divided by s at the end; the orbit of L sums to a whole number, so this is
+exact, short orbits included.  At step = v every weight is 1 and no window
+is counted.  Only the witness searches read the full line set.
+
 verify() never raises on bad input of at most graphs.MAX_VERTICES points: it
 reports each failed axiom with up to WITNESS_LIMIT witnesses.  Witnesses are
 searched for only where an identity failed, point by point in sorted order,
@@ -42,6 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Iterable
 
 from . import graphs
@@ -99,6 +112,37 @@ class VerificationReport:
 
     def failed_axioms(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.axioms if not a.passed)
+
+
+def _tally(geom: Geometry) -> tuple[int, int, list[int]]:
+    """Counts by the orbit-weight rule: the opposite lines, all lines, and
+    per representative x in 0..step-1 the pairs held[x] on the lines inside
+    N(x)."""
+    v, step = geom.v, geom.step
+    reps = list(geom.representative_lines())
+    # A representative meeting c windows weighs scale // c, where scale is
+    # the lcm of every c, so each sum is an exact multiple of scale;
+    # c = scale = 1 when step = v.
+    if step == v:
+        scale, weights = 1, [1] * len(reps)
+    else:
+        windows = [len({x // step for x in ln}) for ln in reps]
+        scale = lcm(*windows)
+        weights = [scale // c for c in windows]
+    # Lines with the same opposite mask are counted together, so two copies
+    # of an S(2,k,w) cost two masks, not w(w-1)/(k(k-1)) lines each.
+    held_by_mask: Counter = Counter()
+    b_opp = 0
+    for ln, m, weight in zip(reps, _opposite(geom, reps), weights):
+        if m:
+            b_opp += weight
+            held_by_mask[m] += weight * len(ln) * (len(ln) - 1) // 2
+    held = [0] * step
+    for m, pairs in held_by_mask.items():
+        for x in bits(m) if step == v else [y % step for y in bits(m)]:
+            held[x] += pairs
+    orbits = v // step
+    return b_opp * orbits // scale, sum(weights) * orbits // scale, [h // scale for h in held]
 
 
 def _opposite(geom: Geometry, lines: Iterable[Line]) -> list[int]:
@@ -208,12 +252,13 @@ def verify(geom: Geometry) -> VerificationReport:
     params = geom.params
     k, r, w, v = params.k, params.r, params.w, params.v
     ix = geom.incidence
-    lines, degree, closed, dgraph = list(geom.lines), ix.degree, ix.closed, ix.deficiency
+    degree, closed, dgraph, step = ix.degree, ix.closed, ix.deficiency, geom.step
     nbrs = dgraph.masks
 
+    # Every line is a translate of a representative of the same length.
     uniform_witnesses = []
-    if set(map(len, lines)) - {k}:
-        uniform_witnesses = [f"line {ln}" for ln in sorted(lines) if len(ln) != k]
+    if set(map(len, geom.representative_lines())) - {k}:
+        uniform_witnesses = [f"line {ln}" for ln in geom.lines_sorted() if len(ln) != k]
 
     regular_witnesses = [
         f"point {x} on {degree[x]} lines, expected {r}" for x in range(v) if degree[x] != r
@@ -222,31 +267,24 @@ def verify(geom: Geometry) -> VerificationReport:
     # x fails opposite_designs unless |N(x)| = w, the lines inside N(x) hold
     # w(w-1)/2 pairs, and no two of them share a pair (clashing marks the x
     # where two do; only possible when partial linearity fails).
-    opposite = _opposite(geom, lines)
+    opposite_count, line_count, held = _tally(geom)
     pl_witnesses: list[str] = []
     clashing = 0
-    if uniform_witnesses or any(c.bit_count() != 1 + d * (k - 1) for c, d in zip(closed, degree)):
-        mask_of = dict(zip(lines, opposite))
-        for covering in _pair_table(sorted(lines), pl_witnesses).values():
+    if uniform_witnesses or any(
+        c.bit_count() != 1 + d * (k - 1) for c, d in zip(closed[:step], degree)
+    ):
+        lines = geom.lines_sorted()
+        mask_of = dict(zip(lines, _opposite(geom, lines)))
+        for covering in _pair_table(lines, pl_witnesses).values():
             for a, b in combinations(covering, 2):
                 clashing |= mask_of[a] & mask_of[b]
-    # Lines with the same opposite mask are counted together, so two copies
-    # of an S(2,k,w) cost two masks, not w(w-1)/(k(k-1)) lines each.
-    held_by_mask: Counter = Counter()
-    for ln, m in zip(lines, opposite):
-        if m:
-            held_by_mask[m] += len(ln) * (len(ln) - 1) // 2
-    held = [0] * v
-    for m, pairs in held_by_mask.items():
-        for x in bits(m):
-            held[x] += pairs
     opposite_witnesses: list[str] = []
     by_point = None
     for x in range(v):
         size = nbrs[x].bit_count()
         if size != w:
             opposite_witnesses.append(f"point {x}: {size} non-collinear points, expected {w}")
-        elif 2 * held[x] != w * (w - 1) or clashing >> x & 1:
+        elif 2 * held[x % step] != w * (w - 1) or clashing >> x & 1:
             if by_point is None:
                 by_point = _lines_by_point(geom)
             _opposite_witnesses(x, set(bits(nbrs[x])), by_point, opposite_witnesses)
@@ -265,7 +303,7 @@ def verify(geom: Geometry) -> VerificationReport:
     geometry_type, split, profile = TYPE_INVALID, None, None
     if all(a.passed for a in axioms):
         geometry_type = _classify(params, dreport, kww)
-        split = _split(params, sum(1 for m in opposite if m), len(lines), dreport.girth)
+        split = _split(params, opposite_count, line_count, dreport.girth)
         profile = dict(sorted(graphs.neighborhood_intersection_profile(dgraph).items()))
     return VerificationReport(
         params=params,
@@ -301,8 +339,8 @@ def line_split(geom: Geometry) -> LineSplit:
     With girth >= 5 the counts must satisfy the closed-form identities; at
     girth 4 the raw counts are returned without assertion.
     """
-    b_opp = sum(1 for m in _opposite(geom, geom.lines) if m)
-    return _split(geom.params, b_opp, len(geom.lines), graphs.girth(geom.incidence.deficiency))
+    b_opp, b, _ = _tally(geom)
+    return _split(geom.params, b_opp, b, graphs.girth(geom.incidence.deficiency))
 
 
 def overlap_profile(geom: Geometry) -> dict[int, int]:

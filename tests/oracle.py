@@ -19,7 +19,10 @@ Pent5Plan, plan_pent5 and _split_into_parts are the original planners, whose
 searches restate their plans' checks and whose PENT(5,r) plan keeps all q
 summands; tests/test_planners.py asserts that pentgeo.construct returns the
 same plans and that its checks accept and reject the same doctored plans.
-Nothing in the package imports this module.
+develop is the original base-block development, which walks every
+translate of each base block; tests/test_kernel.py asserts that
+pentgeo.core.develop keeps its lines through 0..d-1 and builds the same
+full line set.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pentgeo.core import Geometry, Line, PentParams, canonical_line
+from pentgeo.core import BaseBlockFile, Geometry, Line, PentParams, canonical_line
 from pentgeo.designs import Gdd, SteinerSystem
 from pentgeo.errors import (
     DegreeBoundViolated,
@@ -43,6 +46,7 @@ from pentgeo.errors import (
     PlanInvalid,
     PreconditionFailed,
     SplitMismatch,
+    StepNotDividingV,
 )
 from pentgeo.graphs import Graph, GraphReport, graph_from_edges
 from pentgeo.hillclimb import _KICK_SIZE, _PATIENCE, AttemptLog, ClimbProblem, Pair, _stall_limit
@@ -178,6 +182,25 @@ def shift_automorphisms(g: Graph) -> tuple[int, ...]:
         if all(frozenset(((a + s) % g.n, (b + s) % g.n)) in edges for a, b in _edges(g)):
             found.append(s)
     return tuple(found)
+
+
+def develop(file: BaseBlockFile) -> Geometry:
+    """Close the base blocks under x -> x+d (mod v) and deduplicate, walking
+    each block's orbit until it comes back to the block."""
+    params = file.params
+    v, d = params.v, file.d
+    if v % d != 0:
+        raise StepNotDividingV(f"d = {d} does not divide v = {v}")
+    lines: set[Line] = set()
+    for blk in file.blocks:
+        start = canonical_line(blk)
+        lines.add(start)
+        for t in range(d, v, d):
+            cur = tuple(sorted([(x + t) % v for x in start]))
+            if cur == start:
+                break
+            lines.add(cur)
+    return Geometry(params=params, lines=frozenset(lines))
 
 
 def _collinear_sets(geom: Geometry) -> tuple[list[set[int]], list[str]]:

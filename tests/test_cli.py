@@ -52,6 +52,15 @@ def fix33(tmp_path):
     return str(path)
 
 
+def run_child(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter that imports this pentgeo."""
+    paths = [str(Path(pentgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
 def broken_geometry_json(pent33):
     return geometry_to_json(geometry(pent33.params, sorted(pent33.lines)[1:]))
 
@@ -146,13 +155,49 @@ def test_verify_over_point_limit_exits_2(tmp_path):
         "from pentgeo.cli import main\n"
         f"sys.exit(main(['verify', {str(path)!r}]))\n"
     )
-    paths = [str(Path(pentgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
-    )
+    proc = run_child(script)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert f"v = 80004 > {MAX_VERTICES} points" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text,code",
+    [("3 100000 3 1\n0 1 2\n", 2), (fixture_text("pent_3_3_3"), 0)],
+    ids=["r=10^5", "pent_3_3_3"],
+)
+def test_verify_huge_pent_under_64_mib(tmp_path, text, code):
+    # 20 bytes of base blocks name v = 200,004 points, and developing them by
+    # d = 1 would make 200,004 lines.  develop keeps the one line through
+    # point 0, so the point limit refuses the file at once.  The child caps
+    # its address space at 64 MiB, where pent_3_3_3 still verifies.
+    path = tmp_path / "input.pent"
+    path.write_text(text)
+    cap = 64 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from pentgeo.cli import main\n"
+        f"sys.exit(main(['verify', {str(path)!r}]))\n"
+    )
+    proc = run_child(script)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == f"pentctl: v = 200004 > {MAX_VERTICES} points\n"
+    else:
+        assert "type: A" in proc.stdout
+
+
+def test_verify_leaves_constructions_unimported(fix18):
+    script = (
+        "import sys\n"
+        "from pentgeo.cli import main\n"
+        f"assert main(['verify', {fix18!r}]) == 0\n"
+        "print(sorted(m for m in ('pentgeo.construct', 'pentgeo.designs', 'pentgeo.hillclimb')"
+        " if m in sys.modules))\n"
+    )
+    proc = run_child(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_develop_writes_geometry_json(cli, fix18, tmp_path):
@@ -357,11 +402,7 @@ def test_construct_girth5_over_pair_limit_exits_2(tmp_path):
         "from pentgeo.cli import main\n"
         f"sys.exit(main(['construct', 'girth5', {str(path)!r}]))\n"
     )
-    paths = [str(Path(pentgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
-    )
+    proc = run_child(script)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert f"134135808 pairs to complete > {MAX_COMPLETION_PAIRS}" in proc.stderr
 
@@ -385,11 +426,7 @@ def test_climb_over_pair_limit_exits_2(argv, refusal):
         "from pentgeo.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    paths = [str(Path(pentgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
-    )
+    proc = run_child(script)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == f"pentctl: {refusal} pairs to complete > {MAX_COMPLETION_PAIRS}\n"
 

@@ -18,7 +18,17 @@ from conftest import FIXTURE_FACTS, FIXTURE_NAMES, fixture_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentgeo import deficiency_graph, develop, geometry, line_split, parse_pent_file, verify
+from pentgeo import (
+    BaseBlockFile,
+    classify,
+    deficiency_graph,
+    derive_params,
+    develop,
+    geometry,
+    line_split,
+    parse_pent_file,
+    verify,
+)
 from pentgeo.construct import GddFillPlan, gdd_fill, make_degenerate
 from pentgeo.designs import uniform_gdd
 from pentgeo.graphs import (
@@ -36,7 +46,7 @@ from pentgeo.graphs import (
     report,
     shift_automorphisms,
 )
-from pentgeo.pent import dist3_analysis, overlap_profile
+from pentgeo.pent import _tally, dist3_analysis, overlap_profile
 
 ANALYSES = (
     (verify, oracle.verify),
@@ -313,3 +323,105 @@ def test_base_block_mutation_matches_oracle(name, kinds, seed):
     geom = develop(file)
     assert geom.step == file.d
     assert_agrees(geom)
+
+
+# The oracle takes one to two seconds per analysis at v = 350 and v = 518, so
+# the fixtures past MUTABLE_NAMES get a few pinned mutants only.
+LARGE_MUTANTS = (
+    ("pent_7_50_49", move_block_point),
+    ("pent_4_168_13", move_block_point),
+    ("pent_4_168_13", drop_block),
+)
+
+
+@pytest.mark.parametrize(
+    "name,kind", LARGE_MUTANTS, ids=[f"{n}-{k.__name__}" for n, k in LARGE_MUTANTS]
+)
+def test_large_base_block_mutation_matches_oracle(name, kind):
+    file = kind(parse_pent_file(fixture_text(name)), random.Random(1))
+    assert_agrees(develop(file))
+
+
+# --- development by representatives ------------------------------------------
+#
+# develop keeps the lines through 0..d-1 and counts the rest by orbit weight;
+# the oracle walks every translate.  The files below are small and mostly
+# invalid, with every divisor d of v, blocks fixed by a multiple of d (short
+# orbits), repeated blocks and several blocks from one orbit.
+
+SMALL_SHAPES = tuple(
+    (k, r, w)
+    for k in (3, 4)
+    for r in range(1, 12)
+    for w in range(k, 16)
+    if (k - 1) * r + w + 1 <= 40 and ((k - 1) * r + w + 1) * r % k == 0
+)
+
+
+@st.composite
+def base_block_files(draw):
+    k, r, w = draw(st.sampled_from(SMALL_SHAPES))
+    v = derive_params(k, r, w).v
+    d = draw(st.sampled_from([d for d in range(1, v + 1) if v % d == 0]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("random", "fixed", "repeated", "same_orbit")))
+        # m cosets of the subgroup generated by s = v/m are fixed by x -> x + s.
+        cosets = [m for m in range(2, k + 1) if k % m == 0 and v % m == 0 and v // m % d == 0]
+        if kind == "fixed" and cosets:
+            m = draw(st.sampled_from(cosets))
+            s = v // m
+            starts = draw(st.sets(st.integers(0, s - 1), min_size=k // m, max_size=k // m))
+            blocks.append(tuple(a + j * s for a in starts for j in range(m)))
+        elif kind in ("repeated", "same_orbit") and blocks:
+            t = 0 if kind == "repeated" else d * draw(st.integers(0, v // d - 1))
+            blocks.append(tuple((x + t) % v for x in draw(st.sampled_from(blocks))))
+        else:
+            points = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+            blocks.append(tuple(draw(points)))
+    return BaseBlockFile(k=k, r=r, w=w, d=d, blocks=tuple(blocks))
+
+
+@settings(max_examples=200)
+@given(file=base_block_files())
+def test_develop_matches_oracle(file):
+    geom = develop(file)
+    reference = oracle.develop(file)
+    plain = geometry(reference.params, reference.lines)
+    reps = list(geom.representative_lines())
+    assert sorted(reps) == sorted(ln for ln in reference.lines if ln[0] < file.d)
+    assert geom.step == file.d
+    for kernel, slow in ((verify, oracle.verify), (line_split, oracle.line_split)):
+        assert outcome(kernel, geom) == outcome(slow, plain), kernel.__name__
+    # The counts by orbit weight, each against a count over every line:
+    # inside[ln] lists the points x whose deficiency neighbourhood holds ln.
+    nbrs = plain.incidence.deficiency.masks
+    inside = {
+        ln: [x for x in range(plain.v) if all(nbrs[x] >> p & 1 for p in ln)] for ln in plain.lines
+    }
+    held = [0] * file.d
+    for ln, xs in inside.items():
+        for x in xs:
+            if x < file.d:
+                held[x] += len(ln) * (len(ln) - 1) // 2
+    assert _tally(geom) == (sum(1 for xs in inside.values() if xs), len(inside), held)
+    assert geom.lines == reference.lines and geom == plain
+
+
+DEVELOPED_NAMES = tuple(
+    name for name in FIXTURE_NAMES if parse_pent_file(fixture_text(name)).d < FIXTURE_FACTS[name][0]
+)
+
+
+@pytest.mark.parametrize("name", DEVELOPED_NAMES)
+def test_developed_fixture_analyses_read_representatives_only(name):
+    """A valid developed fixture is verified, classified and analysed from
+    the lines through 0..d-1 alone: its full line set is never built."""
+    geom = develop(parse_pent_file(fixture_text(name)))
+    classify(verify(geom))
+    line_split(geom)
+    overlap_profile(geom)
+    dist3_analysis(geom)
+    assert "lines" not in vars(geom)
+    assert len(geom.lines) == FIXTURE_FACTS[name][1]
+    assert "lines" in vars(geom)
