@@ -194,32 +194,55 @@ def verify_steiner(s: SteinerSystem) -> None:
 
 
 def verify_gdd(d: Gdd) -> None:
-    """Exhaustive cross-pair check; raises on the first defect found."""
+    """Exhaustive cross-pair check; raises on the first defect found.
+
+    The blocks are walked in sorted order, and the pairs of a block in the
+    order of its points.  Bit y of seen[x] marks the pair (x, y) as covered
+    and bit y of group[x] puts y in the group of x, so a pair's checks are
+    two mask tests, and the pairs no block covers are the cross-group points
+    above x left out of seen[x].
+    """
     n = d.n
-    group_of = {}
-    for gi, grp in enumerate(d.groups):
+    points = set()
+    for grp in d.groups:
         for x in grp:
-            if x in group_of:
+            if x in points:
                 raise ParameterDomain(f"point {x} in two groups")
-            group_of[x] = gi
-    if sorted(group_of) != list(range(n)):
+            points.add(x)
+    if sorted(points) != list(range(n)):
         raise ParameterDomain("groups do not partition 0..n-1")
-    seen: dict[tuple[int, int], Line] = {}
-    for blk in sorted(d.blocks):
-        if len(blk) != d.k or any(x not in group_of for x in blk):
+    group = [0] * n
+    for grp in d.groups:
+        m = sum(1 << x for x in grp)
+        for x in grp:
+            group[x] = m
+    seen = [0] * n
+    k = d.k
+    blocks = sorted(d.blocks)
+    for blk in blocks:
+        if len(blk) != k or not points.issuperset(blk):
             raise ParameterDomain(f"bad block {blk}")
-        for i in range(d.k):
-            for j in range(i + 1, d.k):
-                pair = (blk[i], blk[j])
-                if group_of[pair[0]] == group_of[pair[1]]:
-                    raise GroupPairCovered(pair, blk)
-                if pair in seen:
-                    raise PairDoubled(pair, seen[pair], blk)
-                seen[pair] = blk
+        for i in range(k - 1):
+            a = blk[i]
+            in_group, covered = group[a], seen[a]
+            for b in blk[i + 1 :]:
+                bit = 1 << b
+                if in_group & bit:
+                    raise GroupPairCovered((a, b), blk)
+                if covered & bit:
+                    raise PairDoubled((a, b), _first_cover(blocks, a, b), blk)
+                covered |= bit
+            seen[a] = covered
+    full = (1 << n) - 1
     for x in range(n):
-        for y in range(x + 1, n):
-            if group_of[x] != group_of[y] and (x, y) not in seen:
-                raise PairMissing((x, y))
+        missing = (full >> x + 1 << x + 1) & ~(group[x] | seen[x])
+        if missing:
+            raise PairMissing((x, (missing & -missing).bit_length() - 1))
+
+
+def _first_cover(blocks: list[Line], a: int, b: int) -> Line:
+    """The first of blocks holding a before b, so the first to cover (a, b)."""
+    return next(blk for blk in blocks if a in blk and b in blk[blk.index(a) + 1 :])
 
 
 def single_block_system(k: int) -> SteinerSystem:

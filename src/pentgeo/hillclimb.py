@@ -52,14 +52,18 @@ completion were:
     STS(99) (1040-1069)       115,587  3,761   4,507        114,958  3,747   4,397
 
 Runs are deterministic: restart i draws from random.Random(seed + i), and
-each draw picks by rank among the set bits of a mask in ascending order
-(_select), or from the kick's sorted snapshot of the placed triples, with
-the getrandbits calls that randrange makes (_draw_below).
+every draw is a rank below n made by the getrandbits calls that
+randrange(n) makes (_draw_below, written out in the step).  The rank picks
+a point among the translates of the live orbit representatives, kept as an
+ascending list; a partner or third point among the set bits of a mask in
+ascending order (_select); or a triple from the kick's sorted snapshot of
+the placed triples.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, NamedTuple
@@ -296,6 +300,7 @@ def _attempt(
     g = v // order
     full = (1 << v) - 1
     below = _draw_below(rng)
+    getrandbits = rng.getrandbits
     select = _select
 
     # Bit y of U(x) is set iff bit y of avail[x] is and the class of {x,y} is
@@ -314,30 +319,34 @@ def _attempt(
     cover: list[Line | None] = [None] * len(flips)
     n_covered = 0
     added: set[Line] = set()
-    # Bit r of live is set iff uncovered[r] is non-empty, so the points with
-    # an uncovered pair are the d + r, r a set bit of live, d in 0, g, 2g, ...;
-    # in ascending order, the i-th of them is (i // L) g plus the set bit of
-    # rank i % L in live, with L set bits in all.  Flipping a bit of
-    # uncovered[r] turns r dead or live when the mask becomes empty or
-    # becomes the one bit just set.
-    live = sum(1 << r for r in range(g) if uncovered[r])
+    # live lists, ascending, the r < g with uncovered[r] non-empty, so the
+    # points with an uncovered pair are the d + r, r in live, d in 0, g, 2g,
+    # ...; in ascending order, the i-th of them is (i // L) g + live[i % L],
+    # with L = len(live).  Flipping a bit of uncovered[r] takes r out of live
+    # when the mask becomes empty and puts it back when the mask becomes the
+    # one bit just set; most flips do neither.
+    live = [r for r in range(g) if uncovered[r]]
 
     # Covering or uncovering a class flips its two bits, written out here and
     # in the move below: a call per class took about 12% of a climb under
     # cProfile.
     def remove_triple(t: Line):
-        nonlocal live, n_covered
+        nonlocal n_covered
         a, b, c = t
         added.discard(t)
         for i in (row[a][b], row[a][c], row[b][c]):
             cover[i] = None
             ra, ba, rb, bb = flips[i]
             m = uncovered[ra] = uncovered[ra] ^ ba
-            if not m or m == ba:
-                live ^= 1 << ra
+            if not m:
+                live.remove(ra)
+            elif m == ba:
+                insort(live, ra)
             m = uncovered[rb] = uncovered[rb] ^ bb
-            if not m or m == bb:
-                live ^= 1 << rb
+            if not m:
+                live.remove(rb)
+            elif m == bb:
+                insort(live, rb)
         n_covered -= 3
 
     iterations = kicks = 0
@@ -357,20 +366,44 @@ def _attempt(
                 t = pool[below(len(pool))]
                 if t in added:
                     remove_triple(t)
-        n_live = live.bit_count()
+        n_live = len(live)
+        n_points = n_live * order
+        k_points = n_points.bit_length()
         move = None
+        # Each draw below is _draw_below's, written out: a value below n is
+        # getrandbits(n.bit_length()) redrawn until it is below n.  The set
+        # bit of rank i in a mask with n set bits is found as _select finds
+        # it, by clearing the i lowest set bits when n <= 8.  A rotation by
+        # d = 0 is skipped: without a shift every d is 0.
         for _ in range(_PATIENCE):
-            d, j = divmod(below(n_live * order), n_live)
-            r = select(live, j, n_live)
-            d *= g
+            i = getrandbits(k_points)
+            while i >= n_points:
+                i = getrandbits(k_points)
+            d, j = divmod(i, n_live)
+            r = live[j]
+            m = ux = uncovered[r]
+            if d:
+                d *= g
+                ux = (m << d | m >> (v - d)) & full
             x = d + r
-            m = uncovered[r]
-            ux = (m << d | m >> (v - d)) & full
             n = m.bit_count()
-            y = select(ux, below(n), n)
+            k = n.bit_length()
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            if n > 8:
+                y = select(ux, i, n)
+            else:
+                m = ux
+                while i:
+                    m &= m - 1
+                    i -= 1
+                y = (m & -m).bit_length() - 1
             r = y % g
-            m, d = uncovered[r], y - r
-            uy = (m << d | m >> (v - d)) & full
+            m = uy = uncovered[r]
+            d = y - r
+            if d:
+                uy = (m << d | m >> (v - d)) & full
             # A third point z in avail[x] & avail[y] displaces one triple per
             # covered class among {x,z} and {y,z}, and the class of {x,z} is
             # covered iff z is not in U(x).  So z costs
@@ -401,7 +434,18 @@ def _attempt(
             tier = cheap or common & ~(ux | uy)
             if tier:
                 n = tier.bit_count()
-                move = (x, y, select(tier, below(n), n))
+                k = n.bit_length()
+                i = getrandbits(k)
+                while i >= n:
+                    i = getrandbits(k)
+                if n > 8:
+                    z = select(tier, i, n)
+                else:
+                    while i:
+                        tier &= tier - 1
+                        i -= 1
+                    z = (tier & -tier).bit_length() - 1
+                move = (x, y, z)
                 if cheap:
                     break
         if move is None:
@@ -422,11 +466,15 @@ def _attempt(
             cover[i] = triple
             ra, ba, rb, bb = flips[i]
             m = uncovered[ra] = uncovered[ra] ^ ba
-            if not m or m == ba:
-                live ^= 1 << ra
+            if not m:
+                live.remove(ra)
+            elif m == ba:
+                insort(live, ra)
             m = uncovered[rb] = uncovered[rb] ^ bb
-            if not m or m == bb:
-                live ^= 1 << rb
+            if not m:
+                live.remove(rb)
+            elif m == bb:
+                insort(live, rb)
         n_covered += 3
     n_uncovered = n_open - n_covered
     log = AttemptLog(iterations, kicks, min(best, n_uncovered))

@@ -275,9 +275,16 @@ def verify(geom: Geometry) -> VerificationReport:
     ):
         lines = geom.lines_sorted()
         mask_of = dict(zip(lines, _opposite(geom, lines)))
+        # x clashes when two lines on one pair both lie inside N(x): one pass
+        # over a pair's lines keeps the points in at least one of their masks
+        # (once) and in at least two (twice).
         for covering in _pair_table(lines, pl_witnesses).values():
-            for a, b in combinations(covering, 2):
-                clashing |= mask_of[a] & mask_of[b]
+            once = twice = 0
+            for ln in covering:
+                m = mask_of[ln]
+                twice |= once & m
+                once |= m
+            clashing |= twice
     opposite_witnesses: list[str] = []
     by_point = None
     for x in range(v):

@@ -1,6 +1,7 @@
 """Finite fields, Steiner systems, planes, MOLS, transversal designs."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -35,6 +36,7 @@ from pentgeo.errors import (
     ParameterDomain,
     TooManySquares,
 )
+from pentgeo.hillclimb import ClimbConfig, climb_3gdd, climb_sts
 
 PRIME_POWERS_TO_49 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
 
@@ -284,13 +286,37 @@ def test_steiner_block_with_repeated_point():
         verify_steiner(system)
 
 
+def test_pair_doubled_inside_one_block():
+    # (0, 1, 1) sorts before every other block on 0 and 1 and covers (0, 1)
+    # twice before its within-group pair (1, 1) is read.
+    system = SteinerSystem(k=3, w=7, blocks=sts(7).blocks | {(0, 1, 1)})
+    match = r"pair \(0, 1\) covered by both \(0, 1, 1\) and \(0, 1, 1\)$"
+    with pytest.raises(PairDoubled, match=match):
+        verify_steiner(system)
+    with pytest.raises(PairDoubled, match=match):
+        oracle.verify_steiner(system)
+
+
 # --- the shared pair loop against the original verifiers in tests/oracle.py --
 
+# The larger designs are built once per module: a seeded climb is the
+# slowest part of an example.
 DESIGNS = {
     "sts7": (lambda: sts(7), verify_steiner, oracle.verify_steiner),
     "sts9": (lambda: sts(9), verify_steiner, oracle.verify_steiner),
     "ag2_3": (lambda: affine_plane(3), verify_steiner, oracle.verify_steiner),
     "td3_3": (lambda: uniform_gdd(3, 3), verify_gdd, oracle.verify_gdd),
+    "sts69_climbed": (
+        functools.cache(lambda: climb_sts(69, ClimbConfig(seed=0))),
+        verify_steiner,
+        oracle.verify_steiner,
+    ),
+    "gdd4_4_climbed": (
+        functools.cache(lambda: climb_3gdd(4, 4, ClimbConfig(seed=0))),
+        verify_gdd,
+        oracle.verify_gdd,
+    ),
+    "td5_5": (functools.cache(lambda: uniform_gdd(5, 5)), verify_gdd, oracle.verify_gdd),
 }
 
 
@@ -311,6 +337,13 @@ def move_point(blocks, rng, n, k):
     blocks[i] = tuple(sorted(q if x == p else x for x in blk))
 
 
+def reverse_block(blocks, rng, n, k):
+    """Reverse the points of one block: its pairs are then read high point
+    first, so none of them meets the same pair of a sorted block."""
+    i = rng.randrange(len(blocks))
+    blocks[i] = blocks[i][::-1]
+
+
 def outcome(verifier, design):
     try:
         return verifier(design)
@@ -321,7 +354,7 @@ def outcome(verifier, design):
 @settings(max_examples=200)
 @given(
     name=st.sampled_from(sorted(DESIGNS)),
-    kind=st.sampled_from((delete_block, add_block, move_point)),
+    kind=st.sampled_from((delete_block, add_block, move_point, reverse_block)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_design_verifier_matches_oracle(name, kind, seed):

@@ -470,9 +470,10 @@ def test_attempt_matches_oracle_on_even_quotients(v, shift):
 
 
 def test_attempt_matches_oracle_on_dense_masks():
-    # The other oracle tests stop at v = 99.  At STS(201) U(x) and the live
-    # representatives start with 200 and 201 set bits, which _select narrows
-    # by halves.
+    # The other oracle tests stop at v = 99.  At STS(201) every U(x) starts
+    # with 200 set bits, so the partner and third-point draws go through
+    # _select, which narrows them by halves; the 201 live representatives
+    # are read from their sorted list by index.
     problem = ClimbProblem(v=201, target_pairs=all_pairs(201))
     sizes = []
 

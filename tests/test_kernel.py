@@ -325,10 +325,17 @@ def test_base_block_mutation_matches_oracle(name, kinds, seed):
     assert_agrees(geom)
 
 
+def develop_by_5(file, rng):
+    """Develop by d = 5: pent_7_50_49 then has 34,650 lines and many pairs
+    on several of them, so verify walks long lists of lines per pair."""
+    return dataclasses.replace(file, d=5)
+
+
 # The oracle takes one to two seconds per analysis at v = 350 and v = 518, so
 # the fixtures past MUTABLE_NAMES get a few pinned mutants only.
 LARGE_MUTANTS = (
     ("pent_7_50_49", move_block_point),
+    ("pent_7_50_49", develop_by_5),
     ("pent_4_168_13", move_block_point),
     ("pent_4_168_13", drop_block),
 )
@@ -340,6 +347,24 @@ LARGE_MUTANTS = (
 def test_large_base_block_mutation_matches_oracle(name, kind):
     file = kind(parse_pent_file(fixture_text(name)), random.Random(1))
     assert_agrees(develop(file))
+
+
+def test_doubled_pair_inside_an_opposite_design_matches_oracle(geometries):
+    # Swap c for d in a line {a,b,c} of the Fano plane on N(0) of
+    # pent_3_47_7.  No line through 0 changes, so N(0) keeps its 7 points
+    # and the lines inside it still hold 21 pairs, but {a,d} and {b,d} now
+    # lie on two of them and {a,c}, {b,c} on none.  Only the lines sharing
+    # a pair show that point 0 fails.
+    geom = geometries["pent_3_47_7"]
+    n0 = deficiency_graph(geom).masks[0]
+    inside = sorted(ln for ln in geom.lines if all(n0 >> p & 1 for p in ln))
+    assert len(inside) == 7
+    a, b, c = inside[0]
+    d = next(p for p in range(geom.v) if n0 >> p & 1 and p not in (a, b, c))
+    mutant = geometry(geom.params, geom.lines - {(a, b, c)} | {tuple(sorted((a, b, d)))})
+    assert_agrees(mutant)
+    witnesses = verify(mutant).axiom("opposite_designs").witnesses
+    assert witnesses[0].startswith("point 0: pair ") and "doubled" in witnesses[0]
 
 
 # --- development by representatives ------------------------------------------
