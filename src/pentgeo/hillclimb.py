@@ -30,7 +30,11 @@ class of {x,y}, flips[i] the two mask bits class i owns, and cover[i] the
 placed triple covering class i, or None.  A pair under a fixed line is in
 no class.  avail, the ids and the flip bits depend only on the problem, so
 restarts share them; rows holds one entry per end of an open pair and never
-a v x v table.
+a v x v table.  Without a shift a class is its pair, and point a numbers its
+pairs (a, b), b > a, as one run of ids.  A move flips only its net change:
+a class the new triple takes over from a displaced triple (c_xz or c_yz, or
+with a shift both) keeps its bits, as two flips would cancel.  Only the
+displaced triples' other classes and the new triple's open classes flip.
 
 The stall limit is the number of steps an attempt takes without a new
 fewest uncovered count before it kicks, and it scales with the problem: an
@@ -65,10 +69,11 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import combinations, repeat
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .core import Line, canonical_line
+from .core import Line
 from .designs import Gdd, SteinerSystem, verify_gdd, verify_steiner
 from .errors import ClimbFailed, Inadmissible, ParameterDomain
 from .graphs import bits
@@ -82,14 +87,15 @@ _PATIENCE = 5
 _KICK_SIZE = 2
 
 # The most target pairs a climb is built for.  Beyond the pair set itself,
-# building a ClimbProblem and climbing it peaks at about 320 bytes per pair
+# building a ClimbProblem and climbing it peaks at about 290 bytes per pair
 # (tracemalloc, the 118,860 cross-group pairs of a 3-GDD of type
-# 60^3 66^5 10^1), so 2^18 pairs is about 80 MiB.  A cubic girth-5 seed on n
-# vertices has n(n-10)/2 pairs at distance 3 or more, so this admits seeds up
-# to n = 728, far beyond every completion the tests and the benchmark run
-# (the largest has 900 pairs: the 20-vertex orbit graph inflated with h = 3),
-# and STS(w) up to w = 723.  A larger pair set is refused before it is built:
-# generalized_petersen(8192) has 134,135,808 pairs and STS(20001) 200,010,000.
+# 60^3 66^5 10^1, climbed at seed 0), so 2^18 pairs is about 73 MiB.  A cubic
+# girth-5 seed on n vertices has n(n-10)/2 pairs at distance 3 or more, so
+# this admits seeds up to n = 728, far beyond every completion the tests and
+# the benchmark run (the largest has 900 pairs: the 20-vertex orbit graph
+# inflated with h = 3), and STS(w) up to w = 723.  A larger pair set is
+# refused before it is built: generalized_petersen(8192) has 134,135,808
+# pairs and STS(20001) 200,010,000.
 MAX_COMPLETION_PAIRS = 1 << 18
 
 
@@ -149,15 +155,14 @@ class ClimbProblem:
         # already out is covered twice.
         fixed = False
         for ln in self.fixed_lines:
-            for i in range(len(ln)):
-                for j in range(i + 1, len(ln)):
-                    p = a, b = _pair(ln[i], ln[j])
-                    if p in targets:
-                        if not avail[a] & bit[b]:
-                            raise ParameterDomain(f"fixed lines cover {p} twice")
-                        avail[a] ^= bit[b]
-                        avail[b] ^= bit[a]
-                        fixed = True
+            for x, y in combinations(ln, 2):
+                p = a, b = _pair(x, y)
+                if p in targets:
+                    if not avail[a] & bit[b]:
+                        raise ParameterDomain(f"fixed lines cover {p} twice")
+                    avail[a] ^= bit[b]
+                    avail[b] ^= bit[a]
+                    fixed = True
         if shift is not None:
             if not (1 <= shift < v):
                 raise ParameterDomain(f"shift {shift} out of range for v = {v}")
@@ -170,23 +175,33 @@ class ClimbProblem:
         g = v // order
         rows: tuple[dict[int, int], ...] = tuple({} for _ in range(v))
         flips = []
-        for a in range(v):
-            for b in bits(avail[a] >> a + 1):
-                b += a + 1
-                if b in rows[a]:
-                    continue
-                i = len(flips)
-                rows[a][b] = rows[b][a] = i
-                x, y = a, b
-                for _ in range(order - 1):
-                    x, y = (x + shift) % v, (y + shift) % v
-                    if _pair(x, y) == (a, b):
-                        raise ParameterDomain(f"pair ({a},{b}) has a short orbit under shift {shift}")
-                    if not avail[x] & bit[y]:
-                        raise ParameterDomain(f"shift {shift} does not preserve the target pairs")
-                    rows[x][y] = rows[y][x] = i
-                ra, rb = a % g, b % g
-                flips.append((ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v]))
+        if order == 1:
+            # A class is its pair: the pairs (a, b), b > a, take the next ids.
+            for a, row in enumerate(rows):
+                high = bits(avail[a] >> a + 1 << a + 1)
+                ids = list(range(len(flips), len(flips) + len(high)))
+                row.update(zip(high, ids))
+                for b, i in zip(high, ids):
+                    rows[b][a] = i
+                flips.extend(zip(repeat(a), map(bit.__getitem__, high), high, repeat(bit[a])))
+        else:
+            for a in range(v):
+                for b in bits(avail[a] >> a + 1):
+                    b += a + 1
+                    if b in rows[a]:
+                        continue
+                    i = len(flips)
+                    rows[a][b] = rows[b][a] = i
+                    x, y = a, b
+                    for _ in range(order - 1):
+                        x, y = (x + shift) % v, (y + shift) % v
+                        if _pair(x, y) == (a, b):
+                            raise ParameterDomain(f"pair ({a},{b}) has a short orbit under shift {shift}")
+                        if not avail[x] & bit[y]:
+                            raise ParameterDomain(f"shift {shift} does not preserve the target pairs")
+                        rows[x][y] = rows[y][x] = i
+                    ra, rb = a % g, b % g
+                    flips.append((ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v]))
         object.__setattr__(self, "avail", tuple(avail))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "flips", tuple(flips))
@@ -236,13 +251,13 @@ class ClimbOutcome:
 def _develop(added: set[Line], problem: ClimbProblem) -> frozenset[Line]:
     if problem.shift is None:
         return frozenset(added)
-    order = problem.order
-    out: set[Line] = set()
-    for t in added:
-        cur = t
-        for _ in range(order):
-            out.add(cur)
-            cur = canonical_line(tuple((x + problem.shift) % problem.v for x in cur))
+    v, shift, order = problem.v, problem.shift, problem.order
+    # A translate of a placed triple is canonical once sorted.
+    out = {
+        tuple(sorted(((a + d) % v, (b + d) % v, (c + d) % v)))
+        for a, b, c in added
+        for d in range(0, order * shift, shift)
+    }
     if len(out) != order * len(added):
         raise ClimbFailed("internal: developed triples collide")
     return frozenset(out)
@@ -329,12 +344,14 @@ def _attempt(
 
     # Covering or uncovering a class flips its two bits, written out here and
     # in the move below: a call per class took about 12% of a climb under
-    # cProfile.
-    def remove_triple(t: Line):
+    # cProfile.  A move keeps the classes it takes over from t unflipped.
+    def remove_triple(t: Line, keep: tuple[int, ...] = ()):
         nonlocal n_covered
         a, b, c = t
         added.discard(t)
         for i in (row[a][b], row[a][c], row[b][c]):
+            if i in keep:
+                continue
             cover[i] = None
             ra, ba, rb, bb = flips[i]
             m = uncovered[ra] = uncovered[ra] ^ ba
@@ -453,28 +470,32 @@ def _attempt(
         x, y, z = move
         rx = row[x]
         c_xy, c_xz, c_yz = rx[y], rx[z], row[y][z]
-        for i in (c_xz, c_yz):
-            t = cover[i]
-            if t is not None:
-                remove_triple(t)
+        # The net move (module docstring): a class taken over from a displaced
+        # triple keeps its bits.  One triple may hold c_xz and c_yz; then u is t.
+        t, u = cover[c_xz], cover[c_yz]
+        if t is not None:
+            remove_triple(t, (c_xz, c_yz))
+        if u is not None and u is not t:
+            remove_triple(u, (c_xz, c_yz))
         # y is in U(x), which excludes x, and z in avail[x] & avail[y], which
         # excludes both, so the three points are distinct and the sorted
         # move is already a canonical line.
         triple = tuple(sorted(move))
         added.add(triple)
         for i in (c_xy, c_xz, c_yz):
+            if cover[i] is None:
+                ra, ba, rb, bb = flips[i]
+                m = uncovered[ra] = uncovered[ra] ^ ba
+                if not m:
+                    live.remove(ra)
+                elif m == ba:
+                    insort(live, ra)
+                m = uncovered[rb] = uncovered[rb] ^ bb
+                if not m:
+                    live.remove(rb)
+                elif m == bb:
+                    insort(live, rb)
             cover[i] = triple
-            ra, ba, rb, bb = flips[i]
-            m = uncovered[ra] = uncovered[ra] ^ ba
-            if not m:
-                live.remove(ra)
-            elif m == ba:
-                insort(live, ra)
-            m = uncovered[rb] = uncovered[rb] ^ bb
-            if not m:
-                live.remove(rb)
-            elif m == bb:
-                insort(live, rb)
         n_covered += 3
     n_uncovered = n_open - n_covered
     log = AttemptLog(iterations, kicks, min(best, n_uncovered))
@@ -486,6 +507,8 @@ def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutc
     config = config or ClimbConfig()
     if config.restarts < 1:
         raise ParameterDomain(f"restarts = {config.restarts} < 1")
+    if config.seed < 0:  # random.Random(-s) would replay seed s
+        raise ParameterDomain(f"seed = {config.seed} < 0")
     budget = config.max_iterations
     if budget is None:
         budget = 100 * len(problem.target_pairs)
@@ -529,13 +552,9 @@ def climb_3gdd(group_size: int, groups: int, config: ClimbConfig | None = None) 
         raise Inadmissible(f"no 3-GDD of type {g}^{u}")
     _check_pair_count(g * g * u * (u - 1) // 2, f"3-GDD {g}^{u} climb")
     group_tuple = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(u))
-    pairs = set()
-    for gi in range(u):
-        for gj in range(gi + 1, u):
-            for x in group_tuple[gi]:
-                for y in group_tuple[gj]:
-                    pairs.add(_pair(x, y))
-    outcome = climb(ClimbProblem(v=g * u, target_pairs=frozenset(pairs)), config)
+    v = g * u
+    pairs = frozenset((x, y) for x in range(v) for y in range((x // g + 1) * g, v))
+    outcome = climb(ClimbProblem(v=v, target_pairs=pairs), config)
     if outcome.status != COMPLETE:
         raise ClimbFailed(f"3-GDD {g}^{u} climb exhausted after {outcome.iterations_used} iterations")
     design = Gdd(k=3, groups=group_tuple, blocks=outcome.lines)

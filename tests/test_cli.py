@@ -1,5 +1,6 @@
 """pentctl end to end: exit codes, JSON schemas, stdin/stdout plumbing."""
 
+import hashlib
 import io
 import json
 import os
@@ -307,6 +308,19 @@ def test_sts_climb_deterministic(cli):
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
     assert len(json.loads(runs[0][1])["lines"]) == 26
+
+
+def test_sts_climb_negative_seed_exits_2(cli):
+    # A negative seed would replay its absolute value, so it is refused.
+    assert cli(["sts", "31", "--climb", "--seed", "-3"]) == (2, "", "pentctl: seed = -3 < 0\n")
+
+
+def test_sts_99_climb_output_pinned(cli):
+    # The same digest is checked on the installed pentctl in CI.
+    code, out, _ = cli(["sts", "99", "--climb", "--seed", "0"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "734c120d47d54cba6b3ce355ca8f21f8b1d8be9eebac42c30872c2b77649968e"
 
 
 def test_sts_inadmissible_exits_2(cli):

@@ -219,6 +219,18 @@ def test_from_girth5_graph_petersen(pent33):
     assert verify(geom).valid
 
 
+# Lines of from_girth5_graph(generalized_petersen(n)) at the default seed: a
+# climb without a shift on top of fixed lines, the seed's neighbourhoods.
+PINNED_GIRTH5 = {21: "e727f8c9c1dc", 27: "402eff378748"}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_GIRTH5))
+def test_from_girth5_graph_pinned(n):
+    geom = from_girth5_graph(generalized_petersen(n))
+    digest = hashlib.sha256(repr(geom.lines_sorted()).encode()).hexdigest()[:12]
+    assert digest == PINNED_GIRTH5[n]
+
+
 def test_from_girth5_graph_rejections():
     with pytest.raises(BadSeedGraph):
         from_girth5_graph(ring(6))  # not cubic

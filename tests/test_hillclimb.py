@@ -4,6 +4,8 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
+from collections import Counter
 from unittest import mock
 
 import oracle
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pentgeo import construct
+from pentgeo import construct, hillclimb
 from pentgeo.designs import SteinerSystem, sts, verify_gdd, verify_steiner
 from pentgeo.errors import ClimbFailed, Inadmissible, ParameterDomain
 from pentgeo.graphs import bits, orbit_graph
@@ -188,6 +190,17 @@ def test_restart_config_rejected():
         climb(problem, ClimbConfig(seed=0, restarts=0))
 
 
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_negative_seed_rejected(seed):
+    # random.Random(-s) seeds as random.Random(s), so a negative seed would
+    # silently replay the positive one.
+    problem = ClimbProblem(v=9, target_pairs=all_pairs(9))
+    with pytest.raises(ParameterDomain, match=rf"^seed = {seed} < 0$"):
+        climb(problem, ClimbConfig(seed=seed))
+    with pytest.raises(ParameterDomain, match=rf"^seed = {seed} < 0$"):
+        climb_sts(31, ClimbConfig(seed=seed))
+
+
 @pytest.mark.parametrize("budget", [0, -1, -100])
 def test_empty_budget_rejected(budget):
     problem = ClimbProblem(v=9, target_pairs=all_pairs(9))
@@ -236,6 +249,31 @@ def test_attempt_logs_total_the_pins(w, seed):
     assert sum(a.iterations for a in outcome.attempts) == iterations
     assert outcome.attempts[-1].best_uncovered == 0
     assert all(a.best_uncovered > 0 for a in outcome.attempts[:-1])
+
+
+# (iterations_used, attempts_used, digest of the sorted blocks) of
+# climb_3gdd(6, 5) per seed: a climb without a shift on a pair set that is
+# not complete.
+PINNED_3GDD = {
+    0: (276, 1, "746ea48ef5fa"),
+    1: (561, 1, "fe5490d83bbe"),
+    2: (284, 1, "e967109679e1"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_3GDD))
+def test_seeded_3gdd_climb_pinned(seed):
+    outcomes = []
+
+    def record(problem, config=None):
+        outcomes.append(climb(problem, config))
+        return outcomes[-1]
+
+    with mock.patch.object(hillclimb, "climb", record):
+        design = climb_3gdd(6, 5, ClimbConfig(seed=seed))
+    (outcome,) = outcomes
+    got = (outcome.iterations_used, outcome.attempts_used, lines_digest(design.blocks))
+    assert got == PINNED_3GDD[seed]
 
 
 @pytest.mark.parametrize("budget,kicks", [(1, 0), (2, 1), (3, 1), (4, 2), (5, 2)])
@@ -397,20 +435,44 @@ FAMILIES = {
 }
 
 
+def fixed99_problem(size):
+    # STS(99) over its first 400 blocks: 1,200 of its 4,851 pairs are fixed.
+    return ClimbProblem(
+        v=99, target_pairs=all_pairs(99), fixed_lines=frozenset(sorted(sts(99).blocks)[:400])
+    )
+
+
+# Problems without a shift at size, where the classes are numbered in bulk.
+AT_SIZE = {
+    "sts99": lambda size: ClimbProblem(v=99, target_pairs=all_pairs(99)),
+    "fixed99": fixed99_problem,
+}
+
+
 @pytest.mark.parametrize(
     "family,size",
     [(family, size) for family in sorted(FAMILIES) if family != "c36" for size in range(6)]
-    + [("c36", 0)],
+    + [("c36", 0)]
+    + [(family, 0) for family in sorted(AT_SIZE)],
 )
 def test_classes_match_oracle(family, size):
     # The oracle derives the classes pair by pair from the problem's inputs.
     # The ids run in the order of each class's least pair, and pairs under a
     # fixed line are in no class.
-    problem = FAMILIES[family](size)
+    problem = {**FAMILIES, **AT_SIZE}[family](size)
     fixed_cover, _, members = oracle.climb_classes(problem)
     expected = sorted(tuple(sorted(c)) for rep, c in members.items() if rep not in fixed_cover)
     assert class_members(problem) == expected
     assert avail_pairs(problem) == problem.target_pairs - fixed_cover
+    # Both ends of a pair hold its id, and class {a,b}, least pair (a, b),
+    # flips bit b of U(a) and bit a of U(b), read at the representatives.
+    rows = problem.rows
+    assert all(rows[y][x] == i for x, row in enumerate(rows) for y, i in row.items())
+    v, g = problem.v, problem.v // problem.order
+    assert list(problem.flips) == [
+        (a % g, 1 << (b - a + a % g) % v, b % g, 1 << (a - b + b % g) % v)
+        for a, b in (pairs[0] for pairs in expected)
+    ]
 
 
 @settings(max_examples=300)
@@ -448,6 +510,58 @@ def test_attempt_matches_oracle_to_completion(make, seed):
     fast_rng, slow_rng = random.Random(seed), random.Random(seed)
     fast = _attempt(problem, fast_rng, budget)
     slow = oracle._attempt(problem, slow_rng, budget)
+    assert fast[0] is not None
+    assert fast == slow
+    assert fast_rng.getstate() == slow_rng.getstate()
+
+
+def net_move_counts(problem, seed, budget):
+    """Run _attempt, counting the moves whose two far classes c_xz and c_yz
+    one displaced triple held ("one triple") and those that displaced two
+    distinct triples ("two triples").  A move calls remove_triple with the
+    far classes as keep, first for t = cover[c_xz] when that is set; the
+    spy reads t and u = cover[c_yz] from the calling frame."""
+    counts = Counter()
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "remove_triple":
+            args = frame.f_locals
+            if args["keep"]:
+                move = frame.f_back.f_locals
+                if args["t"] is move["t"]:
+                    if move["u"] is move["t"]:
+                        counts["one triple"] += 1
+                    elif move["u"] is not None:
+                        counts["two triples"] += 1
+
+    rng = random.Random(seed)
+    previous = sys.gettrace()
+    sys.settrace(spy)
+    try:
+        result = _attempt(problem, rng, budget)
+    finally:
+        sys.settrace(previous)
+    return result, rng, counts
+
+
+@pytest.mark.parametrize(
+    "make,seed,branch",
+    [
+        # With shift 12, one placed triple can hold translates of both {x,z}
+        # and {y,z}; seed 1 displaces such a triple twice in 3,970 steps.
+        (c36_shift_problem, 1, "one triple"),
+        # A cost-2 move on the 27-point problem with shift 9.
+        (lambda: quotient_problem(5), 2, "two triples"),
+    ],
+    ids=["c36-1", "quotient27-2"],
+)
+def test_net_move_branches_match_oracle(make, seed, branch):
+    problem = make()
+    budget = 100 * len(problem.target_pairs)
+    fast, fast_rng, counts = net_move_counts(problem, seed, budget)
+    slow_rng = random.Random(seed)
+    slow = oracle._attempt(problem, slow_rng, budget)
+    assert counts[branch] > 0
     assert fast[0] is not None
     assert fast == slow
     assert fast_rng.getstate() == slow_rng.getstate()
