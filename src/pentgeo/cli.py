@@ -25,7 +25,7 @@ from .core import (
     geometry_to_json,
     parse_pent_file,
 )
-from .errors import ClimbFailed, ParameterDomain, PentError, PentSyntaxError, UsageError
+from .errors import ClimbFailed, PentError, UsageError
 from .graphs import (
     Graph,
     generalized_petersen,
@@ -164,15 +164,15 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         g = petersen()
     elif args.source == "gp":
         if args.n is None:
-            raise ParameterDomain("gp needs N")
+            raise UsageError("gp needs N")
         g = generalized_petersen(args.n)
     elif args.source == "hs":
         g = hoffman_singleton()
     else:
         if args.file is None:
-            raise ParameterDomain("orbit needs a base edge file")
+            raise UsageError("orbit needs a base edge file")
         if args.step is None:
-            raise ParameterDomain("orbit needs --step")
+            raise UsageError("orbit needs --step")
         base = _load_graph(args.file)
         g = orbit_graph(base.edges(), args.step, base.n)
     if args.report:
@@ -205,7 +205,7 @@ def _cmd_gdd(args: argparse.Namespace) -> int:
     u = args.groups if args.groups is not None else args.k
     if args.climb or u != args.k:
         if args.k != 3:
-            raise ParameterDomain(f"only 3-GDDs can be hill climbed, got k = {args.k}")
+            raise UsageError(f"only 3-GDDs can be hill climbed, got k = {args.k}")
         d = climb_3gdd(args.g, u, _climb_config(args))
     else:
         d = uniform_gdd(args.k, args.g)
@@ -215,7 +215,7 @@ def _cmd_gdd(args: argparse.Namespace) -> int:
 
 def _json_ints(value, field: str) -> tuple[int, ...]:
     if type(value) is not list or set(map(type, value)) - {int}:
-        raise PentSyntaxError(f"bad gdd spec: {field} must be a list of integers")
+        raise UsageError(f"bad gdd spec: {field} must be a list of integers")
     return tuple(value)
 
 
@@ -231,24 +231,24 @@ def _load_gdd_fill(path: str) -> GddFillPlan:
     try:
         spec = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
-        raise PentSyntaxError(f"bad JSON: {exc}") from exc
+        raise UsageError(f"bad JSON: {exc}") from exc
     if type(spec) is not dict or "gdd" not in spec or "ingredients" not in spec:
-        raise PentSyntaxError("gdd-fill spec needs 'gdd' and 'ingredients'")
+        raise UsageError("gdd-fill spec needs 'gdd' and 'ingredients'")
     gdd, named = spec["gdd"], spec["ingredients"]
     if type(gdd) is not dict or not {"k", "groups", "lines"} <= gdd.keys():
-        raise PentSyntaxError("bad gdd spec: gdd needs 'k', 'groups' and 'lines'")
+        raise UsageError("bad gdd spec: gdd needs 'k', 'groups' and 'lines'")
     if type(gdd["groups"]) is not list or type(gdd["lines"]) is not list:
-        raise PentSyntaxError("bad gdd spec: groups and lines must be lists")
+        raise UsageError("bad gdd spec: groups and lines must be lists")
     design = Gdd(
         k=_json_int(gdd["k"], "k"),
         groups=tuple(_json_ints(grp, "a group") for grp in gdd["groups"]),
         blocks=frozenset(tuple(sorted(_json_ints(blk, "a line"))) for blk in gdd["lines"]),
     )
     if type(named) is not dict:
-        raise PentSyntaxError("bad gdd spec: ingredients must map group sizes to paths")
+        raise UsageError("bad gdd spec: ingredients must map group sizes to paths")
     for size, rel in named.items():
         if not (size.isascii() and size.isdigit()) or type(rel) is not str:
-            raise PentSyntaxError(
+            raise UsageError(
                 f"bad gdd spec: ingredient {size!r}: {rel!r} is not a group size and a path"
             )
     base = Path(".") if path == "-" else Path(path).parent
@@ -265,7 +265,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         provenance = {"construction": "tripling"}
     elif args.kind == "product":
         if args.h is None:
-            raise ParameterDomain("product needs --h")
+            raise UsageError("product needs --h")
         geom = construct.product(_load_geometry(args.file), args.h)
         provenance = {"construction": "product", "h": args.h}
     elif args.kind == "gdd-fill":
@@ -277,7 +277,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         provenance = {"construction": "girth5", "seed": args.seed}
     else:
         if args.h is None:
-            raise ParameterDomain("c36 needs --h")
+            raise UsageError("c36 needs --h")
         geom = construct.construction36(_load_graph(args.file), args.h, args.k, config)
         provenance = {"construction": "c36", "h": args.h, "k": args.k, "seed": args.seed}
     _emit(geometry_to_json(geom, provenance), args.output)

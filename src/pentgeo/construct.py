@@ -29,23 +29,7 @@ from .designs import (
     uniform_gdd,
     verify_gdd,
 )
-from .errors import (
-    BadSeedGraph,
-    ClimbFailed,
-    CompletionUnsupported,
-    FieldTooLarge,
-    Inadmissible,
-    IngredientInvalid,
-    NoConstructionAvailable,
-    NoIngredient,
-    NotBlockSize3,
-    NotPrimePower,
-    ParameterDomain,
-    PentError,
-    PlanInvalid,
-    PreconditionFailed,
-    ResultFailedVerification,
-)
+from .errors import ClimbFailed, PentError, UsageError
 from .graphs import Graph, bits, distance3_graph, inflate, report, shift_automorphisms
 from .hillclimb import (
     COMPLETE,
@@ -53,31 +37,32 @@ from .hillclimb import (
     ClimbConfig,
     ClimbProblem,
     _check_pair_count,
+    _gdd3_fault,
     climb,
     climb_3gdd,
 )
 
 
 def _steiner(k: int, w: int) -> SteinerSystem:
-    """S(2,k,w) from the recipes at hand, or NoIngredient."""
+    """S(2,k,w) from the recipes at hand, or PentError."""
+    if w == k:
+        return single_block_system(k)
     try:
-        if w == k:
-            return single_block_system(k)
         if k == 3:
             return sts(w)
         if w == k * k:
             return affine_plane(k)
         if w == k * k - k + 1:
             return projective_plane(k - 1)
-    except (Inadmissible, NotPrimePower, FieldTooLarge, NoConstructionAvailable) as exc:
-        raise NoIngredient(f"no S(2,{k},{w}): {exc}") from exc
-    raise NoIngredient(f"no S(2,{k},{w}) recipe here")
+    except UsageError as exc:
+        raise PentError(f"no S(2,{k},{w}): {exc}") from exc
+    raise PentError(f"no S(2,{k},{w}) recipe here")
 
 
-def _verified(geom: Geometry, error, what: str) -> pent.VerificationReport:
+def _verified(geom: Geometry, what: str) -> pent.VerificationReport:
     rep = pent.verify(geom)
     if not rep.valid:
-        raise error(f"{what}: axioms failed: {', '.join(rep.failed_axioms())}")
+        raise PentError(f"{what}: axioms failed: {', '.join(rep.failed_axioms())}")
     return rep
 
 
@@ -85,10 +70,10 @@ def _finish(lines: set[Line], k: int, r: int, w: int, provenance: str) -> Geomet
     params = derive_params(k, r, w)
     geom = geometry(params, lines)
     if len(geom.lines) != params.b:
-        raise ResultFailedVerification(
+        raise PentError(
             f"{provenance}: built {len(geom.lines)} lines, expected {params.b}"
         )
-    _verified(geom, ResultFailedVerification, provenance)
+    _verified(geom, provenance)
     return geom
 
 
@@ -96,7 +81,7 @@ def make_degenerate(k: int, w: int) -> Geometry:
     """Two disjoint copies of S(2,k,w); the deficiency graph is K_{w,w}."""
     system = _steiner(k, w)
     if (w - 1) % (k - 1) != 0:
-        raise NoIngredient(f"(k-1) = {k - 1} does not divide w-1 = {w - 1}")
+        raise PentError(f"(k-1) = {k - 1} does not divide w-1 = {w - 1}")
     r = (w - 1) // (k - 1)
     lines: set[Line] = set(system.blocks)
     lines.update(canonical_line(x + w for x in blk) for blk in system.blocks)
@@ -117,10 +102,10 @@ def triple(g: Geometry) -> Geometry:
     original line."""
     params = g.params
     if params.k != 3:
-        raise NotBlockSize3(f"k = {params.k}, tripling needs k = 3")
-    rep = _verified(g, IngredientInvalid, "tripling input")
+        raise UsageError(f"k = {params.k}, tripling needs k = 3")
+    rep = _verified(g, "tripling input")
     if not rep.deficiency.connected:
-        raise IngredientInvalid("tripling needs a connected deficiency graph")
+        raise PentError("tripling needs a connected deficiency graph")
     lines: set[Line] = set()
     for a in range(params.v):
         lines.add(canonical_line((3 * a, 3 * a + 1, 3 * a + 2)))
@@ -138,17 +123,14 @@ def product(g: Geometry, h: int) -> Geometry:
     params = g.params
     k = params.k
     if h < 3:
-        raise ParameterDomain(f"h = {h} < 3")
+        raise UsageError(f"h = {h} < 3")
     if (h - 1) % (k - 1) != 0:
-        raise NoIngredient(f"(k-1) = {k - 1} does not divide h-1 = {h - 1}")
+        raise PentError(f"(k-1) = {k - 1} does not divide h-1 = {h - 1}")
     system = _steiner(k, h)
-    try:
-        td = uniform_gdd(k, h)
-    except NoConstructionAvailable as exc:
-        raise NoIngredient(str(exc)) from exc
-    rep = _verified(g, IngredientInvalid, "product input")
+    td = uniform_gdd(k, h)
+    rep = _verified(g, "product input")
     if not rep.deficiency.connected:
-        raise IngredientInvalid("product needs a connected deficiency graph")
+        raise PentError("product needs a connected deficiency graph")
     lines: set[Line] = set()
     for a in range(params.v):
         lines.update(canonical_line(h * a + x for x in blk) for blk in system.blocks)
@@ -178,31 +160,33 @@ def gdd_fill(plan: GddFillPlan) -> Geometry:
     try:
         verify_gdd(plan.gdd)
     except PentError as exc:
-        raise PlanInvalid(f"gdd does not verify: {exc}") from exc
+        raise UsageError(f"gdd does not verify: {exc}") from exc
+    if not plan.gdd.groups:
+        raise UsageError("gdd has no groups")
     k = plan.gdd.k
     w = None
     for size, ingredient in sorted(plan.ingredients.items()):
         if ingredient.params.k != k:
-            raise PlanInvalid(f"ingredient for size {size} has k = {ingredient.params.k} != {k}")
+            raise UsageError(f"ingredient for size {size} has k = {ingredient.params.k} != {k}")
         if w is None:
             w = ingredient.params.w
         elif ingredient.params.w != w:
-            raise PlanInvalid(f"ingredient for size {size} has w = {ingredient.params.w} != {w}")
+            raise UsageError(f"ingredient for size {size} has w = {ingredient.params.w} != {w}")
         if ingredient.params.v != size:
-            raise PlanInvalid(f"ingredient for size {size} has v = {ingredient.params.v}")
-        _verified(ingredient, IngredientInvalid, f"ingredient for group size {size}")
+            raise UsageError(f"ingredient for size {size} has v = {ingredient.params.v}")
+        _verified(ingredient, f"ingredient for group size {size}")
     lines: set[Line] = set(plan.gdd.blocks)
     for grp in plan.gdd.groups:
         size = len(grp)
         ingredient = plan.ingredients.get(size)
         if ingredient is None:
-            raise PlanInvalid(f"no ingredient for group size {size}")
+            raise UsageError(f"no ingredient for group size {size}")
         points = sorted(grp)
         lines.update(canonical_line(points[x] for x in ln) for ln in ingredient.lines)
     v_out = plan.gdd.n
     assert w is not None
     if (v_out - w - 1) % (k - 1) != 0:
-        raise PlanInvalid(f"(k-1) does not divide v-w-1 = {v_out - w - 1}")
+        raise UsageError(f"(k-1) does not divide v-w-1 = {v_out - w - 1}")
     r_out = (v_out - w - 1) // (k - 1)
     return _finish(lines, k, r_out, w, "filled geometry")
 
@@ -226,7 +210,7 @@ def _climb_completion(
             problem = ClimbProblem(
                 v=v, target_pairs=targets, fixed_lines=frozenset(placed), shift=shift
             )
-        except ParameterDomain:
+        except UsageError:
             continue
         outcome = climb(problem, config)
         spent += outcome.iterations_used
@@ -251,16 +235,16 @@ def from_girth5_graph(d: Graph, config: ClimbConfig | None = None) -> Geometry:
     """
     rep = report(d)
     if rep.regular_degree != 3:
-        raise BadSeedGraph(f"seed must be 3-regular, degrees give {rep.regular_degree}")
+        raise PentError(f"seed must be 3-regular, degrees give {rep.regular_degree}")
     if rep.girth is not None and rep.girth < 5:
-        raise BadSeedGraph(f"seed girth {rep.girth} < 5")
+        raise PentError(f"seed girth {rep.girth} < 5")
     if not rep.connected:
-        raise BadSeedGraph("seed must be connected")
+        raise PentError("seed must be connected")
     if d.n % 2 != 0 or d.n < 6:
-        raise BadSeedGraph(f"seed must have an even vertex count >= 6, got {d.n}")
+        raise PentError(f"seed must have an even vertex count >= 6, got {d.n}")
     r = (d.n - 4) // 2
     if not is_admissible(3, r, 3):
-        raise BadSeedGraph(f"r = (n-4)/2 = {r} is not admissible for k = w = 3")
+        raise PentError(f"r = (n-4)/2 = {r} is not admissible for k = w = 3")
     what = f"PENT(3,{r},3) completion"
     # Cubic, connected and of girth >= 5, the seed has 1 + 3 + 6 vertices
     # within distance 2 of each vertex, so the rest are the pairs to complete.
@@ -279,26 +263,23 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
     are closed by hill climbing.
     """
     if k < 3:
-        raise ParameterDomain(f"k = {k} < 3")
+        raise UsageError(f"k = {k} < 3")
     if h < k:
-        raise ParameterDomain(f"h = {h} < k = {k}")
+        raise UsageError(f"h = {h} < k = {k}")
     crep = report(c)
     if crep.regular_degree is None or crep.regular_degree < 1:
-        raise BadSeedGraph("seed graph must be regular of positive degree")
+        raise PentError("seed graph must be regular of positive degree")
     if crep.girth is not None and crep.girth < 5:
-        raise BadSeedGraph(f"seed girth {crep.girth} < 5")
+        raise PentError(f"seed girth {crep.girth} < 5")
     if not crep.connected:
-        raise BadSeedGraph("seed graph must be connected")
+        raise PentError("seed graph must be connected")
     u = crep.regular_degree
     w = h * u
     v = h * c.n
     if (v - w - 1) % (k - 1) != 0:
-        raise BadSeedGraph(f"(k-1) does not divide v-w-1 = {v - w - 1}")
+        raise PentError(f"(k-1) does not divide v-w-1 = {v - w - 1}")
     r = (v - w - 1) // (k - 1)
-    try:
-        params = derive_params(k, r, w)
-    except ParameterDomain as exc:
-        raise BadSeedGraph(str(exc)) from exc
+    params = derive_params(k, r, w)
 
     gdd = _group_gdd(k, h, u, config)
     system = _steiner(k, h)
@@ -311,12 +292,12 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
             lines.add(canonical_line(h * nbrs[x // h] + x % h for x in blk))
     expected_opp = v * (w * (w - h) + h * (h - 1)) // (h * k * (k - 1))
     if len(lines) != expected_opp:
-        raise ResultFailedVerification(
+        raise PentError(
             f"laid {len(lines)} opposite lines, expected {expected_opp}"
         )
     if len(lines) < params.b:
         if k != 3:
-            raise CompletionUnsupported(
+            raise PentError(
                 f"{params.b - len(lines)} non-opposite lines needed but k = {k} > 3"
             )
         # A shift symmetry of the seed lifts to x -> x + h*s on the inflated
@@ -340,16 +321,13 @@ def _group_gdd(k: int, h: int, u: int, config: ClimbConfig | None) -> Gdd:
     if u == 1:
         return Gdd(k=k, groups=(tuple(range(h)),), blocks=frozenset())
     if u == k:
-        try:
-            return uniform_gdd(k, h)
-        except NoConstructionAvailable as exc:
-            raise NoIngredient(str(exc)) from exc
+        return uniform_gdd(k, h)
     if k == 3:
-        try:
-            return climb_3gdd(h, u, config)
-        except Inadmissible as exc:
-            raise NoIngredient(f"no 3-GDD of type {h}^{u}: {exc}") from exc
-    raise NoIngredient(f"no {k}-GDD of type {h}^{u} recipe here")
+        fault = _gdd3_fault(h, u)
+        if fault:
+            raise PentError(f"no 3-GDD of type {h}^{u}: {fault}")
+        return climb_3gdd(h, u, config)
+    raise PentError(f"no {k}-GDD of type {h}^{u} recipe here")
 
 
 @dataclass(frozen=True)
@@ -394,22 +372,22 @@ class Pent3Plan:
     def _check_ingredients(self) -> None:
         r0, r1, r2, w = self.r0, self.r1, self.r2, self.w
         if w < 3 or min(r0, r1, r2) < 1:
-            raise PreconditionFailed("need w >= 3 and positive replication numbers")
+            raise UsageError("need w >= 3 and positive replication numbers")
         if r0 % 3 != 0:
-            raise PreconditionFailed(f"r0 = {r0} must be divisible by 3")
+            raise UsageError(f"r0 = {r0} must be divisible by 3")
         if r1 % 3 == 0 or r2 % 3 == 0:
-            raise PreconditionFailed(f"r1 = {r1} and r2 = {r2} must not be divisible by 3")
+            raise UsageError(f"r1 = {r1} and r2 = {r2} must not be divisible by 3")
         if math.gcd(self.v1, self.v2) != 6:
-            raise PreconditionFailed(f"gcd(v1,v2) = {math.gcd(self.v1, self.v2)} != 6")
+            raise UsageError(f"gcd(v1,v2) = {math.gcd(self.v1, self.v2)} != 6")
 
     def check(self) -> None:
         self._check_ingredients()
         if self.r3 not in (self.r0, self.r1):
-            raise PlanInvalid(f"r3 = {self.r3} not in {{r0, r1}}")
+            raise UsageError(f"r3 = {self.r3} not in {{r0, r1}}")
         if self.t < self.t_min():
-            raise PlanInvalid(f"t = {self.t} < t_min = {self.t_min()}")
+            raise UsageError(f"t = {self.t} < t_min = {self.t_min()}")
         if self.u < self.u_min():
-            raise PlanInvalid(f"u = {self.u} < u_min = {self.u_min()}")
+            raise UsageError(f"u = {self.u} < u_min = {self.u_min()}")
 
 
 def plan_pent3(r0: int, r1: int, r2: int, w: int, target_r: int) -> Pent3Plan | None:
@@ -421,7 +399,7 @@ def plan_pent3(r0: int, r1: int, r2: int, w: int, target_r: int) -> Pent3Plan | 
     base = Pent3Plan(r0=r0, r1=r1, r2=r2, w=w, r3=r0, t=0, u=0)
     base._check_ingredients()
     if target_r < 1:
-        raise PreconditionFailed(f"target_r = {target_r} < 1")
+        raise UsageError(f"target_r = {target_r} < 1")
     t_start = math.ceil(base.t_min())
     half1, half2 = base.v1 // 2, base.v2 // 2
     for r3 in (r0, r1):
@@ -458,7 +436,7 @@ class Pent5Plan:
             self.v, self.h, self.q, self.m, self.part_counts
         )
         if fault:
-            raise PlanInvalid(fault.format(**vars(self)))
+            raise UsageError(fault.format(**vars(self)))
 
 
 def _pent5_r_fault(r: int, v: int, h: int) -> str | None:

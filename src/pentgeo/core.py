@@ -27,14 +27,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
-from .errors import (
-    ArityMismatch,
-    NonIntegralLineCount,
-    ParameterDomain,
-    PentSyntaxError,
-    PointOutOfRange,
-    StepNotDividingV,
-)
+from .errors import UsageError
 from .graphs import MAX_VERTICES, Graph, orbit_masks
 
 # A line is a sorted, duplicate-free tuple of point identifiers.
@@ -44,7 +37,7 @@ Line = tuple[int, ...]
 def canonical_line(points: Iterable[int]) -> Line:
     line = tuple(sorted(points))
     if len(set(line)) != len(line):
-        raise ParameterDomain(f"repeated point in line {line}")
+        raise UsageError(f"repeated point in line {line}")
     return line
 
 
@@ -64,28 +57,23 @@ def derive_params(k: int, r: int, w: int) -> PentParams:
 
     v = (k-1)r + w + 1 counts points: r lines through a fixed point carry
     (k-1)r other points, and w points are left over for the opposite design.
-    b counts lines by double counting point-line flags.
+    b counts lines by double counting point-line flags.  As v = w + 1 - r
+    (mod k), k divides v*r exactly when (k, r, w) is admissible.
     """
-    if k < 3:
-        raise ParameterDomain(f"k = {k} < 3")
-    if w < k:
-        raise ParameterDomain(f"w = {w} < k = {k}")
-    if r < 1:
-        raise ParameterDomain(f"r = {r} < 1")
     v = (k - 1) * r + w + 1
-    if (v * r) % k != 0:
-        raise NonIntegralLineCount(f"k = {k} does not divide v*r = {v * r}")
+    if not is_admissible(k, r, w):
+        raise UsageError(f"k = {k} does not divide v*r = {v * r}")
     return PentParams(k=k, r=r, w=w, v=v, b=v * r // k)
 
 
 def is_admissible(k: int, r: int, w: int) -> bool:
     """Necessary congruence r(w + 1 - r) = 0 (mod k) for PENT(k,r,w)."""
     if k < 3:
-        raise ParameterDomain(f"k = {k} < 3")
+        raise UsageError(f"k = {k} < 3")
     if w < k:
-        raise ParameterDomain(f"w = {w} < k = {k}")
+        raise UsageError(f"w = {w} < k = {k}")
     if r < 1:
-        raise ParameterDomain(f"r = {r} < 1")
+        raise UsageError(f"r = {r} < 1")
     return (r * (w + 1 - r)) % k == 0
 
 
@@ -174,7 +162,7 @@ class Incidence:
     def __init__(self, geom: Geometry):
         v, step = geom.v, geom.step
         if v > MAX_VERTICES:
-            raise ParameterDomain(f"v = {v} > {MAX_VERTICES} points")
+            raise UsageError(f"v = {v} > {MAX_VERTICES} points")
         # Points above the step gather part of their lines; only the
         # representatives' entries are kept.
         degree = [0] * v
@@ -197,7 +185,7 @@ def geometry(params: PentParams, lines: Iterable[Iterable[int]]) -> Geometry:
     for ln in canon:
         for x in ln:
             if not 0 <= x < params.v:
-                raise PointOutOfRange(f"point {x} outside 0..{params.v - 1}")
+                raise UsageError(f"point {x} outside 0..{params.v - 1}")
     return Geometry(params=params, lines=canon)
 
 
@@ -220,13 +208,13 @@ class BaseBlockFile:
     def __post_init__(self):
         params = derive_params(self.k, self.r, self.w)
         if self.d < 1:
-            raise ParameterDomain(f"d = {self.d} < 1")
+            raise UsageError(f"d = {self.d} < 1")
         for blk in self.blocks:
             if len(blk) != self.k:
-                raise ArityMismatch(f"block has {len(blk)} entries, expected {self.k}")
+                raise UsageError(f"block has {len(blk)} entries, expected {self.k}")
             for x in blk:
                 if not 0 <= x < params.v:
-                    raise PointOutOfRange(f"point {x} outside 0..{params.v - 1}")
+                    raise UsageError(f"point {x} outside 0..{params.v - 1}")
 
     @property
     def params(self) -> PentParams:
@@ -241,7 +229,7 @@ def parse_pent_file(text: str) -> BaseBlockFile:
     exactly k point identifiers.  A trailing newline is required.
     """
     if not text.endswith("\n"):
-        raise PentSyntaxError("missing trailing newline")
+        raise UsageError("missing trailing newline")
     header: tuple[int, int, int, int] | None = None
     blocks: list[tuple[int, ...]] = []
     k = 0
@@ -252,20 +240,20 @@ def parse_pent_file(text: str) -> BaseBlockFile:
         try:
             values = tuple(int(tok) for tok in stripped.split())
         except ValueError:
-            raise PentSyntaxError(f"non-integer token in {stripped!r}", line_no)
+            raise UsageError(f"line {line_no}: non-integer token in {stripped!r}")
         if header is None:
             if len(values) != 4:
-                raise PentSyntaxError("header must be 'k r w d'", line_no)
+                raise UsageError(f"line {line_no}: header must be 'k r w d'")
             header = values
             k = values[0]
             continue
         if len(values) != k:
-            raise ArityMismatch(f"block has {len(values)} entries, expected {k}", line_no)
+            raise UsageError(f"line {line_no}: block has {len(values)} entries, expected {k}")
         blocks.append(values)
     if header is None:
-        raise PentSyntaxError("no header line")
+        raise UsageError("no header line")
     if not blocks:
-        raise PentSyntaxError("no base blocks")
+        raise UsageError("no base blocks")
     return BaseBlockFile(k=header[0], r=header[1], w=header[2], d=header[3], blocks=tuple(blocks))
 
 
@@ -293,7 +281,7 @@ def develop(file: BaseBlockFile) -> Geometry:
     params = file.params
     v, d = params.v, file.d
     if v % d != 0:
-        raise StepNotDividingV(f"d = {d} does not divide v = {v}")
+        raise UsageError(f"d = {d} does not divide v = {v}")
     reps: set[Line] = set()
     for blk in file.blocks:
         # A shift of a duplicate-free block stays duplicate-free, so only the
@@ -320,7 +308,7 @@ def geometry_to_json(geom: Geometry, provenance: dict | None = None) -> str:
 
 def _json_int(value, field: str) -> int:
     if type(value) is not int:
-        raise PentSyntaxError(f"{field} must be an integer, got {value!r}")
+        raise UsageError(f"{field} must be an integer, got {value!r}")
     return value
 
 
@@ -332,18 +320,18 @@ def geometry_from_json(text: str) -> Geometry:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise PentSyntaxError(f"bad JSON: {exc}")
+        raise UsageError(f"bad JSON: {exc}")
     if type(payload) is not dict:
-        raise PentSyntaxError("geometry JSON must be an object")
+        raise UsageError("geometry JSON must be an object")
     missing = [field for field in ("k", "r", "w", "lines") if field not in payload]
     if missing:
-        raise PentSyntaxError(f"missing field {missing[0]!r}")
+        raise UsageError(f"missing field {missing[0]!r}")
     params = derive_params(*(_json_int(payload[field], field) for field in "krw"))
     if "v" in payload and _json_int(payload["v"], "v") != params.v:
-        raise PentSyntaxError(f"v = {payload['v']} but (k,r,w) give v = {params.v}")
+        raise UsageError(f"v = {payload['v']} but (k,r,w) give v = {params.v}")
     lines = payload["lines"]
     if type(lines) is not list or set(map(type, lines)) - {list}:
-        raise PentSyntaxError("lines must be a list of point lists")
+        raise UsageError("lines must be a list of point lists")
     if set(map(type, chain.from_iterable(lines))) - {int}:
-        raise PentSyntaxError("line entries must be integers")
+        raise UsageError("line entries must be integers")
     return geometry(params, lines)

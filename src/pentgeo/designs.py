@@ -14,17 +14,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .core import Line, canonical_line
-from .errors import (
-    FieldTooLarge,
-    GroupPairCovered,
-    Inadmissible,
-    NoConstructionAvailable,
-    NotPrimePower,
-    PairDoubled,
-    PairMissing,
-    ParameterDomain,
-    TooManySquares,
-)
+from .errors import PentError, UsageError
 
 MAX_FIELD_ORDER = 49
 
@@ -70,9 +60,9 @@ class FiniteField:
     def __init__(self, q: int):
         pe = prime_power(q)
         if pe is None:
-            raise NotPrimePower(f"{q} is not a prime power")
+            raise UsageError(f"{q} is not a prime power")
         if q > MAX_FIELD_ORDER:
-            raise FieldTooLarge(f"q = {q} > {MAX_FIELD_ORDER}")
+            raise UsageError(f"q = {q} > {MAX_FIELD_ORDER}")
         self.q = q
         self.p, self.e = pe
         self._add = [[0] * q for _ in range(q)]
@@ -124,18 +114,18 @@ class FiniteField:
         add, mul = self._add, self._mul
         for a in range(q):
             if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
-                raise NotPrimePower(f"identity axiom fails at {a} in GF({q})")
+                raise UsageError(f"identity axiom fails at {a} in GF({q})")
             for b in range(q):
                 if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                    raise NotPrimePower(f"commutativity fails in GF({q})")
+                    raise UsageError(f"commutativity fails in GF({q})")
                 for c in range(q):
                     if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise NotPrimePower(f"associativity fails in GF({q})")
+                        raise UsageError(f"associativity fails in GF({q})")
                     if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                        raise NotPrimePower(f"distributivity fails in GF({q})")
+                        raise UsageError(f"distributivity fails in GF({q})")
         for a in range(1, q):
             if mul[a][self._inv[a]] != 1:
-                raise NotPrimePower(f"no inverse for {a} in GF({q})")
+                raise UsageError(f"no inverse for {a} in GF({q})")
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -145,7 +135,7 @@ class FiniteField:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise ParameterDomain("0 has no inverse")
+            raise UsageError("0 has no inverse")
         return self._inv[a]
 
 
@@ -189,7 +179,7 @@ def verify_steiner(s: SteinerSystem) -> None:
     An S(2,k,w) is a k-GDD of type 1^w, so the pairs are counted by
     verify_gdd over singleton groups."""
     if s.k < 2 or s.w < s.k:
-        raise ParameterDomain(f"bad S(2,{s.k},{s.w})")
+        raise UsageError(f"bad S(2,{s.k},{s.w})")
     verify_gdd(Gdd(k=s.k, groups=tuple((x,) for x in range(s.w)), blocks=s.blocks))
 
 
@@ -207,10 +197,10 @@ def verify_gdd(d: Gdd) -> None:
     for grp in d.groups:
         for x in grp:
             if x in points:
-                raise ParameterDomain(f"point {x} in two groups")
+                raise UsageError(f"point {x} in two groups")
             points.add(x)
     if sorted(points) != list(range(n)):
-        raise ParameterDomain("groups do not partition 0..n-1")
+        raise UsageError("groups do not partition 0..n-1")
     group = [0] * n
     for grp in d.groups:
         m = sum(1 << x for x in grp)
@@ -221,23 +211,25 @@ def verify_gdd(d: Gdd) -> None:
     blocks = sorted(d.blocks)
     for blk in blocks:
         if len(blk) != k or not points.issuperset(blk):
-            raise ParameterDomain(f"bad block {blk}")
+            raise UsageError(f"bad block {blk}")
         for i in range(k - 1):
             a = blk[i]
             in_group, covered = group[a], seen[a]
             for b in blk[i + 1 :]:
                 bit = 1 << b
                 if in_group & bit:
-                    raise GroupPairCovered((a, b), blk)
+                    raise PentError(f"within-group pair {(a, b)} covered by {blk}")
                 if covered & bit:
-                    raise PairDoubled((a, b), _first_cover(blocks, a, b), blk)
+                    first = _first_cover(blocks, a, b)
+                    raise PentError(f"pair {(a, b)} covered by both {first} and {blk}")
                 covered |= bit
             seen[a] = covered
     full = (1 << n) - 1
     for x in range(n):
         missing = (full >> x + 1 << x + 1) & ~(group[x] | seen[x])
         if missing:
-            raise PairMissing((x, (missing & -missing).bit_length() - 1))
+            y = (missing & -missing).bit_length() - 1
+            raise PentError(f"pair {(x, y)} covered by no block")
 
 
 def _first_cover(blocks: list[Line], a: int, b: int) -> Line:
@@ -248,7 +240,7 @@ def _first_cover(blocks: list[Line], a: int, b: int) -> Line:
 def single_block_system(k: int) -> SteinerSystem:
     """S(2,k,k): the one block covering everything."""
     if k < 2:
-        raise ParameterDomain(f"k = {k} < 2")
+        raise UsageError(f"k = {k} < 2")
     return SteinerSystem(k=k, w=k, blocks=frozenset({tuple(range(k))}))
 
 
@@ -297,13 +289,13 @@ def _skolem(t: int) -> frozenset[Line]:
 def sts(w: int) -> SteinerSystem:
     """Steiner triple system on w points, w = 1 or 3 (mod 6)."""
     if w < 3:
-        raise Inadmissible(f"w = {w} < 3")
+        raise UsageError(f"w = {w} < 3")
     if w % 6 == 3:
         blocks = _bose((w - 3) // 6)
     elif w % 6 == 1:
         blocks = _skolem((w - 1) // 6)
     else:
-        raise Inadmissible(f"no S(2,3,{w}): w = {w} is not 1 or 3 (mod 6)")
+        raise UsageError(f"no S(2,3,{w}): w = {w} is not 1 or 3 (mod 6)")
     system = SteinerSystem(k=3, w=w, blocks=blocks)
     verify_steiner(system)
     return system
@@ -354,10 +346,10 @@ def mols(q: int, t: int) -> list[list[list[int]]]:
     which fixes x, and then y: every (s,s') arises from exactly one cell.
     """
     if t < 1:
-        raise ParameterDomain(f"t = {t} < 1")
+        raise UsageError(f"t = {t} < 1")
     f = field(q)
     if t > q - 1:
-        raise TooManySquares(f"only {q - 1} MOLS of side {q} available, {t} requested")
+        raise UsageError(f"only {q - 1} MOLS of side {q} available, {t} requested")
     return [
         [[f.add(f.mul(a, x), y) for y in range(q)] for x in range(q)]
         for a in range(1, t + 1)
@@ -374,16 +366,16 @@ def uniform_gdd(k: int, g: int) -> Gdd:
     with k <= g+1.
     """
     if k < 3:
-        raise ParameterDomain(f"k = {k} < 3")
+        raise UsageError(f"k = {k} < 3")
     if g < 2:
-        raise ParameterDomain(f"g = {g} < 2")
+        raise UsageError(f"g = {g} < 2")
     if k == 3:
         squares = [[[(x + y) % g for y in range(g)] for x in range(g)]]
     else:
         try:
             squares = mols(g, k - 2)
-        except (NotPrimePower, FieldTooLarge, TooManySquares) as exc:
-            raise NoConstructionAvailable(f"no TD({k},{g}) recipe here: {exc}") from exc
+        except UsageError as exc:
+            raise PentError(f"no TD({k},{g}) recipe here: {exc}") from exc
     groups = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(k))
     blocks = frozenset(
         canonical_line([x, g + y] + [(i + 2) * g + sq[x][y] for i, sq in enumerate(squares)])

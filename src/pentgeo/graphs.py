@@ -25,7 +25,7 @@ from itertools import compress
 from operator import or_
 from typing import Iterable
 
-from .errors import ParameterDomain, PentSyntaxError, PointOutOfRange, StepNotDividingV
+from .errors import UsageError
 
 MAX_VERTICES = 1 << 14
 
@@ -52,9 +52,9 @@ class Graph:
             object.__setattr__(self, "step", n)
         elif step != n:
             if not 0 < step < n or n % step:
-                raise StepNotDividingV(f"step = {step} does not divide n = {n}")
+                raise UsageError(f"step = {step} does not divide n = {n}")
             if not _preserves(masks, step, n):
-                raise ParameterDomain(f"x -> x + {step} (mod {n}) is not an automorphism")
+                raise UsageError(f"x -> x + {step} (mod {n}) is not an automorphism")
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v, in ascending order."""
@@ -66,9 +66,9 @@ class Graph:
 
 def _check_order(n: int) -> None:
     if n < 0:
-        raise ParameterDomain(f"n = {n} < 0")
+        raise UsageError(f"n = {n} < 0")
     if n > MAX_VERTICES:
-        raise ParameterDomain(f"n = {n} > {MAX_VERTICES} vertices")
+        raise UsageError(f"n = {n} > {MAX_VERTICES} vertices")
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -76,9 +76,9 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise ParameterDomain(f"edge ({u},{v}) outside 0..{n - 1}")
+            raise UsageError(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:
-            raise ParameterDomain(f"loop at {u}")
+            raise UsageError(f"loop at {u}")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph(n, tuple(masks))
@@ -212,7 +212,7 @@ def report(g: Graph) -> GraphReport:
 def generalized_petersen(n: int) -> Graph:
     """GP(n,2): outer n-cycle, spokes, inner vertices joined at step 2."""
     if n < 5:
-        raise ParameterDomain(f"n = {n} < 5")
+        raise UsageError(f"n = {n} < 5")
     # A generator: graph_from_edges refuses too large an n before any edge is made.
     edges = (
         e for i in range(n) for e in ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + 2) % n))
@@ -246,15 +246,15 @@ def hoffman_singleton() -> Graph:
 def orbit_graph(base_edges: Iterable[tuple[int, int]], step: int, modulus: int) -> Graph:
     """Close base edges under x -> x+step (mod modulus)."""
     if modulus < 1:
-        raise ParameterDomain(f"modulus = {modulus} < 1")
+        raise UsageError(f"modulus = {modulus} < 1")
     if step < 1 or modulus % step != 0:
-        raise StepNotDividingV(f"step = {step} does not divide modulus = {modulus}")
+        raise UsageError(f"step = {step} does not divide modulus = {modulus}")
     base = list(base_edges)
     for u, v in base:
         if not (0 <= u < modulus and 0 <= v < modulus):
-            raise PointOutOfRange(f"edge ({u},{v}) outside 0..{modulus - 1}")
+            raise UsageError(f"edge ({u},{v}) outside 0..{modulus - 1}")
         if u == v:
-            raise ParameterDomain(f"loop at {u}")
+            raise UsageError(f"loop at {u}")
     shifts = range(0, modulus, step)
     g = graph_from_edges(
         modulus, (((u + t) % modulus, (v + t) % modulus) for u, v in base for t in shifts)
@@ -270,7 +270,7 @@ def inflate(g: Graph, h: int) -> Graph:
     x -> x + h*step on the copies.
     """
     if h < 1:
-        raise ParameterDomain(f"h = {h} < 1")
+        raise UsageError(f"h = {h} < 1")
     _check_order(h * g.n)
     block = (1 << h) - 1
     masks = []
@@ -345,17 +345,17 @@ def parse_graph_file(text: str) -> Graph:
         try:
             values = [int(tok) for tok in stripped.split()]
         except ValueError:
-            raise PentSyntaxError(f"non-integer token in {stripped!r}", line_no)
+            raise UsageError(f"line {line_no}: non-integer token in {stripped!r}")
         if n is None:
             if len(values) != 1:
-                raise PentSyntaxError("first data line must be the vertex count", line_no)
+                raise UsageError(f"line {line_no}: first data line must be the vertex count")
             n = values[0]
         elif len(values) == 2:
             edges.append((values[0], values[1]))
         else:
-            raise PentSyntaxError("edge lines must be 'u v'", line_no)
+            raise UsageError(f"line {line_no}: edge lines must be 'u v'")
     if n is None:
-        raise PentSyntaxError("empty graph file")
+        raise UsageError("empty graph file")
     return graph_from_edges(n, edges)
 
 

@@ -75,7 +75,7 @@ from typing import Callable, NamedTuple
 
 from .core import Line
 from .designs import Gdd, SteinerSystem, verify_gdd, verify_steiner
-from .errors import ClimbFailed, Inadmissible, ParameterDomain
+from .errors import ClimbFailed, UsageError
 from .graphs import bits
 
 Pair = tuple[int, int]
@@ -105,7 +105,7 @@ def _pair(x: int, y: int) -> Pair:
 
 def _check_pair_count(n_pairs: int, what: str) -> None:
     if n_pairs > MAX_COMPLETION_PAIRS:
-        raise ParameterDomain(f"{what}: {n_pairs} pairs to complete > {MAX_COMPLETION_PAIRS}")
+        raise UsageError(f"{what}: {n_pairs} pairs to complete > {MAX_COMPLETION_PAIRS}")
 
 
 def _stall_limit(n_open: int) -> int:
@@ -148,7 +148,7 @@ class ClimbProblem:
         avail = [0] * v
         for x, y in targets:
             if not (0 <= x < y < v):
-                raise ParameterDomain(f"bad pair ({x},{y})")
+                raise UsageError(f"bad pair ({x},{y})")
             avail[x] |= bit[y]
             avail[y] |= bit[x]
         # A fixed line takes its target pairs out of avail, so a target pair
@@ -159,15 +159,15 @@ class ClimbProblem:
                 p = a, b = _pair(x, y)
                 if p in targets:
                     if not avail[a] & bit[b]:
-                        raise ParameterDomain(f"fixed lines cover {p} twice")
+                        raise UsageError(f"fixed lines cover {p} twice")
                     avail[a] ^= bit[b]
                     avail[b] ^= bit[a]
                     fixed = True
         if shift is not None:
             if not (1 <= shift < v):
-                raise ParameterDomain(f"shift {shift} out of range for v = {v}")
+                raise UsageError(f"shift {shift} out of range for v = {v}")
             if fixed:
-                raise ParameterDomain("shift requires fixed lines that cover no target pair")
+                raise UsageError("shift requires fixed lines that cover no target pair")
         # Walked in sorted order, each class is first met at its least pair
         # (a, b), which numbers it.  Class {a,b} owns bit b of U(a), which lies
         # in uncovered[a % g] rotated by a - a % g, and bit a of U(b) likewise.
@@ -196,9 +196,9 @@ class ClimbProblem:
                     for _ in range(order - 1):
                         x, y = (x + shift) % v, (y + shift) % v
                         if _pair(x, y) == (a, b):
-                            raise ParameterDomain(f"pair ({a},{b}) has a short orbit under shift {shift}")
+                            raise UsageError(f"pair ({a},{b}) has a short orbit under shift {shift}")
                         if not avail[x] & bit[y]:
-                            raise ParameterDomain(f"shift {shift} does not preserve the target pairs")
+                            raise UsageError(f"shift {shift} does not preserve the target pairs")
                         rows[x][y] = rows[y][x] = i
                     ra, rb = a % g, b % g
                     flips.append((ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v]))
@@ -506,14 +506,14 @@ def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutc
     """Run up to config.restarts seeded attempts; first completion wins."""
     config = config or ClimbConfig()
     if config.restarts < 1:
-        raise ParameterDomain(f"restarts = {config.restarts} < 1")
+        raise UsageError(f"restarts = {config.restarts} < 1")
     if config.seed < 0:  # random.Random(-s) would replay seed s
-        raise ParameterDomain(f"seed = {config.seed} < 0")
+        raise UsageError(f"seed = {config.seed} < 0")
     budget = config.max_iterations
     if budget is None:
         budget = 100 * len(problem.target_pairs)
     elif budget < 1:
-        raise ParameterDomain(f"max_iterations = {budget} < 1")
+        raise UsageError(f"max_iterations = {budget} < 1")
     logs: list[AttemptLog] = []
     for attempt in range(config.restarts):
         added, log = _attempt(problem, random.Random(config.seed + attempt), budget)
@@ -526,7 +526,7 @@ def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutc
 def climb_sts(w: int, config: ClimbConfig | None = None) -> SteinerSystem:
     """Steiner triple system on w points by hill climbing."""
     if w < 3 or w % 6 not in (1, 3):
-        raise Inadmissible(f"no S(2,3,{w}): w must be 1 or 3 (mod 6)")
+        raise UsageError(f"no S(2,3,{w}): w must be 1 or 3 (mod 6)")
     _check_pair_count(w * (w - 1) // 2, f"S(2,3,{w}) climb")
     pairs = frozenset((x, y) for x in range(w) for y in range(x + 1, w))
     outcome = climb(ClimbProblem(v=w, target_pairs=pairs), config)
@@ -537,19 +537,26 @@ def climb_sts(w: int, config: ClimbConfig | None = None) -> SteinerSystem:
     return system
 
 
-def climb_3gdd(group_size: int, groups: int, config: ClimbConfig | None = None) -> Gdd:
-    """3-GDD of type group_size^groups by hill climbing.
+def _gdd3_fault(g: int, u: int) -> str | None:
+    """The first admissibility condition a 3-GDD of type g^u breaks, as a
+    message, or None.  The conditions are at least 3 groups, g(u-1) even and
+    g^2 u(u-1) = 0 (mod 3); they are also sufficient for this uniform type."""
+    if u < 3:
+        return f"{u} groups < 3"
+    if (g * (u - 1)) % 2 != 0 or (g * g * u * (u - 1)) % 3 != 0:
+        return f"no 3-GDD of type {g}^{u}"
+    return None
 
-    Admissibility: at least 3 groups, g(u-1) even and g^2 u(u-1) = 0 (mod 3);
-    these necessary conditions are also sufficient for this uniform type.
-    """
+
+def climb_3gdd(group_size: int, groups: int, config: ClimbConfig | None = None) -> Gdd:
+    """3-GDD of type group_size^groups by hill climbing; the type must pass
+    _gdd3_fault."""
     g, u = group_size, groups
     if g < 1:
-        raise ParameterDomain(f"group size {g} < 1")
-    if u < 3:
-        raise Inadmissible(f"{u} groups < 3")
-    if (g * (u - 1)) % 2 != 0 or (g * g * u * (u - 1)) % 3 != 0:
-        raise Inadmissible(f"no 3-GDD of type {g}^{u}")
+        raise UsageError(f"group size {g} < 1")
+    fault = _gdd3_fault(g, u)
+    if fault:
+        raise UsageError(fault)
     _check_pair_count(g * g * u * (u - 1) // 2, f"3-GDD {g}^{u} climb")
     group_tuple = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(u))
     v = g * u

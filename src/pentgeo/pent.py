@@ -59,13 +59,7 @@ from typing import Iterable
 
 from . import graphs
 from .core import Geometry, Line, PentParams
-from .errors import (
-    DegreeBoundViolated,
-    ForbiddenOverlap,
-    NotValidGeometry,
-    PartitionFailed,
-    SplitMismatch,
-)
+from .errors import PentError
 from .graphs import Graph, GraphReport, bits
 
 AXIOM_PARTIAL_LINEAR = "partial_linear"
@@ -201,7 +195,7 @@ def _classify(params: PentParams, deficiency: GraphReport, kww_components: int) 
 
 def classify(report: VerificationReport) -> str:
     if not report.valid:
-        raise NotValidGeometry(f"axioms failed: {', '.join(report.failed_axioms())}")
+        raise PentError(f"axioms failed: {', '.join(report.failed_axioms())}")
     return _classify(report.params, report.deficiency, report.kww_components)
 
 
@@ -328,13 +322,13 @@ def _split(params: PentParams, b_opp: int, b: int, girth: int | None) -> LineSpl
     b_non_opp = b - b_opp
     num = w * (w - 1)
     if num % (k - 1) != 0:
-        raise SplitMismatch(f"w(w-1) = {num} not divisible by k-1 = {k - 1}")
+        raise PentError(f"w(w-1) = {num} not divisible by k-1 = {k - 1}")
     e = r - num // (k - 1)
     if girth is None or girth >= 5:
         expected_opp = v * num // (k * (k - 1))
         expected_non = e * v // k
         if b_opp != expected_opp or b_non_opp != expected_non:
-            raise SplitMismatch(
+            raise PentError(
                 f"girth >= 5 split ({b_opp},{b_non_opp}) != expected ({expected_opp},{expected_non})"
             )
     return LineSplit(b_opp=b_opp, b_non_opp=b_non_opp, e=e)
@@ -355,7 +349,7 @@ def overlap_profile(geom: Geometry) -> dict[int, int]:
 
     Sizes strictly between 1 and k, or between k and k^2-k inclusive of
     neither endpoint, cannot occur in a valid geometry; finding one raises
-    ForbiddenOverlap.
+    PentError.
     """
     k = geom.params.k
     dgraph = geom.incidence.deficiency
@@ -370,7 +364,7 @@ def overlap_profile(geom: Geometry) -> dict[int, int]:
             for y in range(x + 1, len(nbrs)):
                 u = (nx & nbrs[y]).bit_count()
                 if forbidden(u):
-                    raise ForbiddenOverlap((x, y), u)
+                    raise PentError(f"points {(x, y)} have {u} common deficiency neighbours")
     return dict(sorted(profile.items()))
 
 
@@ -414,8 +408,7 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     """
     params = geom.params
     k, r, w = params.k, params.r, params.w
-    ix = geom.incidence
-    dgraph = ix.deficiency
+    dgraph = geom.incidence.deficiency
     far = graphs.distance3_graph(dgraph).masks
     step = geom.step
 
@@ -424,29 +417,27 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     min_degree = min(degrees)
     if min_degree < bound:
         x = degrees.index(min_degree)
-        raise DegreeBoundViolated(f"point {x}: degree {min_degree} < bound {bound}")
+        raise PentError(f"point {x}: degree {min_degree} < bound {bound}")
     dgirth = graphs.girth(dgraph)
     tight = all(d == bound for d in degrees)
     if (dgirth is None or dgirth >= 5) and not tight:
         x = next(i for i, d in enumerate(degrees) if d != bound)
-        raise DegreeBoundViolated(
+        raise PentError(
             f"girth >= 5 but point {x} has degree {degrees[x]} != bound {bound}"
         )
 
     # x's blades are its non-opposite lines.  Leaving x out, they must be
     # disjoint and make up far[x].  That they are cliques then follows: a
     # blade through x is a blade of each of its points a, so its other points
-    # lie in far[a].  A line is non-opposite when its points are collinear
-    # with every point.  Only the representatives are checked, from the
-    # lines through them; points above the step gather part of theirs.
+    # lie in far[a].  A line is non-opposite when its opposite mask is 0 (an
+    # empty line has no point to count).  Only the representatives are
+    # checked, from the lines through them; points above the step gather
+    # part of theirs.
     v = geom.v
-    closed, full = ix.closed, (1 << v) - 1
     covered, sizes, counts = [0] * v, [0] * v, [0] * v
-    for ln in geom.representative_lines():
-        c = 0
-        for p in ln:
-            c |= closed[p]
-        if c == full:
+    reps = list(geom.representative_lines())
+    for ln, opp in zip(reps, _opposite(geom, reps)):
+        if not opp:
             m = 0
             for x in ln:
                 m |= 1 << x
@@ -465,7 +456,7 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
         for x in range(step):
             failure = _blade_failure(x, [ln for ln in by_point[x] if ln not in opposite_lines], far)
             if failure:
-                raise PartitionFailed(failure)
+                raise PentError(failure)
     return Dist3Report(
         degree_bound=bound,
         min_degree=min_degree,

@@ -35,19 +35,7 @@ from fractions import Fraction
 
 from pentgeo.core import BaseBlockFile, Geometry, Line, PentParams, canonical_line
 from pentgeo.designs import Gdd, SteinerSystem
-from pentgeo.errors import (
-    DegreeBoundViolated,
-    ForbiddenOverlap,
-    GroupPairCovered,
-    PairDoubled,
-    PairMissing,
-    ParameterDomain,
-    PartitionFailed,
-    PlanInvalid,
-    PreconditionFailed,
-    SplitMismatch,
-    StepNotDividingV,
-)
+from pentgeo.errors import PentError, UsageError
 from pentgeo.graphs import Graph, GraphReport, graph_from_edges
 from pentgeo.hillclimb import _KICK_SIZE, _PATIENCE, AttemptLog, ClimbProblem, Pair, _stall_limit
 from pentgeo.pent import (
@@ -165,7 +153,7 @@ def distance3_graph(g: Graph) -> Graph:
 def inflate(g: Graph, h: int) -> Graph:
     """Replace each vertex p by h copies hp..hp+h-1 and each edge by K_{h,h}."""
     if h < 1:
-        raise ParameterDomain(f"h = {h} < 1")
+        raise UsageError(f"h = {h} < 1")
     edges = []
     for u, v in _edges(g):
         for s in range(h):
@@ -190,7 +178,7 @@ def develop(file: BaseBlockFile) -> Geometry:
     params = file.params
     v, d = params.v, file.d
     if v % d != 0:
-        raise StepNotDividingV(f"d = {d} does not divide v = {v}")
+        raise UsageError(f"d = {d} does not divide v = {v}")
     lines: set[Line] = set()
     for blk in file.blocks:
         start = canonical_line(blk)
@@ -426,14 +414,14 @@ def _split_from_opposite(geom: Geometry, opposite_lines: set[Line], dreport: Gra
     b_non_opp = len(geom.lines) - b_opp
     num = w * (w - 1)
     if num % (k - 1) != 0:
-        raise SplitMismatch(f"w(w-1) = {num} not divisible by k-1 = {k - 1}")
+        raise PentError(f"w(w-1) = {num} not divisible by k-1 = {k - 1}")
     e = r - num // (k - 1)
     girth_ge5 = dreport.girth is None or dreport.girth >= 5
     if girth_ge5:
         expected_opp = v * num // (k * (k - 1))
         expected_non = e * v // k
         if b_opp != expected_opp or b_non_opp != expected_non:
-            raise SplitMismatch(
+            raise PentError(
                 f"girth >= 5 split ({b_opp},{b_non_opp}) != expected ({expected_opp},{expected_non})"
             )
     return LineSplit(b_opp=b_opp, b_non_opp=b_non_opp, e=e)
@@ -470,7 +458,7 @@ def overlap_profile(geom: Geometry) -> dict[int, int]:
 
     Sizes strictly between 1 and k, or between k and k^2-k inclusive of
     neither endpoint, cannot occur in a valid geometry; finding one raises
-    ForbiddenOverlap.
+    PentError.
     """
     k = geom.params.k
     dgraph = deficiency_graph(geom)
@@ -480,7 +468,7 @@ def overlap_profile(geom: Geometry) -> dict[int, int]:
         for y in range(x + 1, geom.v):
             u = len(sets[x] & sets[y])
             if 2 <= u <= k - 1 or k + 1 <= u <= k * k - k:
-                raise ForbiddenOverlap((x, y), u)
+                raise PentError(f"points {(x, y)} have {u} common deficiency neighbours")
             profile[u] += 1
     return dict(sorted(profile.items()))
 
@@ -511,12 +499,12 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     min_degree = min(degrees)
     if min_degree < bound:
         x = degrees.index(min_degree)
-        raise DegreeBoundViolated(f"point {x}: degree {min_degree} < bound {bound}")
+        raise PentError(f"point {x}: degree {min_degree} < bound {bound}")
     dgirth = girth(dgraph)
     tight = all(d == bound for d in degrees)
     if (dgirth is None or dgirth >= 5) and not tight:
         x = next(i for i, d in enumerate(degrees) if d != bound)
-        raise DegreeBoundViolated(
+        raise PentError(
             f"girth >= 5 but point {x} has degree {degrees[x]} != bound {bound}"
         )
 
@@ -530,16 +518,16 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
             rest = [q for q in ln if q != x]
             for i, a in enumerate(rest):
                 if a in seen:
-                    raise PartitionFailed(f"point {x}: {a} in two blades")
+                    raise PentError(f"point {x}: {a} in two blades")
                 seen.add(a)
                 if a not in esets[x]:
-                    raise PartitionFailed(f"point {x}: {a} not a distance->=3 neighbour")
+                    raise PentError(f"point {x}: {a} not a distance->=3 neighbour")
                 for b in rest[i + 1 :]:
                     if b not in esets[a]:
-                        raise PartitionFailed(f"point {x}: blade {ln} is not a clique")
+                        raise PentError(f"point {x}: blade {ln} is not a clique")
         if seen != esets[x]:
             missing = sorted(esets[x] - seen)[:3]
-            raise PartitionFailed(f"point {x}: neighbours {missing} not covered by blades")
+            raise PentError(f"point {x}: neighbours {missing} not covered by blades")
         blade_counts.append(len(blades))
     return Dist3Report(
         degree_bound=bound,
@@ -552,21 +540,21 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
 def verify_steiner(s: SteinerSystem) -> None:
     """Exhaustive pair check; raises on the first defect found."""
     if s.k < 2 or s.w < s.k:
-        raise ParameterDomain(f"bad S(2,{s.k},{s.w})")
+        raise UsageError(f"bad S(2,{s.k},{s.w})")
     seen: dict[tuple[int, int], Line] = {}
     for blk in sorted(s.blocks):
         if len(blk) != s.k or any(not 0 <= x < s.w for x in blk):
-            raise ParameterDomain(f"bad block {blk}")
+            raise UsageError(f"bad block {blk}")
         for i in range(s.k):
             for j in range(i + 1, s.k):
                 pair = (blk[i], blk[j])
                 if pair in seen:
-                    raise PairDoubled(pair, seen[pair], blk)
+                    raise PentError(f"pair {pair} covered by both {seen[pair]} and {blk}")
                 seen[pair] = blk
     for x in range(s.w):
         for y in range(x + 1, s.w):
             if (x, y) not in seen:
-                raise PairMissing((x, y))
+                raise PentError(f"pair {(x, y)} covered by no block")
 
 
 def verify_gdd(d: Gdd) -> None:
@@ -576,26 +564,26 @@ def verify_gdd(d: Gdd) -> None:
     for gi, grp in enumerate(d.groups):
         for x in grp:
             if x in group_of:
-                raise ParameterDomain(f"point {x} in two groups")
+                raise UsageError(f"point {x} in two groups")
             group_of[x] = gi
     if sorted(group_of) != list(range(n)):
-        raise ParameterDomain("groups do not partition 0..n-1")
+        raise UsageError("groups do not partition 0..n-1")
     seen: dict[tuple[int, int], Line] = {}
     for blk in sorted(d.blocks):
         if len(blk) != d.k or any(x not in group_of for x in blk):
-            raise ParameterDomain(f"bad block {blk}")
+            raise UsageError(f"bad block {blk}")
         for i in range(d.k):
             for j in range(i + 1, d.k):
                 pair = (blk[i], blk[j])
                 if group_of[pair[0]] == group_of[pair[1]]:
-                    raise GroupPairCovered(pair, blk)
+                    raise PentError(f"within-group pair {pair} covered by {blk}")
                 if pair in seen:
-                    raise PairDoubled(pair, seen[pair], blk)
+                    raise PentError(f"pair {pair} covered by both {seen[pair]} and {blk}")
                 seen[pair] = blk
     for x in range(n):
         for y in range(x + 1, n):
             if group_of[x] != group_of[y] and (x, y) not in seen:
-                raise PairMissing((x, y))
+                raise PentError(f"pair {(x, y)} covered by no block")
 
 
 def _pair(x: int, y: int) -> Pair:
@@ -782,24 +770,24 @@ class Pent3Plan:
     def check(self) -> None:
         _pent3_preconditions(self.r0, self.r1, self.r2, self.w)
         if self.r3 not in (self.r0, self.r1):
-            raise PlanInvalid(f"r3 = {self.r3} not in {{r0, r1}}")
+            raise UsageError(f"r3 = {self.r3} not in {{r0, r1}}")
         if self.t < self.t_min():
-            raise PlanInvalid(f"t = {self.t} < t_min = {self.t_min()}")
+            raise UsageError(f"t = {self.t} < t_min = {self.t_min()}")
         if self.u < self.u_min():
-            raise PlanInvalid(f"u = {self.u} < u_min = {self.u_min()}")
+            raise UsageError(f"u = {self.u} < u_min = {self.u_min()}")
 
 
 def _pent3_preconditions(r0: int, r1: int, r2: int, w: int) -> None:
     if w < 3 or min(r0, r1, r2) < 1:
-        raise PreconditionFailed("need w >= 3 and positive replication numbers")
+        raise UsageError("need w >= 3 and positive replication numbers")
     if r0 % 3 != 0:
-        raise PreconditionFailed(f"r0 = {r0} must be divisible by 3")
+        raise UsageError(f"r0 = {r0} must be divisible by 3")
     if r1 % 3 == 0 or r2 % 3 == 0:
-        raise PreconditionFailed(f"r1 = {r1} and r2 = {r2} must not be divisible by 3")
+        raise UsageError(f"r1 = {r1} and r2 = {r2} must not be divisible by 3")
     v1 = 2 * r1 + w + 1
     v2 = 2 * r2 + w + 1
     if math.gcd(v1, v2) != 6:
-        raise PreconditionFailed(f"gcd(v1,v2) = {math.gcd(v1, v2)} != 6")
+        raise UsageError(f"gcd(v1,v2) = {math.gcd(v1, v2)} != 6")
 
 
 def plan_pent3(r0: int, r1: int, r2: int, w: int, target_r: int) -> Pent3Plan | None:
@@ -810,7 +798,7 @@ def plan_pent3(r0: int, r1: int, r2: int, w: int, target_r: int) -> Pent3Plan | 
     """
     _pent3_preconditions(r0, r1, r2, w)
     if target_r < 1:
-        raise PreconditionFailed(f"target_r = {target_r} < 1")
+        raise UsageError(f"target_r = {target_r} < 1")
     v0 = 2 * r0 + w + 1
     v1 = 2 * r1 + w + 1
     v2 = 2 * r2 + w + 1
@@ -854,36 +842,36 @@ class Pent5Plan:
     def check(self) -> None:
         r, v, h, q, m = self.r, self.v, self.h, self.q, self.m
         if r % 5 not in (0, 1):
-            raise PlanInvalid(f"r = {r} is not 0 or 1 (mod 5)")
+            raise UsageError(f"r = {r} is not 0 or 1 (mod 5)")
         if v != 4 * r + 6:
-            raise PlanInvalid(f"v = {v} != 4r+6")
+            raise UsageError(f"v = {v} != 4r+6")
         if h != 86 + 4 * (r % 5):
-            raise PlanInvalid(f"h = {h} != 86 + 4*(r mod 5)")
+            raise UsageError(f"h = {h} != 86 + 4*(r mod 5)")
         if q % 2 == 0 or q % 11 != 0:
-            raise PlanInvalid(f"q = {q} must be odd and divisible by 11")
+            raise UsageError(f"q = {q} must be odd and divisible by 11")
         if q < 1937:
-            raise PlanInvalid(f"q = {q} < 1937")
+            raise UsageError(f"q = {q} < 1937")
         if not math.ceil(Fraction(v, 129)) <= q <= math.floor(Fraction(v, 111)):
-            raise PlanInvalid(f"q = {q} outside [v/129, v/111]")
+            raise UsageError(f"q = {q} outside [v/129, v/111]")
         if m != v - 100 * q:
-            raise PlanInvalid(f"m = {m} != v - 100q")
+            raise UsageError(f"m = {m} != v - 100q")
         if not 11 * q <= m <= 29 * q:
-            raise PlanInvalid(f"m = {m} outside [11q, 29q]")
+            raise UsageError(f"m = {m} outside [11q, 29q]")
         if m % 4 != 2:
-            raise PlanInvalid(f"m = {m} != 2 (mod 4)")
+            raise UsageError(f"m = {m} != 2 (mod 4)")
         if m % h != 0:
-            raise PlanInvalid(f"h = {h} does not divide m = {m}")
+            raise UsageError(f"h = {h} does not divide m = {m}")
         b = m // h
         if b < 21 or b % 2 == 0:
-            raise PlanInvalid(f"m/h = {b} must be odd and >= 21")
+            raise UsageError(f"m/h = {b} must be odd and >= 21")
         if h == 86 and b % 10 != 1:
-            raise PlanInvalid(f"m/h = {b} must be 1 (mod 10) when h = 86")
+            raise UsageError(f"m/h = {b} must be 1 (mod 10) when h = 86")
         if len(self.parts) != q:
-            raise PlanInvalid(f"{len(self.parts)} summands != q = {q}")
+            raise UsageError(f"{len(self.parts)} summands != q = {q}")
         if any(p not in PENT5_PART_SIZES for p in self.parts):
-            raise PlanInvalid("summand outside {10, 18, 30}")
+            raise UsageError("summand outside {10, 18, 30}")
         if sum(self.parts) != m:
-            raise PlanInvalid(f"summands total {sum(self.parts)} != m = {m}")
+            raise UsageError(f"summands total {sum(self.parts)} != m = {m}")
 
 
 def plan_pent5(r: int) -> Pent5Plan | None:

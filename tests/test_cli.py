@@ -11,19 +11,44 @@ from pathlib import Path
 
 import pytest
 from conftest import fixture_text
+from test_construct import QUARTIC_23
 
 import pentgeo
-from pentgeo import develop, errors, geometry, geometry_to_json, parse_pent_file, verify
+from pentgeo import (
+    classify,
+    construct,
+    derive_params,
+    develop,
+    geometry,
+    geometry_to_json,
+    line_split,
+    parse_pent_file,
+    verify,
+)
 from pentgeo.cli import _exit_code, _report_dict, build_parser, main
 from pentgeo.construct import MAX_COMPLETION_PAIRS
-from pentgeo.designs import gdd_to_json_dict, uniform_gdd
-from pentgeo.errors import (
-    ClimbFailed,
-    NoConstructionAvailable,
-    ParameterDomain,
-    PentSyntaxError,
+from pentgeo.designs import (
+    FiniteField,
+    Gdd,
+    SteinerSystem,
+    gdd_to_json_dict,
+    mols,
+    sts,
+    uniform_gdd,
+    verify_gdd,
+    verify_steiner,
 )
-from pentgeo.graphs import MAX_VERTICES, generalized_petersen, petersen, write_graph_file
+from pentgeo.errors import ClimbFailed, PentError, UsageError
+from pentgeo.graphs import (
+    MAX_VERTICES,
+    generalized_petersen,
+    graph_from_edges,
+    hoffman_singleton,
+    petersen,
+    write_graph_file,
+)
+from pentgeo.hillclimb import ClimbConfig, climb_sts
+from pentgeo.pent import dist3_analysis, overlap_profile
 
 ORBIT_SEED_FILE = "20\n0 4\n1 5\n2 6\n0 3\n1 3\n2 3\n"
 
@@ -495,8 +520,9 @@ def test_construct_gdd_fill_bad_spec(cli, tmp_path):
         {"ingredients": {"x": "pent_3_3_3.pent"}},
         {"ingredients": {"10": 5}},
         {"gdd": {**gdd_to_json_dict(uniform_gdd(3, 10)), "k": 3.7}},
+        {"gdd": {"k": 3, "groups": [], "lines": []}, "ingredients": {}},
     ],
-    ids=["ingredients-list", "size-not-integer", "path-not-string", "k-float"],
+    ids=["ingredients-list", "size-not-integer", "path-not-string", "k-float", "no-groups"],
 )
 def test_construct_gdd_fill_malformed_spec_exits_2(cli, tmp_path, change):
     spec = {
@@ -511,6 +537,61 @@ def test_construct_gdd_fill_malformed_spec_exits_2(cli, tmp_path, change):
     assert code == 2
     assert out == ""
     assert err.startswith("pentctl: ")
+
+
+# One failing call per place where a construction reports an ingredient's
+# failure as its own, with the exit code and message it ends in.  The
+# c36 pair bound is the 3-GDD refusal that stays a usage error.
+REFUSALS = {
+    "product-steiner": (
+        ["construct", "product", "pent_3_3_3.pent", "--h", "5"],
+        1,
+        "no S(2,3,5): no S(2,3,5): w = 5 is not 1 or 3 (mod 6)",
+    ),
+    "gdd-no-td": (["gdd", "4", "6"], 1, "no TD(4,6) recipe here: 6 is not a prime power"),
+    "product-no-td": (
+        ["construct", "product", "k6.json", "--h", "6"],
+        1,
+        "no TD(6,6) recipe here: 6 is not a prime power",
+    ),
+    "c36-no-td": (
+        ["construct", "c36", "hs.graph", "--h", "85", "--k", "7"],
+        1,
+        "no TD(7,85) recipe here: 85 is not a prime power",
+    ),
+    "c36-3gdd-inadmissible": (
+        ["construct", "c36", "c5.graph", "--h", "3"],
+        1,
+        "no 3-GDD of type 3^2: 2 groups < 3",
+    ),
+    "c36-3gdd-pair-bound": (
+        ["construct", "c36", "hs.graph", "--h", "115"],
+        2,
+        "3-GDD 115^7 climb: 277725 pairs to complete > 262144",
+    ),
+    "gdd-fill-unverified": (
+        ["construct", "gdd-fill", "short.json"],
+        2,
+        "gdd does not verify: pair (0, 10) covered by no block",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_construction_refusals(cli, tmp_path, monkeypatch, argv, code, message):
+    short = gdd_to_json_dict(uniform_gdd(3, 10))
+    short["lines"] = short["lines"][1:]
+    inputs = {
+        "pent_3_3_3.pent": fixture_text("pent_3_3_3"),
+        "k6.json": '{"k":6,"r":1,"w":6,"lines":[[0,1,2,3,4,5]]}',
+        "hs.graph": write_graph_file(hoffman_singleton()),
+        "c5.graph": "5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
+        "short.json": json.dumps({"gdd": short, "ingredients": {"10": "pent_3_3_3.pent"}}),
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli(argv) == (code, "", f"pentctl: {message}\n")
 
 
 def test_plan_pent3(cli):
@@ -578,44 +659,73 @@ def test_parser_built_once_and_reused_after_usage_errors(cli, fix18):
 
 def test_exit_code_mapping():
     assert _exit_code(ClimbFailed("x")) == 3
-    assert _exit_code(PentSyntaxError("x")) == 2
-    assert _exit_code(ParameterDomain("x")) == 2
+    assert _exit_code(UsageError("x")) == 2
     assert _exit_code(OSError("x")) == 2
-    assert _exit_code(NoConstructionAvailable("x")) == 1
+    assert _exit_code(PentError("x")) == 1
     with pytest.raises(ValueError):
         _exit_code(ValueError("x"))
 
 
-# Looked up by name, so a misspelt class fails at collection.
-USAGE_ERRORS = {
-    getattr(errors, name)
-    for name in (
-        "UsageError",
-        "PentSyntaxError",
-        "ArityMismatch",
-        "ParameterDomain",
-        "NonIntegralLineCount",
-        "PointOutOfRange",
-        "StepNotDividingV",
-        "Inadmissible",
-        "NotPrimePower",
-        "FieldTooLarge",
-        "TooManySquares",
-        "PreconditionFailed",
-        "NotBlockSize3",
-        "PlanInvalid",
-    )
+def _raise(exc: Exception):
+    raise exc
+
+
+def _empty(k: int, r: int, w: int) -> pentgeo.Geometry:
+    return geometry(derive_params(k, r, w), [])
+
+
+def _pent33_with(line: tuple[int, ...]) -> pentgeo.Geometry:
+    """pent_3_3_3 with its least line (0, 2, 6) replaced."""
+    pent33 = develop(parse_pent_file(fixture_text("pent_3_3_3")))
+    return geometry(pent33.params, [line, *sorted(pent33.lines)[1:]])
+
+
+# One call per kind of failure with the exit code pentctl gives it.  The
+# kinds are named after the classes that told them apart before they were
+# folded into the three families.
+FAILURES = {
+    "PentError": (1, lambda: _raise(PentError("x"))),
+    "UsageError": (2, lambda: _raise(UsageError("x"))),
+    "ClimbFailed": (3, lambda: climb_sts(9, ClimbConfig(max_iterations=1, restarts=1))),
+    "ArityMismatch": (2, lambda: parse_pent_file("3 3 3 10\n0 1\n")),
+    "BadSeedGraph": (1, lambda: construct.from_girth5_graph(hoffman_singleton())),
+    "CompletionUnsupported": (
+        1,
+        lambda: construct.construction36(graph_from_edges(23, QUARTIC_23), 4, 4),
+    ),
+    "DegreeBoundViolated": (1, lambda: dist3_analysis(_empty(3, 18, 3))),
+    "FieldTooLarge": (2, lambda: FiniteField(53)),
+    "ForbiddenOverlap": (1, lambda: overlap_profile(_empty(3, 1, 3))),
+    "GroupPairCovered": (1, lambda: verify_gdd(Gdd(3, ((0, 1), (2,)), frozenset({(0, 1, 2)})))),
+    "Inadmissible": (2, lambda: sts(5)),
+    "IngredientInvalid": (1, lambda: construct.triple(_empty(3, 1, 3))),
+    "NoConstructionAvailable": (1, lambda: uniform_gdd(4, 6)),
+    "NoIngredient": (1, lambda: construct.make_degenerate(4, 10)),
+    "NonIntegralLineCount": (2, lambda: derive_params(3, 1, 4)),
+    "NotBlockSize3": (2, lambda: construct.triple(_empty(4, 2, 5))),
+    "NotPrimePower": (2, lambda: FiniteField(6)),
+    "NotValidGeometry": (1, lambda: classify(verify(_empty(3, 1, 3)))),
+    "PairDoubled": (
+        1,
+        lambda: verify_steiner(SteinerSystem(3, 4, frozenset({(0, 1, 2), (0, 1, 3)}))),
+    ),
+    "PairMissing": (1, lambda: verify_steiner(SteinerSystem(3, 3, frozenset()))),
+    "ParameterDomain": (2, lambda: derive_params(2, 1, 3)),
+    "PartitionFailed": (1, lambda: dist3_analysis(_pent33_with((0, 2, 3)))),
+    "PentSyntaxError": (2, lambda: parse_pent_file("")),
+    "PlanInvalid": (2, lambda: construct.Pent5Plan(1, 0, 0, 0, 0, (0, 0, 0)).check()),
+    "PointOutOfRange": (2, lambda: geometry(derive_params(3, 1, 3), [(0, 1, 6)])),
+    "PreconditionFailed": (2, lambda: construct.plan_pent3(1, 1, 1, 3, 1)),
+    "ResultFailedVerification": (1, lambda: construct._finish(set(), 3, 1, 3, "empty")),
+    "SplitMismatch": (1, lambda: line_split(_empty(4, 2, 5))),
+    "StepNotDividingV": (2, lambda: develop(parse_pent_file("3 3 3 3\n0 1 2\n"))),
+    "TooManySquares": (2, lambda: mols(4, 4)),
 }
 
-PENT_ERRORS = sorted(
-    name
-    for name, obj in vars(errors).items()
-    if isinstance(obj, type) and issubclass(obj, errors.PentError)
-)
 
-
-@pytest.mark.parametrize("name", PENT_ERRORS)
+@pytest.mark.parametrize("name", sorted(FAILURES))
 def test_exit_code_of_every_error(name):
-    cls = getattr(errors, name)
-    expected = 3 if cls is ClimbFailed else 2 if cls in USAGE_ERRORS else 1
-    assert _exit_code(cls.__new__(cls)) == expected
+    code, call = FAILURES[name]
+    with pytest.raises(PentError) as info:
+        call()
+    assert _exit_code(info.value) == code

@@ -20,18 +20,7 @@ from pentgeo.construct import (
     triple,
 )
 from pentgeo.designs import Gdd, uniform_gdd
-from pentgeo.errors import (
-    BadSeedGraph,
-    CompletionUnsupported,
-    Inadmissible,
-    IngredientInvalid,
-    NoIngredient,
-    NotBlockSize3,
-    ParameterDomain,
-    PlanInvalid,
-    PreconditionFailed,
-    ResultFailedVerification,
-)
+from pentgeo.errors import PentError, UsageError
 from pentgeo.graphs import generalized_petersen, graph_from_edges, orbit_graph, petersen
 from pentgeo.hillclimb import ClimbConfig
 
@@ -95,16 +84,16 @@ def test_make_degenerate_verified_above_1500_points(monkeypatch):
 
 def test_finish_refuses_a_line_too_few(pent33):
     short = set(sorted(pent33.lines)[1:])
-    with pytest.raises(
-        ResultFailedVerification, match=r"^short geometry: built 9 lines, expected 10$"
-    ):
+    with pytest.raises(PentError, match=r"^short geometry: built 9 lines, expected 10$"):
         construct._finish(short, 3, 3, 3, "short geometry")
 
 
 def test_make_degenerate_no_system():
-    with pytest.raises(NoIngredient):
+    with pytest.raises(
+        PentError, match=r"^no S\(2,3,5\): no S\(2,3,5\): w = 5 is not 1 or 3 \(mod 6\)$"
+    ):
         make_degenerate(3, 5)
-    with pytest.raises(NoIngredient):
+    with pytest.raises(PentError, match=r"^no S\(2,4,10\) recipe here$"):
         make_degenerate(4, 10)
 
 
@@ -124,19 +113,21 @@ def test_triple(pent33):
 
 
 def test_triple_rejects_other_block_sizes():
-    with pytest.raises(NotBlockSize3):
+    with pytest.raises(UsageError, match=r"^k = 4, tripling needs k = 3$"):
         triple(make_degenerate(4, 13))
 
 
 def test_triple_rejects_invalid_ingredient(pent33):
     broken = geometry(pent33.params, sorted(pent33.lines)[1:])
-    with pytest.raises(IngredientInvalid):
+    with pytest.raises(
+        PentError, match=r"^tripling input: axioms failed: regular, opposite_designs$"
+    ):
         triple(broken)
 
 
 def test_triple_rejects_disconnected(pent33):
     parts = gdd_fill(GddFillPlan(gdd=uniform_gdd(3, 10), ingredients={10: pent33}))
-    with pytest.raises(IngredientInvalid):
+    with pytest.raises(PentError, match=r"^tripling needs a connected deficiency graph$"):
         triple(parts)
 
 
@@ -164,25 +155,31 @@ def test_product_k4_of_degenerate_is_degenerate():
 
 
 def test_product_rejections(pent33):
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^h = 2 < 3$"):
         product(pent33, 2)
-    with pytest.raises(NoIngredient):
+    with pytest.raises(PentError, match=r"^\(k-1\) = 2 does not divide h-1 = 3$"):
         product(pent33, 4)  # parity: 2 does not divide 3
-    with pytest.raises(NoIngredient):
+    with pytest.raises(
+        PentError, match=r"^no S\(2,3,5\): no S\(2,3,5\): w = 5 is not 1 or 3 \(mod 6\)$"
+    ):
         product(pent33, 5)  # no S(2,3,5)
     parts = gdd_fill(GddFillPlan(gdd=uniform_gdd(3, 10), ingredients={10: pent33}))
-    with pytest.raises(IngredientInvalid):
+    with pytest.raises(PentError, match=r"^product needs a connected deficiency graph$"):
         product(parts, 3)
 
 
 def test_gdd_fill_plan_errors(pent33):
-    with pytest.raises(PlanInvalid):  # nothing to put in the groups
+    # Nothing to put in the groups.
+    with pytest.raises(UsageError, match=r"^no ingredient for group size 10$"):
         gdd_fill(GddFillPlan(gdd=uniform_gdd(3, 10), ingredients={}))
-    with pytest.raises(PlanInvalid):  # 6 points cannot fill a 10-group
+    # 6 points cannot fill a 10-group.
+    with pytest.raises(UsageError, match=r"^ingredient for size 10 has v = 6$"):
         gdd_fill(GddFillPlan(gdd=uniform_gdd(3, 10), ingredients={10: make_degenerate(3, 3)}))
-    with pytest.raises(PlanInvalid):  # line sizes disagree
+    # Line sizes disagree.
+    with pytest.raises(UsageError, match=r"^ingredient for size 3 has k = 3 != 4$"):
         gdd_fill(GddFillPlan(gdd=uniform_gdd(4, 3), ingredients={3: pent33}))
-    with pytest.raises(PlanInvalid):  # deficiency degrees disagree
+    # Deficiency degrees disagree.
+    with pytest.raises(UsageError, match=r"^ingredient for size 14 has w = 7 != 3$"):
         gdd_fill(
             GddFillPlan(
                 gdd=uniform_gdd(3, 2),
@@ -190,13 +187,14 @@ def test_gdd_fill_plan_errors(pent33):
             )
         )
     bad = Gdd(k=3, groups=((0, 1), (2, 3)), blocks=frozenset({(0, 1, 2)}))
-    with pytest.raises(PlanInvalid):
+    match = r"^gdd does not verify: within-group pair \(0, 1\) covered by \(0, 1, 2\)$"
+    with pytest.raises(UsageError, match=match):
         gdd_fill(GddFillPlan(gdd=bad, ingredients={}))
 
 
 def test_gdd_fill_gdd_fault_is_plan_invalid(pent33):
     unpaired = Gdd(k=3, groups=((0,), (1,), (2,)), blocks=frozenset())
-    with pytest.raises(PlanInvalid, match=r"^gdd does not verify: "):
+    with pytest.raises(UsageError, match=r"^gdd does not verify: "):
         gdd_fill(GddFillPlan(gdd=unpaired, ingredients={1: pent33}))
 
 
@@ -209,7 +207,9 @@ def test_gdd_fill_does_not_mask_type_errors():
 
 def test_gdd_fill_rejects_invalid_ingredient(pent33):
     broken = geometry(pent33.params, sorted(pent33.lines)[1:])
-    with pytest.raises(IngredientInvalid):
+    with pytest.raises(
+        PentError, match=r"^ingredient for group size 10: axioms failed: regular, opposite_designs$"
+    ):
         gdd_fill(GddFillPlan(gdd=uniform_gdd(3, 10), ingredients={10: broken}))
 
 
@@ -232,18 +232,18 @@ def test_from_girth5_graph_pinned(n):
 
 
 def test_from_girth5_graph_rejections():
-    with pytest.raises(BadSeedGraph):
+    with pytest.raises(PentError, match=r"^seed must be 3-regular, degrees give 2$"):
         from_girth5_graph(ring(6))  # not cubic
     k33 = graph_from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    with pytest.raises(BadSeedGraph):
+    with pytest.raises(PentError, match=r"^seed girth 4 < 5$"):
         from_girth5_graph(k33)  # girth 4
-    with pytest.raises(BadSeedGraph):
+    with pytest.raises(PentError, match=r"^r = \(n-4\)/2 = 8 is not admissible for k = w = 3$"):
         from_girth5_graph(generalized_petersen(10))  # r = 8 is inadmissible
     two = generalized_petersen(15)
     doubled = graph_from_edges(
         60, [(a, b) for a, b in two.edges()] + [(a + 30, b + 30) for a, b in two.edges()]
     )
-    with pytest.raises(BadSeedGraph):
+    with pytest.raises(PentError, match=r"^seed must be connected$"):
         from_girth5_graph(doubled)  # disconnected
 
 
@@ -254,7 +254,7 @@ def test_from_girth5_graph_refuses_pair_count_before_distance3(monkeypatch):
         raise AssertionError("distance-3 graph built")
 
     monkeypatch.setattr(construct, "distance3_graph", no_distance3)
-    with pytest.raises(ParameterDomain, match=r": 262800 pairs to complete > 262144$"):
+    with pytest.raises(UsageError, match=r": 262800 pairs to complete > 262144$"):
         from_girth5_graph(generalized_petersen(365))
     with pytest.raises(AssertionError, match="distance-3 graph built"):
         from_girth5_graph(generalized_petersen(363))  # 259,908 pairs are admitted
@@ -280,31 +280,31 @@ def test_construction36_single_edge_seed_degenerates():
 
 
 def test_construction36_parameter_errors():
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^k = 2 < 3$"):
         construction36(petersen(), 3, 2)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^h = 2 < k = 3$"):
         construction36(petersen(), 2, 3)
 
 
 def test_construction36_seed_rejections():
     path = graph_from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(BadSeedGraph):
+    with pytest.raises(PentError, match=r"^seed graph must be regular of positive degree$"):
         construction36(path, 3, 3)  # irregular
     k33 = graph_from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    with pytest.raises(BadSeedGraph):
+    with pytest.raises(PentError, match=r"^seed girth 4 < 5$"):
         construction36(k33, 3, 3)  # girth 4
     two_rings = graph_from_edges(
         10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     )
-    with pytest.raises(BadSeedGraph):
+    with pytest.raises(PentError, match=r"^seed graph must be connected$"):
         construction36(two_rings, 3, 3)  # disconnected
-    with pytest.raises(BadSeedGraph):
+    with pytest.raises(PentError, match=r"^\(k-1\) does not divide v-w-1 = 11$"):
         construction36(ring(5), 4, 4)  # (k-1) misses v-w-1
 
 
 def test_construction36_no_recipe_for_k4_completion():
     seed = graph_from_edges(23, QUARTIC_23)
-    with pytest.raises(CompletionUnsupported):
+    with pytest.raises(PentError, match=r"^184 non-opposite lines needed but k = 4 > 3$"):
         construction36(seed, 4, 4)
 
 
@@ -347,24 +347,24 @@ def test_plan_pent3_known_instance():
 
 
 def test_plan_pent3_preconditions():
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(UsageError, match=r"^r0 = 73 must be divisible by 3$"):
         plan_pent3(73, 25, 28, 9, 30000)  # r0 not divisible by 3
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(UsageError, match=r"^r1 = 24 and r2 = 28 must not be divisible by 3$"):
         plan_pent3(72, 24, 28, 9, 30000)  # r1 divisible by 3
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(UsageError, match=r"^gcd\(v1,v2\) = 12 != 6$"):
         plan_pent3(72, 25, 31, 9, 30000)  # gcd(v1,v2) = 12
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(UsageError, match=r"^need w >= 3 and positive replication numbers$"):
         plan_pent3(72, 25, 28, 2, 30000)  # w too small
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(UsageError, match=r"^target_r = 0 < 1$"):
         plan_pent3(72, 25, 28, 9, 0)
 
 
 def test_pent3_plan_check_rejects_doctored_values():
-    with pytest.raises(PlanInvalid):
+    with pytest.raises(UsageError, match=r"^r3 = 28 not in \{r0, r1\}$"):
         Pent3Plan(r0=72, r1=25, r2=28, w=9, r3=28, t=12, u=896).check()
-    with pytest.raises(PlanInvalid):
+    with pytest.raises(UsageError, match=r"^t = 2 < t_min = 107/30$"):
         Pent3Plan(r0=72, r1=25, r2=28, w=9, r3=72, t=2, u=896).check()
-    with pytest.raises(PlanInvalid):
+    with pytest.raises(UsageError, match=r"^u = 3 < u_min = 470/33$"):
         Pent3Plan(r0=72, r1=25, r2=28, w=9, r3=72, t=12, u=3).check()
 
 
@@ -410,9 +410,10 @@ def test_pent5_plan_check_rejects_doctored_values():
     assert plan is not None
     n10, n18, n30 = plan.part_counts
     worse = dataclasses.replace(plan, part_counts=(n10 - 1, n18 + 1, n30))
-    with pytest.raises(PlanInvalid):
+    match = r"^part counts \(1539, 3, 4849\) are not q = 6391 summands totalling m = 160906$"
+    with pytest.raises(UsageError, match=match):
         worse.check()
-    with pytest.raises(PlanInvalid):
+    with pytest.raises(UsageError, match=r"^q = 6392 is not divisible by 11$"):
         dataclasses.replace(plan, q=plan.q + 1).check()
 
 

@@ -1,6 +1,7 @@
 """Parameter arithmetic, the base-block file format, development, JSON."""
 
 import json
+import re
 
 import pytest
 from conftest import FIXTURE_NAMES, fixture_text
@@ -17,14 +18,7 @@ from pentgeo import (
     write_pent_file,
 )
 from pentgeo.core import canonical_line
-from pentgeo.errors import (
-    ArityMismatch,
-    NonIntegralLineCount,
-    ParameterDomain,
-    PentSyntaxError,
-    PointOutOfRange,
-    StepNotDividingV,
-)
+from pentgeo.errors import UsageError
 
 
 def test_canonical_line_sorts():
@@ -33,7 +27,7 @@ def test_canonical_line_sorts():
 
 
 def test_canonical_line_rejects_repeats():
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^repeated point in line \(1, 1, 2\)$"):
         canonical_line((1, 1, 2))
 
 
@@ -43,17 +37,17 @@ def test_derive_params_example():
 
 
 def test_derive_params_domain_errors():
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^k = 2 < 3$"):
         derive_params(2, 5, 5)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^w = 2 < k = 3$"):
         derive_params(3, 5, 2)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^r = 0 < 1$"):
         derive_params(3, 0, 3)
 
 
 def test_derive_params_divisibility():
     # v = 2*1 + 4 + 1 = 7 and 3 does not divide 7*1
-    with pytest.raises(NonIntegralLineCount):
+    with pytest.raises(UsageError, match=r"^k = 3 does not divide v\*r = 7$"):
         derive_params(3, 1, 4)
 
 
@@ -85,39 +79,38 @@ def test_write_parse_round_trip(name):
 
 
 def test_parse_rejects_empty():
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^missing trailing newline$"):
         parse_pent_file("")
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^no header line$"):
         parse_pent_file("# only a comment\n")
 
 
 def test_parse_rejects_bad_header():
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^line 1: header must be 'k r w d'$"):
         parse_pent_file("3 3 3\n0 1 2\n")
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^line 1: non-integer token in '3 3 3\.5 10'$"):
         parse_pent_file("3 3 3.5 10\n0 1 2\n")
 
 
 def test_parse_rejects_wrong_arity():
-    with pytest.raises(ArityMismatch) as exc:
+    with pytest.raises(UsageError, match=r"^line 3: block has 2 entries, expected 3$"):
         parse_pent_file("3 3 3 10\n0 1 2\n3 4\n")
-    assert "3" in str(exc.value)  # the offending line number
 
 
 def test_parse_rejects_missing_trailing_newline():
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^missing trailing newline$"):
         parse_pent_file("3 3 3 10\n0 1 2")
 
 
 def test_parse_rejects_point_out_of_range():
-    with pytest.raises((PointOutOfRange, PentSyntaxError)):
+    with pytest.raises(UsageError, match=r"^point 99 outside 0\.\.9$"):
         parse_pent_file("3 3 3 10\n0 1 99\n")
 
 
 def test_repeated_point_caught_at_develop():
     # the parser keeps blocks as written; closure rejects the repeat
     file = parse_pent_file("3 3 3 10\n0 1 1\n")
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^repeated point in line \(0, 1, 1\)$"):
         develop(file)
 
 
@@ -136,7 +129,7 @@ def test_develop_identity_orbit():
 
 def test_develop_rejects_step_not_dividing_v():
     file = parse_pent_file("3 3 3 3\n0 1 2\n")
-    with pytest.raises(StepNotDividingV):
+    with pytest.raises(UsageError, match=r"^d = 3 does not divide v = 10$"):
         develop(file)
 
 
@@ -171,7 +164,7 @@ def test_develop_representative_independence():
 
 def test_geometry_rejects_stray_point():
     params = derive_params(3, 3, 3)
-    with pytest.raises(PointOutOfRange):
+    with pytest.raises(UsageError, match=r"^point 10 outside 0\.\.9$"):
         geometry(params, [(0, 1, 10)])
 
 
@@ -190,9 +183,9 @@ def test_json_provenance_recorded(pent33):
 
 
 def test_json_rejects_garbage():
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^bad JSON: Expecting property name"):
         geometry_from_json("{not json")
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^missing field 'r'$"):
         geometry_from_json('{"k": 3}')
 
 
@@ -200,7 +193,7 @@ def test_json_rejects_non_integer_points(pent33):
     payload = json.loads(geometry_to_json(pent33))
     for bad in (["a", 1, 2], [0.5, 1, 2], [True, 1, 2], [None, 1, 2]):
         payload["lines"] = [bad]
-        with pytest.raises(PentSyntaxError):
+        with pytest.raises(UsageError, match=r"^line entries must be integers$"):
             geometry_from_json(json.dumps(payload))
 
 
@@ -208,17 +201,17 @@ def test_json_rejects_lines_not_a_list(pent33):
     payload = json.loads(geometry_to_json(pent33))
     for bad in (5, "012", {"0": [1, 2]}, [5], [[0, 1, 2], 7]):
         payload["lines"] = bad
-        with pytest.raises(PentSyntaxError):
+        with pytest.raises(UsageError, match=r"^lines must be a list of point lists$"):
             geometry_from_json(json.dumps(payload))
 
 
 def test_json_rejects_v_disagreeing_with_parameters(pent33):
     payload = json.loads(geometry_to_json(pent33))
     payload["v"] = 11
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^v = 11 but \(k,r,w\) give v = 10$"):
         geometry_from_json(json.dumps(payload))
     payload["v"] = "10"
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^v must be an integer, got '10'$"):
         geometry_from_json(json.dumps(payload))
     del payload["v"]
     assert geometry_from_json(json.dumps(payload)).lines == pent33.lines
@@ -228,9 +221,9 @@ def test_json_rejects_non_integer_parameters(pent33):
     payload = json.loads(geometry_to_json(pent33))
     for bad in ("3", 3.0, None, [3]):
         payload["k"] = bad
-        with pytest.raises(PentSyntaxError):
+        with pytest.raises(UsageError, match=rf"^k must be an integer, got {re.escape(repr(bad))}$"):
             geometry_from_json(json.dumps(payload))
-    with pytest.raises(PentSyntaxError):
+    with pytest.raises(UsageError, match=r"^geometry JSON must be an object$"):
         geometry_from_json("[3, 3, 3]")
 
 

@@ -25,17 +25,7 @@ from pentgeo.designs import (
     verify_gdd,
     verify_steiner,
 )
-from pentgeo.errors import (
-    FieldTooLarge,
-    GroupPairCovered,
-    Inadmissible,
-    NoConstructionAvailable,
-    NotPrimePower,
-    PairDoubled,
-    PairMissing,
-    ParameterDomain,
-    TooManySquares,
-)
+from pentgeo.errors import PentError, UsageError
 from pentgeo.hillclimb import ClimbConfig, climb_3gdd, climb_sts
 
 PRIME_POWERS_TO_49 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
@@ -72,7 +62,7 @@ def test_field_inverses():
         f = field(q)
         for a in range(1, q):
             assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^0 has no inverse$"):
         field(5).inv(0)
 
 
@@ -90,10 +80,10 @@ def test_every_small_prime_power_builds():
 
 def test_field_rejections():
     for q in (6, 10, 12, 15):
-        with pytest.raises(NotPrimePower):
+        with pytest.raises(UsageError, match=rf"^{q} is not a prime power$"):
             field(q)
     for q in (53, 64, 121):
-        with pytest.raises(FieldTooLarge):
+        with pytest.raises(UsageError, match=rf"^q = {q} > 49$"):
             field(q)
 
 
@@ -106,8 +96,10 @@ def test_sts(w):
 
 
 def test_sts_rejects_inadmissible():
-    for w in (2, 5, 11, 17):
-        with pytest.raises(Inadmissible):
+    with pytest.raises(UsageError, match=r"^w = 2 < 3$"):
+        sts(2)
+    for w in (5, 11, 17):
+        with pytest.raises(UsageError, match=rf"^no S\(2,3,{w}\): w = {w} is not 1 or 3 \(mod 6\)$"):
             sts(w)
 
 
@@ -115,7 +107,7 @@ def test_single_block_system():
     system = single_block_system(4)
     assert system.blocks == frozenset({(0, 1, 2, 3)})
     verify_steiner(system)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^k = 1 < 2$"):
         single_block_system(1)
 
 
@@ -173,11 +165,11 @@ def test_mols_complete_sets_are_orthogonal(q):
 
 
 def test_mols_errors():
-    with pytest.raises(TooManySquares):
+    with pytest.raises(UsageError, match=r"^only 3 MOLS of side 4 available, 4 requested$"):
         mols(4, 4)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^t = 0 < 1$"):
         mols(4, 0)
-    with pytest.raises(NotPrimePower):
+    with pytest.raises(UsageError, match=r"^6 is not a prime power$"):
         mols(6, 1)
 
 
@@ -214,34 +206,38 @@ def test_uniform_gdd_blocks_pinned(k, g):
 
 
 def test_uniform_gdd_errors():
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^k = 2 < 3$"):
         uniform_gdd(2, 4)
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^g = 1 < 2$"):
         uniform_gdd(3, 1)
-    with pytest.raises(NoConstructionAvailable):
+    with pytest.raises(PentError, match=r"^no TD\(4,6\) recipe here: 6 is not a prime power$"):
         uniform_gdd(4, 6)  # needs MOLS of side 6
-    with pytest.raises(NoConstructionAvailable):
+    with pytest.raises(
+        PentError, match=r"^no TD\(5,2\) recipe here: only 1 MOLS of side 2 available, 3 requested$"
+    ):
         uniform_gdd(5, 2)  # needs 3 MOLS of side 2
 
 
 def test_uniform_gdd_field_too_large():
-    with pytest.raises(NoConstructionAvailable):
+    with pytest.raises(PentError, match=r"^no TD\(4,53\) recipe here: q = 53 > 49$"):
         uniform_gdd(4, 53)
 
 
 def test_verify_steiner_negatives():
     good = sts(7)
     missing = SteinerSystem(k=3, w=7, blocks=frozenset(list(good.blocks)[:-1]))
-    with pytest.raises(PairMissing):
+    with pytest.raises(PentError, match=r"^pair \(1, 4\) covered by no block$"):
         verify_steiner(missing)
 
     doubled = SteinerSystem(k=3, w=9, blocks=sts(9).blocks | {(0, 1, 8)})
-    with pytest.raises(PairDoubled):
+    with pytest.raises(
+        PentError, match=r"^pair \(0, 1\) covered by both \(0, 1, 5\) and \(0, 1, 8\)$"
+    ):
         verify_steiner(doubled)
 
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^bad S\(2,3,2\)$"):
         verify_steiner(SteinerSystem(k=3, w=2, blocks=frozenset()))
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^bad block \(0, 1\)$"):
         verify_steiner(SteinerSystem(k=3, w=7, blocks=frozenset({(0, 1)})))
 
 
@@ -249,27 +245,29 @@ def test_verify_gdd_negatives():
     base = uniform_gdd(3, 3)
 
     overlap = Gdd(k=3, groups=((0, 1), (1, 2)), blocks=frozenset())
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^point 1 in two groups$"):
         verify_gdd(overlap)
 
     gappy = Gdd(k=3, groups=((0, 1), (3, 4)), blocks=frozenset())
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^groups do not partition 0\.\.n-1$"):
         verify_gdd(gappy)
 
     intra = Gdd(k=3, groups=((0, 1), (2, 3), (4, 5)), blocks=frozenset({(0, 1, 2)}))
-    with pytest.raises(GroupPairCovered):
+    with pytest.raises(PentError, match=r"^within-group pair \(0, 1\) covered by \(0, 1, 2\)$"):
         verify_gdd(intra)
 
     doubled = Gdd(k=3, groups=base.groups, blocks=base.blocks | {(0, 4, 8)})
-    with pytest.raises(PairDoubled):
+    with pytest.raises(
+        PentError, match=r"^pair \(0, 4\) covered by both \(0, 4, 7\) and \(0, 4, 8\)$"
+    ):
         verify_gdd(doubled)
 
     short = Gdd(k=3, groups=base.groups, blocks=frozenset(list(base.blocks)[:-1]))
-    with pytest.raises(PairMissing):
+    with pytest.raises(PentError, match=r"^pair \(1, 4\) covered by no block$"):
         verify_gdd(short)
 
     bad_block = Gdd(k=3, groups=base.groups, blocks=frozenset({(0, 3)}))
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^bad block \(0, 3\)$"):
         verify_gdd(bad_block)
 
 
@@ -282,7 +280,7 @@ def test_gdd_group_type_mixed():
 def test_steiner_block_with_repeated_point():
     # Not a Line: the repeated point's pair lies inside its singleton group.
     system = SteinerSystem(k=3, w=7, blocks=sts(7).blocks | {(1, 1, 2)})
-    with pytest.raises(GroupPairCovered, match=r"pair \(1, 1\)"):
+    with pytest.raises(PentError, match=r"pair \(1, 1\)"):
         verify_steiner(system)
 
 
@@ -291,9 +289,9 @@ def test_pair_doubled_inside_one_block():
     # twice before its within-group pair (1, 1) is read.
     system = SteinerSystem(k=3, w=7, blocks=sts(7).blocks | {(0, 1, 1)})
     match = r"pair \(0, 1\) covered by both \(0, 1, 1\) and \(0, 1, 1\)$"
-    with pytest.raises(PairDoubled, match=match):
+    with pytest.raises(PentError, match=match):
         verify_steiner(system)
-    with pytest.raises(PairDoubled, match=match):
+    with pytest.raises(PentError, match=match):
         oracle.verify_steiner(system)
 
 

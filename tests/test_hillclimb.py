@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pentgeo import construct, hillclimb
 from pentgeo.designs import SteinerSystem, sts, verify_gdd, verify_steiner
-from pentgeo.errors import ClimbFailed, Inadmissible, ParameterDomain
+from pentgeo.errors import ClimbFailed, UsageError
 from pentgeo.graphs import bits, orbit_graph
 from pentgeo.hillclimb import (
     COMPLETE,
@@ -58,7 +58,7 @@ def test_climb_sts_seeds_vary_but_verify():
 
 def test_climb_sts_inadmissible():
     for w in (2, 5, 11, 20):
-        with pytest.raises(Inadmissible):
+        with pytest.raises(UsageError, match=rf"^no S\(2,3,{w}\): w must be 1 or 3 \(mod 6\)$"):
             climb_sts(w)
 
 
@@ -76,13 +76,13 @@ def test_climb_3gdd_type_1_cubed():
 
 
 def test_climb_3gdd_rejections():
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^group size 0 < 1$"):
         climb_3gdd(0, 3)
-    with pytest.raises(Inadmissible):
+    with pytest.raises(UsageError, match=r"^2 groups < 3$"):
         climb_3gdd(4, 2)  # fewer than 3 groups
-    with pytest.raises(Inadmissible):
+    with pytest.raises(UsageError, match=r"^no 3-GDD of type 3\^4$"):
         climb_3gdd(3, 4)  # odd point degree
-    with pytest.raises(Inadmissible):
+    with pytest.raises(UsageError, match=r"^no 3-GDD of type 1\^5$"):
         climb_3gdd(1, 5)  # block count not integral
 
 
@@ -90,10 +90,10 @@ def test_climbs_past_the_pair_bound_refused():
     # STS(727) has 263,901 pairs, past 2^18; STS(723) has 261,003.  Both
     # refusals come before any pair is built.
     bound = f"pairs to complete > {MAX_COMPLETION_PAIRS}$"
-    with pytest.raises(ParameterDomain, match=rf"^S\(2,3,727\) climb: 263901 {bound}"):
+    with pytest.raises(UsageError, match=rf"^S\(2,3,727\) climb: 263901 {bound}"):
         climb_sts(727)
     _check_pair_count(723 * 722 // 2, "S(2,3,723) climb")
-    with pytest.raises(ParameterDomain, match=rf"^3-GDD 300\^3 climb: 270000 {bound}"):
+    with pytest.raises(UsageError, match=rf"^3-GDD 300\^3 climb: 270000 {bound}"):
         climb_3gdd(300, 3)
 
 
@@ -119,14 +119,14 @@ def test_fixed_lines_completion():
 
 
 def test_problem_validations():
-    with pytest.raises(ParameterDomain, match=r"^bad pair \(0,9\)$"):
+    with pytest.raises(UsageError, match=r"^bad pair \(0,9\)$"):
         ClimbProblem(v=6, target_pairs=frozenset({(0, 9)}))
-    with pytest.raises(ParameterDomain, match=r"^bad pair \(3,3\)$"):
+    with pytest.raises(UsageError, match=r"^bad pair \(3,3\)$"):
         ClimbProblem(v=6, target_pairs=frozenset({(3, 3)}))
-    with pytest.raises(ParameterDomain, match=r"^bad pair \(1,0\)$"):
+    with pytest.raises(UsageError, match=r"^bad pair \(1,0\)$"):
         ClimbProblem(v=6, target_pairs=frozenset({(1, 0)}))
     # two fixed lines covering the same target pair
-    with pytest.raises(ParameterDomain, match=r"^fixed lines cover \(0, 1\) twice$"):
+    with pytest.raises(UsageError, match=r"^fixed lines cover \(0, 1\) twice$"):
         ClimbProblem(
             v=6,
             target_pairs=frozenset({(0, 1)}),
@@ -136,24 +136,24 @@ def test_problem_validations():
 
 def test_shift_validations():
     pairs13 = all_pairs(13)
-    with pytest.raises(ParameterDomain, match=r"^shift 0 out of range for v = 13$"):
+    with pytest.raises(UsageError, match=r"^shift 0 out of range for v = 13$"):
         ClimbProblem(v=13, target_pairs=pairs13, shift=0)
-    with pytest.raises(ParameterDomain, match=r"^shift 13 out of range for v = 13$"):
+    with pytest.raises(UsageError, match=r"^shift 13 out of range for v = 13$"):
         ClimbProblem(v=13, target_pairs=pairs13, shift=13)
     # fixed lines may not touch any target when a shift is set
     with pytest.raises(
-        ParameterDomain, match=r"^shift requires fixed lines that cover no target pair$"
+        UsageError, match=r"^shift requires fixed lines that cover no target pair$"
     ):
         ClimbProblem(
             v=13, target_pairs=pairs13, fixed_lines=frozenset({(0, 1, 2)}), shift=1
         )
     # targets not closed under the shift
     open_targets = frozenset(p for p in all_pairs(6) if 5 not in p)
-    with pytest.raises(ParameterDomain, match=r"^shift 1 does not preserve the target pairs$"):
+    with pytest.raises(UsageError, match=r"^shift 1 does not preserve the target pairs$"):
         ClimbProblem(v=6, target_pairs=open_targets, shift=1)
     # pair (0,3) maps to itself after 3 steps, not order = 2 steps... it IS
     # its own image under +3 (mod 6), a short orbit
-    with pytest.raises(ParameterDomain, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
+    with pytest.raises(UsageError, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
         ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), shift=3)
 
 
@@ -186,7 +186,7 @@ def test_cyclic_sts_deterministic():
 
 def test_restart_config_rejected():
     problem = ClimbProblem(v=9, target_pairs=all_pairs(9))
-    with pytest.raises(ParameterDomain):
+    with pytest.raises(UsageError, match=r"^restarts = 0 < 1$"):
         climb(problem, ClimbConfig(seed=0, restarts=0))
 
 
@@ -195,16 +195,16 @@ def test_negative_seed_rejected(seed):
     # random.Random(-s) seeds as random.Random(s), so a negative seed would
     # silently replay the positive one.
     problem = ClimbProblem(v=9, target_pairs=all_pairs(9))
-    with pytest.raises(ParameterDomain, match=rf"^seed = {seed} < 0$"):
+    with pytest.raises(UsageError, match=rf"^seed = {seed} < 0$"):
         climb(problem, ClimbConfig(seed=seed))
-    with pytest.raises(ParameterDomain, match=rf"^seed = {seed} < 0$"):
+    with pytest.raises(UsageError, match=rf"^seed = {seed} < 0$"):
         climb_sts(31, ClimbConfig(seed=seed))
 
 
 @pytest.mark.parametrize("budget", [0, -1, -100])
 def test_empty_budget_rejected(budget):
     problem = ClimbProblem(v=9, target_pairs=all_pairs(9))
-    with pytest.raises(ParameterDomain, match=rf"^max_iterations = {budget} < 1$"):
+    with pytest.raises(UsageError, match=rf"^max_iterations = {budget} < 1$"):
         climb(problem, ClimbConfig(seed=0, max_iterations=budget))
 
 
@@ -359,11 +359,11 @@ def test_problem_derives_classes():
 
 
 def test_problem_validation_messages():
-    with pytest.raises(ParameterDomain, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
+    with pytest.raises(UsageError, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
         ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), shift=3)
-    with pytest.raises(ParameterDomain, match=r"^shift 1 does not preserve the target pairs$"):
+    with pytest.raises(UsageError, match=r"^shift 1 does not preserve the target pairs$"):
         ClimbProblem(v=6, target_pairs=frozenset({(0, 1)}), shift=1)
-    with pytest.raises(ParameterDomain, match=r"^fixed lines cover \(0, 1\) twice$"):
+    with pytest.raises(UsageError, match=r"^fixed lines cover \(0, 1\) twice$"):
         ClimbProblem(
             v=6, target_pairs=frozenset({(0, 1)}), fixed_lines=frozenset({(0, 1, 2), (0, 1, 3)})
         )

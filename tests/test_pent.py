@@ -9,7 +9,7 @@ from conftest import FIXTURE_FACTS, FIXTURE_NAMES, GIRTH5_NAMES
 from pentgeo import classify, core, deficiency_graph, derive_params, geometry, line_split, verify
 from pentgeo.construct import GddFillPlan, from_girth5_graph, gdd_fill, make_degenerate
 from pentgeo.designs import uniform_gdd
-from pentgeo.errors import NotValidGeometry, ParameterDomain
+from pentgeo.errors import PentError, UsageError
 from pentgeo.graphs import MAX_VERTICES, generalized_petersen, petersen
 from pentgeo.pent import dist3_analysis, overlap_profile
 
@@ -119,7 +119,7 @@ def test_invalid_partial_linear():
 def test_classify_refuses_an_invalid_report(pent33):
     rep = verify(geometry(pent33.params, sorted(pent33.lines)[1:]))
     assert rep.failed_axioms() == ("regular", "opposite_designs")
-    with pytest.raises(NotValidGeometry, match=r"^axioms failed: regular, opposite_designs$"):
+    with pytest.raises(PentError, match=r"^axioms failed: regular, opposite_designs$"):
         classify(rep)
 
 
@@ -223,7 +223,7 @@ def test_index_refuses_more_points_than_the_limit_before_allocating():
     geom = geometry(params, [(0, 1, 2)])
     tracemalloc.start()
     try:
-        with pytest.raises(ParameterDomain, match=f"> {MAX_VERTICES} points"):
+        with pytest.raises(UsageError, match=f"> {MAX_VERTICES} points"):
             verify(geom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
