@@ -2,11 +2,16 @@
 
 Constructions take verified geometries, designs or seed graphs, produce a new
 geometry, and verify all four axioms before returning, whatever its size;
-nothing leaves unchecked.  Planners do arithmetic only: they search for
-ingredient sizes satisfying a recursion and return a plan object, never a
-geometry.  Each recursion's rules are stated once, beside its plan class;
-the planner searches with them and the plan's check() raises from them.  A
-PENT(5,r) plan keeps three summand counts, so its size does not grow with r.
+nothing leaves unchecked.  A construction builds each line as a plain tuple
+in ascending order, mapping a sorted block or line through an increasing map
+of its points (a block meets each group at most once); _finish then
+canonicalises and checks every line once, in core.geometry().
+
+Planners do arithmetic only: they search for ingredient sizes satisfying a
+recursion and return a plan object, never a geometry.  Each recursion's
+rules are stated once, beside its plan class; the planner searches with them
+and the plan's check() raises from them.  A PENT(5,r) plan keeps three
+summand counts, so its size does not grow with r.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from operator import mul
 from typing import Mapping
 
 from . import pent
-from .core import Geometry, Line, canonical_line, derive_params, geometry, is_admissible
+from .core import Geometry, Line, derive_params, geometry, is_admissible
 from .designs import (
     Gdd,
     SteinerSystem,
@@ -30,7 +35,7 @@ from .designs import (
     verify_gdd,
 )
 from .errors import ClimbFailed, PentError, UsageError
-from .graphs import Graph, bits, distance3_graph, inflate, report, shift_automorphisms
+from .graphs import Graph, bits, components, distance3_graph, inflate, report, shift_automorphisms
 from .hillclimb import (
     COMPLETE,
     MAX_COMPLETION_PAIRS,
@@ -41,6 +46,12 @@ from .hillclimb import (
     climb,
     climb_3gdd,
 )
+
+
+def _named(what: str, reason: str) -> str:
+    """reason as a refusal that names what failed, once: a callee's message
+    may already start with what."""
+    return reason if reason.startswith(what) else f"{what}: {reason}"
 
 
 def _steiner(k: int, w: int) -> SteinerSystem:
@@ -55,18 +66,23 @@ def _steiner(k: int, w: int) -> SteinerSystem:
         if w == k * k - k + 1:
             return projective_plane(k - 1)
     except UsageError as exc:
-        raise PentError(f"no S(2,{k},{w}): {exc}") from exc
+        raise PentError(_named(f"no S(2,{k},{w})", str(exc))) from exc
     raise PentError(f"no S(2,{k},{w}) recipe here")
 
 
-def _verified(geom: Geometry, what: str) -> pent.VerificationReport:
-    rep = pent.verify(geom)
-    if not rep.valid:
-        raise PentError(f"{what}: axioms failed: {', '.join(rep.failed_axioms())}")
-    return rep
+def _verified(geom: Geometry, what: str) -> None:
+    """Refuse geom unless all four axioms hold (pent.check_axioms)."""
+    failed = [a.name for a in pent.check_axioms(geom)[0] if not a.passed]
+    if failed:
+        raise PentError(f"{what}: axioms failed: {', '.join(failed)}")
 
 
 def _finish(lines: set[Line], k: int, r: int, w: int, provenance: str) -> Geometry:
+    """The geometry on lines, refused unless it has the line count of
+    PENT(k,r,w) and all four axioms hold, at every size.  The girth, K_{w,w}
+    count, type, line split and overlap profile that pent.verify adds decide
+    nothing here and are skipped; so are they for ingredients and for the
+    inputs of tripling and the product, which only add a connectivity check."""
     params = derive_params(k, r, w)
     geom = geometry(params, lines)
     if len(geom.lines) != params.b:
@@ -84,7 +100,7 @@ def make_degenerate(k: int, w: int) -> Geometry:
         raise PentError(f"(k-1) = {k - 1} does not divide w-1 = {w - 1}")
     r = (w - 1) // (k - 1)
     lines: set[Line] = set(system.blocks)
-    lines.update(canonical_line(x + w for x in blk) for blk in system.blocks)
+    lines.update(tuple([x + w for x in blk]) for blk in system.blocks)
     return _finish(lines, k, r, w, f"degenerate PENT({k},{r},{w})")
 
 
@@ -103,16 +119,16 @@ def triple(g: Geometry) -> Geometry:
     params = g.params
     if params.k != 3:
         raise UsageError(f"k = {params.k}, tripling needs k = 3")
-    rep = _verified(g, "tripling input")
-    if not rep.deficiency.connected:
+    _verified(g, "tripling input")
+    if len(components(g.incidence.deficiency)) > 1:
         raise PentError("tripling needs a connected deficiency graph")
     lines: set[Line] = set()
     for a in range(params.v):
-        lines.add(canonical_line((3 * a, 3 * a + 1, 3 * a + 2)))
+        lines.add((3 * a, 3 * a + 1, 3 * a + 2))
     for ln in g.lines:
         a, b, c = ln
         for h, i, j in _TRIPLE_PATTERNS:
-            lines.add(canonical_line((3 * a + h, 3 * b + i, 3 * c + j)))
+            lines.add((3 * a + h, 3 * b + i, 3 * c + j))
     return _finish(lines, 3, 3 * params.r + 1, 3 * params.w, "tripled geometry")
 
 
@@ -128,15 +144,15 @@ def product(g: Geometry, h: int) -> Geometry:
         raise PentError(f"(k-1) = {k - 1} does not divide h-1 = {h - 1}")
     system = _steiner(k, h)
     td = uniform_gdd(k, h)
-    rep = _verified(g, "product input")
-    if not rep.deficiency.connected:
+    _verified(g, "product input")
+    if len(components(g.incidence.deficiency)) > 1:
         raise PentError("product needs a connected deficiency graph")
     lines: set[Line] = set()
     for a in range(params.v):
-        lines.update(canonical_line(h * a + x for x in blk) for blk in system.blocks)
+        lines.update(tuple([h * a + x for x in blk]) for blk in system.blocks)
     for ln in g.lines:
         for blk in td.blocks:
-            lines.add(canonical_line(h * ln[x // h] + x % h for x in blk))
+            lines.add(tuple([h * ln[x // h] + x % h for x in blk]))
     r_out = h * params.r + (h - 1) // (k - 1)
     return _finish(lines, k, r_out, h * params.w, "product geometry")
 
@@ -144,7 +160,8 @@ def product(g: Geometry, h: int) -> Geometry:
 @dataclass(frozen=True)
 class GddFillPlan:
     """A group divisible design plus one verified ingredient geometry per
-    group size; ingredient point counts must equal their group sizes."""
+    group size; ingredient point counts must equal their group sizes.  An
+    ingredient of a size that no group has is ignored."""
 
     gdd: Gdd
     ingredients: Mapping[int, Geometry]
@@ -165,7 +182,10 @@ def gdd_fill(plan: GddFillPlan) -> Geometry:
         raise UsageError("gdd has no groups")
     k = plan.gdd.k
     w = None
-    for size, ingredient in sorted(plan.ingredients.items()):
+    for size in sorted({len(grp) for grp in plan.gdd.groups}):
+        ingredient = plan.ingredients.get(size)
+        if ingredient is None:
+            raise UsageError(f"no ingredient for group size {size}")
         if ingredient.params.k != k:
             raise UsageError(f"ingredient for size {size} has k = {ingredient.params.k} != {k}")
         if w is None:
@@ -177,14 +197,10 @@ def gdd_fill(plan: GddFillPlan) -> Geometry:
         _verified(ingredient, f"ingredient for group size {size}")
     lines: set[Line] = set(plan.gdd.blocks)
     for grp in plan.gdd.groups:
-        size = len(grp)
-        ingredient = plan.ingredients.get(size)
-        if ingredient is None:
-            raise UsageError(f"no ingredient for group size {size}")
         points = sorted(grp)
-        lines.update(canonical_line(points[x] for x in ln) for ln in ingredient.lines)
+        ingredient = plan.ingredients[len(grp)]
+        lines.update(tuple([points[x] for x in ln]) for ln in ingredient.lines)
     v_out = plan.gdd.n
-    assert w is not None
     if (v_out - w - 1) % (k - 1) != 0:
         raise UsageError(f"(k-1) does not divide v-w-1 = {v_out - w - 1}")
     r_out = (v_out - w - 1) // (k - 1)
@@ -249,7 +265,7 @@ def from_girth5_graph(d: Graph, config: ClimbConfig | None = None) -> Geometry:
     # Cubic, connected and of girth >= 5, the seed has 1 + 3 + 6 vertices
     # within distance 2 of each vertex, so the rest are the pairs to complete.
     _check_pair_count(d.n * (d.n - 10) // 2, what)
-    placed = {canonical_line(bits(m)) for m in d.masks}
+    placed = {tuple(bits(m)) for m in d.masks}
     lines = _climb_completion(d.n, d, placed, config, what)
     return _finish(lines, 3, r, 3, "geometry from cubic girth-5 graph")
 
@@ -286,10 +302,10 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
 
     lines: set[Line] = set()
     for p in range(c.n):
-        lines.update(canonical_line(h * p + x for x in blk) for blk in system.blocks)
+        lines.update(tuple([h * p + x for x in blk]) for blk in system.blocks)
         nbrs = bits(c.masks[p])
         for blk in gdd.blocks:
-            lines.add(canonical_line(h * nbrs[x // h] + x % h for x in blk))
+            lines.add(tuple([h * nbrs[x // h] + x % h for x in blk]))
     expected_opp = v * (w * (w - h) + h * (h - 1)) // (h * k * (k - 1))
     if len(lines) != expected_opp:
         raise PentError(
@@ -325,7 +341,7 @@ def _group_gdd(k: int, h: int, u: int, config: ClimbConfig | None) -> Gdd:
     if k == 3:
         fault = _gdd3_fault(h, u)
         if fault:
-            raise PentError(f"no 3-GDD of type {h}^{u}: {fault}")
+            raise PentError(_named(f"no 3-GDD of type {h}^{u}", fault))
         return climb_3gdd(h, u, config)
     raise PentError(f"no {k}-GDD of type {h}^{u} recipe here")
 

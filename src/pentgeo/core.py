@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import UsageError
@@ -181,12 +182,22 @@ class Incidence:
 
 
 def geometry(params: PentParams, lines: Iterable[Iterable[int]]) -> Geometry:
-    canon = frozenset(canonical_line(ln) for ln in lines)
-    for ln in canon:
-        for x in ln:
-            if not 0 <= x < params.v:
-                raise UsageError(f"point {x} outside 0..{params.v - 1}")
-    return Geometry(params=params, lines=canon)
+    """The geometry on the canonical forms of lines, refused when a line
+    repeats a point or has one outside 0..v-1.  The refusal names the first
+    such line in input order, repeated points before points out of range."""
+    canon = list(map(tuple, map(sorted, lines)))
+    # Whole-list checks; the loops below run only to name the bad line.
+    ends = list(filter(None, canon))
+    if sum(map(len, map(set, canon))) != sum(map(len, canon)) or ends and (
+        min(map(itemgetter(0), ends)) < 0 or max(map(itemgetter(-1), ends)) >= params.v
+    ):
+        for ln in canon:
+            canonical_line(ln)
+        for ln in canon:
+            for x in ln:
+                if not 0 <= x < params.v:
+                    raise UsageError(f"point {x} outside 0..{params.v - 1}")
+    return Geometry(params=params, lines=frozenset(canon))
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,17 @@ both kinds of problem run the same code.
 The step hashes no pair.  A problem derives avail and numbers its pair
 classes once, and an attempt reads them by id: rows[x][y] is the id of the
 class of {x,y}, flips[i] the two mask bits class i owns, and cover[i] the
-placed triple covering class i, or None.  A pair under a fixed line is in
-no class.  avail, the ids and the flip bits depend only on the problem, so
-restarts share them; rows holds one entry per end of an open pair and never
-a v x v table.  Without a shift a class is its pair, and point a numbers its
-pairs (a, b), b > a, as one run of ids.  A move flips only its net change:
-a class the new triple takes over from a displaced triple (c_xz or c_yz, or
-with a shift both) keeps its bits, as two flips would cancel.  Only the
-displaced triples' other classes and the new triple's open classes flip.
+placed triple covering class i, or None.  The attempt keeps each placed
+triple with the ids of its three classes, read from rows once when the move
+places it, so displacing or kicking it out reads no row.  A pair under a
+fixed line is in no class.  avail, the ids and the flip bits depend only on
+the problem, so restarts share them; rows holds one entry per end of an
+open pair and never a v x v table.  Without a shift a class is its pair,
+and point a numbers its pairs (a, b), b > a, as one run of ids.  A move
+flips only its net change: a class the new triple takes over from a
+displaced triple (c_xz or c_yz, or with a shift both) keeps its bits, as
+two flips would cancel.  Only the displaced triples' other classes and the
+new triple's open classes flip.
 
 The stall limit is the number of steps an attempt takes without a new
 fewest uncovered count before it kicks, and it scales with the problem: an
@@ -330,10 +333,11 @@ def _attempt(
     n_open = len(flips)
     stall_limit = _stall_limit(n_open)
 
-    # cover[i] is the placed triple covering class i, or None.
+    # cover[i] is the placed triple covering class i, or None, and added maps
+    # each placed triple to the ids of its three classes.
     cover: list[Line | None] = [None] * len(flips)
     n_covered = 0
-    added: set[Line] = set()
+    added: dict[Line, tuple[int, int, int]] = {}
     # live lists, ascending, the r < g with uncovered[r] non-empty, so the
     # points with an uncovered pair are the d + r, r in live, d in 0, g, 2g,
     # ...; in ascending order, the i-th of them is (i // L) g + live[i % L],
@@ -347,9 +351,7 @@ def _attempt(
     # cProfile.  A move keeps the classes it takes over from t unflipped.
     def remove_triple(t: Line, keep: tuple[int, ...] = ()):
         nonlocal n_covered
-        a, b, c = t
-        added.discard(t)
-        for i in (row[a][b], row[a][c], row[b][c]):
+        for i in added.pop(t):
             if i in keep:
                 continue
             cover[i] = None
@@ -395,6 +397,8 @@ def _attempt(
         for _ in range(_PATIENCE):
             i = getrandbits(k_points)
             while i >= n_points:
+                if not n_points:
+                    raise ClimbFailed("internal: no live point with classes left uncovered")
                 i = getrandbits(k_points)
             d, j = divmod(i, n_live)
             r = live[j]
@@ -407,6 +411,8 @@ def _attempt(
             k = n.bit_length()
             i = getrandbits(k)
             while i >= n:
+                if not n:
+                    raise ClimbFailed(f"internal: live point {x} has no uncovered partner")
                 i = getrandbits(k)
             if n > 8:
                 y = select(ux, i, n)
@@ -481,7 +487,7 @@ def _attempt(
         # excludes both, so the three points are distinct and the sorted
         # move is already a canonical line.
         triple = tuple(sorted(move))
-        added.add(triple)
+        added[triple] = (c_xy, c_xz, c_yz)
         for i in (c_xy, c_xz, c_yz):
             if cover[i] is None:
                 ra, ba, rb, bb = flips[i]
@@ -499,7 +505,7 @@ def _attempt(
         n_covered += 3
     n_uncovered = n_open - n_covered
     log = AttemptLog(iterations, kicks, min(best, n_uncovered))
-    return (added if n_uncovered == 0 else None), log
+    return (set(added) if n_uncovered == 0 else None), log
 
 
 def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutcome:
@@ -528,7 +534,7 @@ def climb_sts(w: int, config: ClimbConfig | None = None) -> SteinerSystem:
     if w < 3 or w % 6 not in (1, 3):
         raise UsageError(f"no S(2,3,{w}): w must be 1 or 3 (mod 6)")
     _check_pair_count(w * (w - 1) // 2, f"S(2,3,{w}) climb")
-    pairs = frozenset((x, y) for x in range(w) for y in range(x + 1, w))
+    pairs = frozenset(combinations(range(w), 2))
     outcome = climb(ClimbProblem(v=w, target_pairs=pairs), config)
     if outcome.status != COMPLETE:
         raise ClimbFailed(f"S(2,3,{w}) climb exhausted after {outcome.iterations_used} iterations")

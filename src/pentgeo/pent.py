@@ -41,12 +41,12 @@ divided by s at the end; the orbit of L sums to a whole number, so this is
 exact, short orbits included.  At step = v every weight is 1 and no window
 is counted.  Only the witness searches read the full line set.
 
-verify() never raises on bad input of at most graphs.MAX_VERTICES points: it
-reports each failed axiom with up to WITNESS_LIMIT witnesses.  Witnesses are
-searched for only where an identity failed, point by point in sorted order,
-so the report is the same whichever identity caught the failure.  The other
-operations assume a valid geometry and raise when an identity forced by
-validity does not hold.
+verify() and check_axioms() never raise on bad input of at most
+graphs.MAX_VERTICES points: they report each failed axiom with up to
+WITNESS_LIMIT witnesses.  Witnesses are searched for only where an identity
+failed, point by point in sorted order, so the report is the same whichever
+identity caught the failure.  The other operations assume a valid
+geometry and raise when an identity forced by validity does not hold.
 """
 
 from __future__ import annotations
@@ -236,18 +236,15 @@ def _check(name: str, witnesses: list[str]) -> AxiomCheck:
     return AxiomCheck(name, not witnesses, tuple(witnesses[:WITNESS_LIMIT]))
 
 
-def verify(geom: Geometry) -> VerificationReport:
-    """Check all four axioms and assemble the full report.
-
-    Axioms are checked independently so a single mutation is reported against
-    every axiom it breaks.  Witnesses quote the smallest failing object in
-    sorted order.
-    """
+def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int, list[int]]]:
+    """Check the four axioms, each on its own, so a single mutation is
+    reported against every axiom it breaks; witnesses quote the smallest
+    failing object in sorted order.  Returns the checks with the counts of
+    _tally (opposite lines, lines, held pairs per representative)."""
     params = geom.params
     k, r, w, v = params.k, params.r, params.w, params.v
     ix = geom.incidence
-    degree, closed, dgraph, step = ix.degree, ix.closed, ix.deficiency, geom.step
-    nbrs = dgraph.masks
+    degree, closed, nbrs, step = ix.degree, ix.closed, ix.deficiency.masks, geom.step
 
     # Every line is a translate of a representative of the same length.
     uniform_witnesses = []
@@ -261,7 +258,8 @@ def verify(geom: Geometry) -> VerificationReport:
     # x fails opposite_designs unless |N(x)| = w, the lines inside N(x) hold
     # w(w-1)/2 pairs, and no two of them share a pair (clashing marks the x
     # where two do; only possible when partial linearity fails).
-    opposite_count, line_count, held = _tally(geom)
+    tally = _tally(geom)
+    held = tally[2]
     pl_witnesses: list[str] = []
     clashing = 0
     if uniform_witnesses or any(
@@ -298,8 +296,24 @@ def verify(geom: Geometry) -> VerificationReport:
         _check(AXIOM_REGULAR, regular_witnesses),
         _check(AXIOM_OPPOSITE, opposite_witnesses),
     )
+    return axioms, tally
+
+
+def verify(geom: Geometry) -> VerificationReport:
+    """Check all four axioms (check_axioms) and assemble the full report:
+    the deficiency graph's girth and components, its K_{w,w} count and,
+    for a valid geometry, its type, line split and overlap profile.
+
+    A construction needs only the verdict: it runs check_axioms on its
+    output and ingredients, and on a tripling or product input also counts
+    the deficiency components, which must be one.  It skips the girth, the
+    K_{w,w} count, the type, the line split and the overlap profile.
+    """
+    params = geom.params
+    axioms, (opposite_count, line_count, _) = check_axioms(geom)
+    dgraph = geom.incidence.deficiency
     dreport = graphs.report(dgraph)
-    kww = _count_kww_components(dgraph, w)
+    kww = _count_kww_components(dgraph, params.w)
 
     geometry_type, split, profile = TYPE_INVALID, None, None
     if all(a.passed for a in axioms):

@@ -546,7 +546,7 @@ REFUSALS = {
     "product-steiner": (
         ["construct", "product", "pent_3_3_3.pent", "--h", "5"],
         1,
-        "no S(2,3,5): no S(2,3,5): w = 5 is not 1 or 3 (mod 6)",
+        "no S(2,3,5): w = 5 is not 1 or 3 (mod 6)",
     ),
     "gdd-no-td": (["gdd", "4", "6"], 1, "no TD(4,6) recipe here: 6 is not a prime power"),
     "product-no-td": (

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -22,7 +23,7 @@ from pentgeo.construct import (
 from pentgeo.designs import Gdd, uniform_gdd
 from pentgeo.errors import PentError, UsageError
 from pentgeo.graphs import generalized_petersen, graph_from_edges, orbit_graph, petersen
-from pentgeo.hillclimb import ClimbConfig
+from pentgeo.hillclimb import ClimbConfig, ClimbProblem, climb
 
 from pentgeo import geometry
 
@@ -64,18 +65,27 @@ def test_make_degenerate_k4():
 
 def test_make_degenerate_verified_above_1500_points(monkeypatch):
     # v = 1502: every axiom is checked at this size, not only the shape
-    verified = []
-    real_verify = pent.verify
+    checked = []
+    real_check = pent.check_axioms
 
-    def recording_verify(geom):
-        rep = real_verify(geom)
-        verified.append(rep)
-        return rep
+    def recording_check(geom):
+        result = real_check(geom)
+        checked.append((geom, result))
+        return result
 
-    monkeypatch.setattr(pent, "verify", recording_verify)
+    monkeypatch.setattr(pent, "check_axioms", recording_check)
     geom = make_degenerate(3, 751)
     assert (geom.params.v, geom.params.r, len(geom.lines)) == (1502, 375, 187750)
-    [rep] = verified
+    [(seen, (axioms, _))] = checked
+    assert seen is geom
+    assert [a.name for a in axioms] == [
+        pent.AXIOM_PARTIAL_LINEAR,
+        pent.AXIOM_UNIFORM,
+        pent.AXIOM_REGULAR,
+        pent.AXIOM_OPPOSITE,
+    ]
+    assert all(a.passed for a in axioms)
+    rep = verify(geom)
     assert rep.valid and rep.geometry_type == "F"
     assert rep.params == geom.params
     assert rep.kww_components == 1
@@ -90,11 +100,17 @@ def test_finish_refuses_a_line_too_few(pent33):
 
 def test_make_degenerate_no_system():
     with pytest.raises(
-        PentError, match=r"^no S\(2,3,5\): no S\(2,3,5\): w = 5 is not 1 or 3 \(mod 6\)$"
+        PentError, match=r"^no S\(2,3,5\): w = 5 is not 1 or 3 \(mod 6\)$"
     ):
         make_degenerate(3, 5)
     with pytest.raises(PentError, match=r"^no S\(2,4,10\) recipe here$"):
         make_degenerate(4, 10)
+
+
+def test_construction36_names_an_inadmissible_3gdd_once():
+    # A 4-regular seed with h = 3 asks for a 3-GDD of type 3^4, and 3(4-1) is odd.
+    with pytest.raises(PentError, match=r"^no 3-GDD of type 3\^4$"):
+        construction36(graph_from_edges(23, QUARTIC_23), 3, 3)
 
 
 def test_triple(pent33):
@@ -160,12 +176,25 @@ def test_product_rejections(pent33):
     with pytest.raises(PentError, match=r"^\(k-1\) = 2 does not divide h-1 = 3$"):
         product(pent33, 4)  # parity: 2 does not divide 3
     with pytest.raises(
-        PentError, match=r"^no S\(2,3,5\): no S\(2,3,5\): w = 5 is not 1 or 3 \(mod 6\)$"
+        PentError, match=r"^no S\(2,3,5\): w = 5 is not 1 or 3 \(mod 6\)$"
     ):
         product(pent33, 5)  # no S(2,3,5)
     parts = gdd_fill(GddFillPlan(gdd=uniform_gdd(3, 10), ingredients={10: pent33}))
     with pytest.raises(PentError, match=r"^product needs a connected deficiency graph$"):
         product(parts, 3)
+
+
+def climbed_gdd(sizes):
+    """A 3-GDD with groups of the given sizes, in order, by hill climbing."""
+    groups = []
+    for size in sizes:
+        start = sum(map(len, groups))
+        groups.append(tuple(range(start, start + size)))
+    group_of = {x: i for i, grp in enumerate(groups) for x in grp}
+    v = len(group_of)
+    pairs = frozenset(p for p in combinations(range(v), 2) if group_of[p[0]] != group_of[p[1]])
+    outcome = climb(ClimbProblem(v=v, target_pairs=pairs), ClimbConfig(seed=0))
+    return Gdd(k=3, groups=tuple(groups), blocks=outcome.lines)
 
 
 def test_gdd_fill_plan_errors(pent33):
@@ -182,7 +211,7 @@ def test_gdd_fill_plan_errors(pent33):
     with pytest.raises(UsageError, match=r"^ingredient for size 14 has w = 7 != 3$"):
         gdd_fill(
             GddFillPlan(
-                gdd=uniform_gdd(3, 2),
+                gdd=climbed_gdd((6,) * 6 + (14,)),
                 ingredients={6: make_degenerate(3, 3), 14: make_degenerate(3, 7)},
             )
         )
@@ -190,6 +219,25 @@ def test_gdd_fill_plan_errors(pent33):
     match = r"^gdd does not verify: within-group pair \(0, 1\) covered by \(0, 1, 2\)$"
     with pytest.raises(UsageError, match=match):
         gdd_fill(GddFillPlan(gdd=bad, ingredients={}))
+
+
+def test_gdd_fill_ignores_unused_ingredients(pent33):
+    # No group has 14 points, so the w = 7 ingredient is neither checked nor
+    # verified; nor is a broken one.
+    broken = geometry(pent33.params, sorted(pent33.lines)[1:])
+    for unused in (make_degenerate(3, 7), broken):
+        geom = gdd_fill(GddFillPlan(gdd=uniform_gdd(3, 10), ingredients={10: pent33, 14: unused}))
+        assert (geom.params.v, geom.params.w) == (30, 3)
+        assert verify(geom).valid
+    # Groups of 2 points and no ingredient for them: the unused 6 and 14 do
+    # not help.
+    with pytest.raises(UsageError, match=r"^no ingredient for group size 2$"):
+        gdd_fill(
+            GddFillPlan(
+                gdd=uniform_gdd(3, 2),
+                ingredients={6: make_degenerate(3, 3), 14: make_degenerate(3, 7)},
+            )
+        )
 
 
 def test_gdd_fill_gdd_fault_is_plan_invalid(pent33):

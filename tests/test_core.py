@@ -168,6 +168,32 @@ def test_geometry_rejects_stray_point():
         geometry(params, [(0, 1, 10)])
 
 
+# Several bad lines: the refusal names the first in input order, each line
+# sorted, and any repeated point before any point out of range.
+BAD_LINE_CASES = [
+    ([(0, 1, 2), (4, 3, 3), (7, 5, 5), (9, 8, 8)], r"^repeated point in line \(3, 3, 4\)$"),
+    ([(9, 8, 8), (4, 3, 3)], r"^repeated point in line \(8, 8, 9\)$"),
+    ([(0, 1, 2), (3, 12, 4), (5, -1, 6), (7, 11, 8)], r"^point 12 outside 0\.\.9$"),
+    ([(0, 1, 2), (11, 3, -2), (5, -1, 6)], r"^point -2 outside 0\.\.9$"),
+    ([(3, 12, 4), (5, 5, 6)], r"^repeated point in line \(5, 5, 6\)$"),
+    ([(), (0, 1, 2), [10, 3]], r"^point 10 outside 0\.\.9$"),
+]
+
+
+@pytest.mark.parametrize("lines, message", BAD_LINE_CASES)
+def test_geometry_names_the_first_bad_line(lines, message):
+    with pytest.raises(UsageError, match=message):
+        geometry(derive_params(3, 3, 3), lines)
+    # A one-shot iterable of lines is refused alike.
+    with pytest.raises(UsageError, match=message):
+        geometry(derive_params(3, 3, 3), (ln for ln in lines))
+
+
+def test_geometry_accepts_empty_and_short_lines():
+    geom = geometry(derive_params(3, 3, 3), [(), [2, 0], (9, 0, 5), (9, 0, 5)])
+    assert geom.lines == frozenset({(), (0, 2), (0, 5, 9)})
+
+
 def test_json_round_trip(pent33):
     text = geometry_to_json(pent33)
     again = geometry_from_json(text)

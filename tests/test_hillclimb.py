@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import random
+import signal
 import sys
 from collections import Counter
 from unittest import mock
@@ -287,6 +288,28 @@ def test_attempt_log_counts_kicks(budget, kicks):
     outcome = climb(problem, ClimbConfig(seed=0, restarts=3, max_iterations=budget))
     assert outcome.attempts == (AttemptLog(budget, kicks, 6),) * 3
     assert outcome.iterations_used == 3 * budget
+
+
+def test_corrupted_problem_fails_instead_of_spinning():
+    # A fourth class that no pair names: the one triple covers the three
+    # real classes and empties every mask, so no point is left to draw
+    # while one class still counts as open.  The draw used to redraw
+    # getrandbits(0) = 0 forever; the alarm turns such a hang into a failure.
+    problem = ClimbProblem(v=3, target_pairs=all_pairs(3))
+    object.__setattr__(problem, "flips", problem.flips + problem.flips[:1])
+
+    def hang(signum, frame):
+        raise AssertionError("the corrupted climb did not stop")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        message = r"^internal: no live point with classes left uncovered$"
+        with pytest.raises(ClimbFailed, match=message):
+            climb(problem, ClimbConfig(seed=0, restarts=1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_small_climbs_complete_on_first_attempt():

@@ -46,7 +46,7 @@ from pentgeo.graphs import (
     report,
     shift_automorphisms,
 )
-from pentgeo.pent import _tally, dist3_analysis, overlap_profile
+from pentgeo.pent import _tally, check_axioms, dist3_analysis, overlap_profile
 
 ANALYSES = (
     (verify, oracle.verify),
@@ -431,6 +431,27 @@ def test_develop_matches_oracle(file):
                 held[x] += len(ln) * (len(ln) - 1) // 2
     assert _tally(geom) == (sum(1 for xs in inside.values() if xs), len(inside), held)
     assert geom.lines == reference.lines and geom == plain
+
+
+# check_axioms, the verdict a construction reads, against the oracle's axiom
+# checks on the random base-block files and the line mutants above.
+@settings(max_examples=100)
+@given(file=base_block_files())
+def test_check_axioms_matches_oracle_on_base_blocks(file):
+    reference = oracle.develop(file)
+    plain = geometry(reference.params, reference.lines)
+    assert check_axioms(develop(file))[0] == oracle.verify(plain).axioms
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(MUTABLE_NAMES),
+    kinds=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_axioms_matches_oracle_on_mutants(geometries, name, kinds, seed):
+    geom = mutant(geometries, name, kinds, seed)
+    assert check_axioms(geom)[0] == oracle.verify(geom).axioms
 
 
 DEVELOPED_NAMES = tuple(
