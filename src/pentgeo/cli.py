@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -288,35 +289,17 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from . import construct
 
     if args.family == "pent3":
-        plan3 = construct.plan_pent3(args.r0, args.r1, args.r2, args.w, args.target)
-        if plan3 is None:
-            _emit(json.dumps({"reachable": False}) + "\n", args.output)
-            return 1
-        payload = {
-            "reachable": True,
-            "w": plan3.w,
-            "r0": plan3.r0,
-            "r1": plan3.r1,
-            "r2": plan3.r2,
-            "r3": plan3.r3,
-            "t": plan3.t,
-            "u": plan3.u,
-            "target_r": plan3.target_r,
-        }
+        plan = construct.plan_pent3(args.r0, args.r1, args.r2, args.w, args.target)
     else:
-        plan5 = construct.plan_pent5(args.r)
-        if plan5 is None:
-            _emit(json.dumps({"reachable": False}) + "\n", args.output)
-            return 1
-        payload = {
-            "reachable": True,
-            "r": plan5.r,
-            "v": plan5.v,
-            "h": plan5.h,
-            "q": plan5.q,
-            "m": plan5.m,
-            "part_counts": dict(zip(map(str, construct.PENT5_PART_SIZES), plan5.part_counts)),
-        }
+        plan = construct.plan_pent5(args.r)
+    if plan is None:
+        _emit(json.dumps({"reachable": False}) + "\n", args.output)
+        return 1
+    payload = {"reachable": True, **asdict(plan)}
+    if args.family == "pent3":
+        payload["target_r"] = plan.target_r
+    else:
+        payload["part_counts"] = dict(zip(map(str, construct.PENT5_PART_SIZES), plan.part_counts))
     _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.output)
     return 0
 

@@ -14,9 +14,9 @@ its base blocks; every other geometry has step = v, the identity, as no
 symmetry is known for it.  The points 0..step-1 represent the point orbits,
 and the masks of x are those of x % step rotated by x - x % step (mod v), so
 the incidence index is built from the lines through the representatives.
-Those are the lines whose least point is below the step, and they are all
-a developed geometry keeps until its full line set is first read.
-Equality, hashing, repr and JSON ignore the step and read the full lines.
+Those are the lines whose least point is below the step, all a developed
+geometry keeps; Geometry.line_stream moves them to every line in sorted
+order.  Equality, hashing, repr and JSON ignore the step and read all lines.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import UsageError
-from .graphs import MAX_VERTICES, Graph, orbit_masks
+from .graphs import MAX_VERTICES, Graph, data_lines, orbit_masks
 
 # A line is a sorted, duplicate-free tuple of point identifiers.
 Line = tuple[int, ...]
@@ -110,23 +110,10 @@ class Geometry:
         return geom
 
     def __getattr__(self, name: str):
-        # Reached only for an attribute that is not set: the lines of a
-        # developed geometry before they are first read.  Each orbit is
-        # walked once, from its first representative.
+        # An unset attribute: a developed geometry's lines, built on first read.
         if name != "lines" or "_reps" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        v, step = self.v, self.step
-        lines: set[Line] = set()
-        for rep in self._reps:
-            if rep in lines:
-                continue
-            lines.add(rep)
-            for t in range(step, v, step):
-                cur = tuple(sorted([(x + t) % v for x in rep]))
-                if cur == rep:
-                    break
-                lines.add(cur)
-        object.__setattr__(self, "lines", frozenset(lines))
+        object.__setattr__(self, "lines", frozenset(self.line_stream()))
         return self.lines
 
     @property
@@ -134,16 +121,25 @@ class Geometry:
         return self.params.v
 
     def lines_sorted(self) -> list[Line]:
-        return sorted(self.lines)
+        return sorted(self.lines) if self.step == self.v else list(self.line_stream())
+
+    def line_stream(self) -> Iterator[Line]:
+        """Every line once, in sorted order, window by window: a line whose
+        least point lies in window q is a representative R moved by
+        t = q*step with no point wrapping, so window q yields R + t for each
+        sorted R with R[-1] + t < v.  An R that wraps wraps later too."""
+        v, live = self.v, sorted(self.representative_lines())
+        yield from live
+        for t in range(self.step, v, self.step):
+            live = [rep for rep in live if rep[-1] + t < v]
+            yield from (tuple([x + t for x in rep]) for rep in live)
 
     def representative_lines(self) -> Iterable[Line]:
         """The lines through a representative 0..step-1, each once: as lines
-        are sorted, those whose least point is below the step.  These are
-        all the lines when step = v, and the lines a developed geometry
-        keeps otherwise, so reading them never builds the full line set."""
-        if self.step == self.v:
-            return self.lines
-        return self._reps
+        are sorted, those whose least point is below the step.  A developed
+        geometry keeps exactly these, so reading them never builds its full
+        line set; any other geometry has step = v, where they are all lines."""
+        return self._reps if "_reps" in vars(self) else self.lines
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -241,26 +237,19 @@ def parse_pent_file(text: str) -> BaseBlockFile:
     """
     if not text.endswith("\n"):
         raise UsageError("missing trailing newline")
-    header: tuple[int, int, int, int] | None = None
+    header: tuple[int, ...] | None = None
     blocks: list[tuple[int, ...]] = []
-    k = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            values = tuple(int(tok) for tok in stripped.split())
-        except ValueError:
-            raise UsageError(f"line {line_no}: non-integer token in {stripped!r}")
+    for line_no, values in data_lines(text):
         if header is None:
             if len(values) != 4:
                 raise UsageError(f"line {line_no}: header must be 'k r w d'")
             header = values
-            k = values[0]
-            continue
-        if len(values) != k:
-            raise UsageError(f"line {line_no}: block has {len(values)} entries, expected {k}")
-        blocks.append(values)
+        elif len(values) != header[0]:
+            raise UsageError(
+                f"line {line_no}: block has {len(values)} entries, expected {header[0]}"
+            )
+        else:
+            blocks.append(values)
     if header is None:
         raise UsageError("no header line")
     if not blocks:
@@ -279,15 +268,11 @@ def develop(file: BaseBlockFile) -> Geometry:
 
     The geometry records d as its step.  For each base block B and each
     window q = x // d of a point x of B it keeps the translate B - q*d;
-    these are its lines through 0..d-1, at most k per base block.  Its full
-    line set is built when lines is first read.  Only then does each base
-    block yield up to v/d lines, fewer when a multiple of d less than v
-    fixes it (a short orbit), so the full set holds at most
-    (v/d) * len(blocks) lines, whatever the line count b of the parameters.
-    A file can therefore ask for much more than its own size: one block
-    with d = 1 at r = 10^5 stands for 200,004 lines.  verify and the other
-    analyses count by orbits and never read them; only witness searches,
-    JSON output and equality do.
+    these are its lines through 0..d-1, at most k per base block, and all
+    that verify and the other analyses read.  A base block stands for up to
+    v/d lines (fewer for a short orbit), so a file can ask for much more
+    than its own size: one block with d = 1 at r = 10^5 stands for 200,004
+    lines, which only JSON output and equality build.
     """
     params = file.params
     v, d = params.v, file.d

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import UsageError
 
@@ -333,19 +333,26 @@ def neighborhood_intersection_profile(g: Graph) -> Counter:
     return Counter({u: (2 * among[u] + across[u]) * g.n // step // 2 for u in among | across})
 
 
-def parse_graph_file(text: str) -> Graph:
-    """Text format: first data line is the vertex count, then one 'u v' edge
-    per line.  '#' comments and blank lines are ignored."""
-    n: int | None = None
-    edges: list[tuple[int, int]] = []
+def data_lines(text: str) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The integers on each data line of a text file, with its 1-based line
+    number; blank lines and lines starting with '#' are skipped."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            values = [int(tok) for tok in stripped.split()]
+            values = tuple(int(tok) for tok in stripped.split())
         except ValueError:
             raise UsageError(f"line {line_no}: non-integer token in {stripped!r}")
+        yield line_no, values
+
+
+def parse_graph_file(text: str) -> Graph:
+    """Text format: first data line is the vertex count, then one 'u v' edge
+    per line.  '#' comments and blank lines are ignored."""
+    n: int | None = None
+    edges: list[tuple[int, int]] = []
+    for line_no, values in data_lines(text):
         if n is None:
             if len(values) != 1:
                 raise UsageError(f"line {line_no}: first data line must be the vertex count")

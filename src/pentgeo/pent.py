@@ -39,7 +39,7 @@ where opp(L) holds the points whose deficiency neighbourhood contains L.
 Each sum is taken in units of 1/s, s the lcm of the window counts, and
 divided by s at the end; the orbit of L sums to a whole number, so this is
 exact, short orbits included.  At step = v every weight is 1 and no window
-is counted.  Only the witness searches read the full line set.
+is counted.  Witness searches read them too, so no full line set is built.
 
 verify() and check_axioms() never raise on bad input of at most
 graphs.MAX_VERTICES points: they report each failed axiom with up to
@@ -53,9 +53,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import graphs
 from .core import Geometry, Line, PentParams
@@ -151,13 +151,26 @@ def _opposite(geom: Geometry, lines: Iterable[Line]) -> list[int]:
     return out
 
 
-def _lines_by_point(geom: Geometry) -> list[list[Line]]:
-    """Lines through each point, in sorted order."""
-    by_point: list[list[Line]] = [[] for _ in range(geom.v)]
-    for ln in geom.lines_sorted():
-        for x in ln:
-            by_point[x].append(ln)
-    return by_point
+def _lines_through(geom: Geometry) -> Callable[..., list[Line]]:
+    """lines_through(p, q=None): the lines through p (and q, if given) in
+    sorted order.  They are the representatives through p % step, indexed
+    by point on the first call, moved by t = p - p % step."""
+    v, step = geom.v, geom.step
+    index: list[list[Line]] = []
+
+    def lines_through(p: int, q: int | None = None) -> list[Line]:
+        if not index:
+            index.extend([] for _ in range(step))
+            for ln in sorted(geom.representative_lines()):
+                for x in ln:
+                    if x < step:
+                        index[x].append(ln)
+        t, lines = p - p % step, index[p % step]
+        if q is not None:
+            lines = [ln for ln in lines if (q - t) % v in ln]
+        return sorted(tuple(sorted([(x + t) % v for x in ln])) for ln in lines) if t else lines
+
+    return lines_through
 
 
 def deficiency_graph(geom: Geometry) -> Graph:
@@ -199,22 +212,22 @@ def classify(report: VerificationReport) -> str:
     return _classify(report.params, report.deficiency, report.kww_components)
 
 
-def _pair_table(lines: list[Line], witnesses: list[str]) -> dict[tuple[int, int], list[Line]]:
-    """Every pair with the lines covering it; doubly covered pairs are
-    quoted into witnesses, first occurrences first."""
-    table: dict[tuple[int, int], list[Line]] = {}
-    for ln in lines:
-        for pair in combinations(ln, 2):
-            covering = table.setdefault(pair, [])
-            if covering and len(witnesses) < WITNESS_LIMIT:
-                witnesses.append(f"pair {pair} on lines {covering[-1]} and {ln}")
-            covering.append(ln)
-    return table
+def _doubled_pairs(geom: Geometry, suspect: set[int], lines_through) -> Iterator[str]:
+    """Quote each pair on two lines at its later line, in sorted order.  Both
+    ends are suspect by representative; the pair's earlier lines are those
+    through both ends below the current one, and the last of them is quoted."""
+    step = geom.step
+    for ln in geom.line_stream():
+        ends = [x for x in ln if x % step in suspect]
+        for a, b in combinations(ends, 2):
+            earlier = [m for m in lines_through(a, b) if m < ln]
+            if earlier:
+                yield f"pair {(a, b)} on lines {earlier[-1]} and {ln}"
 
 
-def _opposite_witnesses(x: int, nbrs: set[int], by_point, witnesses: list[str]) -> None:
+def _opposite_witnesses(x: int, nbrs: set[int], lines_through, witnesses: list[str]) -> None:
     """Quote why the lines inside nbrs = N(x) are not an S(2,k,w) on it."""
-    met = dict.fromkeys(ln for p in nbrs for ln in by_point[p])
+    met = dict.fromkeys(ln for p in nbrs for ln in lines_through(p))
     inside = [ln for ln in met if nbrs.issuperset(ln)]
     covered: set[tuple[int, int]] = set()
     doubled = False
@@ -249,7 +262,7 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     # Every line is a translate of a representative of the same length.
     uniform_witnesses = []
     if set(map(len, geom.representative_lines())) - {k}:
-        uniform_witnesses = [f"line {ln}" for ln in geom.lines_sorted() if len(ln) != k]
+        uniform_witnesses = [f"line {ln}" for ln in geom.line_stream() if len(ln) != k]
 
     regular_witnesses = [
         f"point {x} on {degree[x]} lines, expected {r}" for x in range(v) if degree[x] != r
@@ -260,33 +273,44 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     # where two do; only possible when partial linearity fails).
     tally = _tally(geom)
     held = tally[2]
+    lines_through = _lines_through(geom)
+    # Suspect: a representative whose closed mask fails 1 + deg(k-1) or that
+    # lies on a line of the wrong length.  On lines of k points the mask falls
+    # short just when two share a second point, so a doubled pair's ends are.
+    suspect = {x for x in range(step) if closed[x].bit_count() != 1 + degree[x] * (k - 1)}
+    if uniform_witnesses:
+        suspect.update(
+            x for ln in geom.representative_lines() if len(ln) != k for x in ln if x < step
+        )
     pl_witnesses: list[str] = []
+    if suspect:
+        pl_witnesses = list(islice(_doubled_pairs(geom, suspect, lines_through), WITNESS_LIMIT))
+    # x clashes when two lines on one pair lie inside N(x): one pass keeps the
+    # points in one of their masks (once) and in two (twice).  Rotating the
+    # pair puts a suspect representative at one end, and x clashes exactly
+    # when x % step does.
     clashing = 0
-    if uniform_witnesses or any(
-        c.bit_count() != 1 + d * (k - 1) for c, d in zip(closed[:step], degree)
-    ):
-        lines = geom.lines_sorted()
-        mask_of = dict(zip(lines, _opposite(geom, lines)))
-        # x clashes when two lines on one pair both lie inside N(x): one pass
-        # over a pair's lines keeps the points in at least one of their masks
-        # (once) and in at least two (twice).
-        for covering in _pair_table(lines, pl_witnesses).values():
+    for a in suspect:
+        covering: dict[int, list[Line]] = {}
+        for ln in lines_through(a):
+            for b in ln:
+                covering.setdefault(b, []).append(ln)
+        for b, lines in covering.items():
+            if b == a or len(lines) < 2:
+                continue
             once = twice = 0
-            for ln in covering:
-                m = mask_of[ln]
+            for m in _opposite(geom, lines):
                 twice |= once & m
                 once |= m
             clashing |= twice
+    clash_reps = {y % step for y in bits(clashing)}
     opposite_witnesses: list[str] = []
-    by_point = None
     for x in range(v):
         size = nbrs[x].bit_count()
         if size != w:
             opposite_witnesses.append(f"point {x}: {size} non-collinear points, expected {w}")
-        elif 2 * held[x % step] != w * (w - 1) or clashing >> x & 1:
-            if by_point is None:
-                by_point = _lines_by_point(geom)
-            _opposite_witnesses(x, set(bits(nbrs[x])), by_point, opposite_witnesses)
+        elif 2 * held[x % step] != w * (w - 1) or x % step in clash_reps:
+            _opposite_witnesses(x, set(bits(nbrs[x])), lines_through, opposite_witnesses)
         if len(opposite_witnesses) >= WITNESS_LIMIT:
             break
 
@@ -464,11 +488,11 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
         for x, (c, f, n) in enumerate(zip(covered[:step], far, sizes))
     )
     if not partitioned:
-        by_point = _lines_by_point(geom)
-        lines = list(geom.lines)
-        opposite_lines = {ln for ln, opp in zip(lines, _opposite(geom, lines)) if opp}
+        lines_through = _lines_through(geom)
         for x in range(step):
-            failure = _blade_failure(x, [ln for ln in by_point[x] if ln not in opposite_lines], far)
+            through = lines_through(x)
+            blades = [ln for ln, opp in zip(through, _opposite(geom, through)) if not opp]
+            failure = _blade_failure(x, blades, far)
             if failure:
                 raise PentError(failure)
     return Dist3Report(

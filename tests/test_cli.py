@@ -213,6 +213,34 @@ def test_verify_huge_pent_under_64_mib(tmp_path, text, code):
         assert "type: A" in proc.stdout
 
 
+def test_verify_doubled_pairs_under_256_mib(tmp_path):
+    # 1,185 bytes of base blocks {0, 1, i}, i = 2..161, developed by d = 1
+    # stand for 160 * 8,004 = 1,280,640 lines, each block's orbit putting
+    # the pair {0, 1} on 160 of them.  The witness searches read only the
+    # 480 lines through point 0, so the child, capped at 256 MiB of address
+    # space, prints the invalid report rather than running out of memory.
+    text = "3 4000 3 1\n" + "".join(f"0 1 {i}\n" for i in range(2, 162))
+    assert len(text) == 1185
+    path = tmp_path / "doubled.pent"
+    path.write_text(text)
+    cap = 256 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from pentgeo.cli import main\n"
+        f"sys.exit(main(['verify', {str(path)!r}]))\n"
+    )
+    proc = run_child(script)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = proc.stdout.splitlines()
+    assert report[:3] == [
+        "PENT(3,4000,3): v = 8004, b = 10672000",
+        "  partial_linear: FAIL",
+        "    pair (0, 1) on lines (0, 1, 2) and (0, 1, 3)",
+    ]
+    assert report[-1] == "  type: invalid"
+
+
 def test_verify_leaves_constructions_unimported(fix18):
     script = (
         "import sys\n"

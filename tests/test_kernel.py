@@ -67,9 +67,21 @@ def outcome(fn, geom):
         return (type(exc).__name__, str(exc))
 
 
+def kernel_outcomes(geom):
+    """The outcome of each analysis.  On a developed geometry none of them,
+    not even one that raises, builds the full line set."""
+    unbuilt = "lines" not in vars(geom)
+    outcomes = []
+    for kernel, _ in ANALYSES:
+        outcomes.append(outcome(kernel, geom))
+        assert not unbuilt or "lines" not in vars(geom), kernel.__name__
+    return outcomes
+
+
 def assert_agrees(geom):
-    for kernel, reference in ANALYSES:
-        assert outcome(kernel, geom) == outcome(reference, geom), kernel.__name__
+    # The kernel runs first, as the oracle builds the full line set.
+    for (kernel, reference), got in zip(ANALYSES, kernel_outcomes(geom)):
+        assert got == outcome(reference, geom), kernel.__name__
 
 
 @cache
@@ -367,6 +379,19 @@ def test_doubled_pair_inside_an_opposite_design_matches_oracle(geometries):
     assert witnesses[0].startswith("point 0: pair ") and "doubled" in witnesses[0]
 
 
+def test_pair_doubled_by_a_long_line_matches_oracle(pent33):
+    # Add to the line (0, 3, 9) of pent_3_3_3 the point 2 of (0, 2, 6).
+    # Points 0 and 9 keep 1 + deg(k-1) collinear points, so only the long
+    # line shows that (0, 2) and (2, 9) now lie on two lines each.
+    lines = pent33.lines - {(0, 3, 9)} | {(0, 2, 3, 9)}
+    mutant = geometry(pent33.params, lines)
+    assert_agrees(mutant)
+    assert verify(mutant).axiom("partial_linear").witnesses == (
+        "pair (0, 2) on lines (0, 2, 3, 9) and (0, 2, 6)",
+        "pair (2, 9) on lines (0, 2, 3, 9) and (2, 5, 9)",
+    )
+
+
 # --- development by representatives ------------------------------------------
 #
 # develop keeps the lines through 0..d-1 and counts the rest by orbit weight;
@@ -415,6 +440,7 @@ def test_develop_matches_oracle(file):
     plain = geometry(reference.params, reference.lines)
     reps = list(geom.representative_lines())
     assert sorted(reps) == sorted(ln for ln in reference.lines if ln[0] < file.d)
+    assert develop(file).lines_sorted() == sorted(reference.lines)
     assert geom.step == file.d
     for kernel, slow in ((verify, oracle.verify), (line_split, oracle.line_split)):
         assert outcome(kernel, geom) == outcome(slow, plain), kernel.__name__
@@ -462,7 +488,9 @@ DEVELOPED_NAMES = tuple(
 @pytest.mark.parametrize("name", DEVELOPED_NAMES)
 def test_developed_fixture_analyses_read_representatives_only(name):
     """A valid developed fixture is verified, classified and analysed from
-    the lines through 0..d-1 alone: its full line set is never built."""
+    the lines through 0..d-1 alone: its full line set is never built.  The
+    developed mutants above are held to the same by kernel_outcomes, which
+    checks after each analysis, also one that raises."""
     geom = develop(parse_pent_file(fixture_text(name)))
     classify(verify(geom))
     line_split(geom)
