@@ -121,7 +121,7 @@ class Geometry:
         return self.params.v
 
     def lines_sorted(self) -> list[Line]:
-        return sorted(self.lines) if self.step == self.v else list(self.line_stream())
+        return list(self.line_stream())
 
     def line_stream(self) -> Iterator[Line]:
         """Every line once, in sorted order, window by window: a line whose
@@ -244,10 +244,8 @@ def parse_pent_file(text: str) -> BaseBlockFile:
             if len(values) != 4:
                 raise UsageError(f"line {line_no}: header must be 'k r w d'")
             header = values
-        elif len(values) != header[0]:
-            raise UsageError(
-                f"line {line_no}: block has {len(values)} entries, expected {header[0]}"
-            )
+        elif len(values) != (k := header[0]):
+            raise UsageError(f"line {line_no}: block has {len(values)} entries, expected {k}")
         else:
             blocks.append(values)
     if header is None:

@@ -151,14 +151,14 @@ def _opposite(geom: Geometry, lines: Iterable[Line]) -> list[int]:
     return out
 
 
-def _lines_through(geom: Geometry) -> Callable[..., list[Line]]:
-    """lines_through(p, q=None): the lines through p (and q, if given) in
-    sorted order.  They are the representatives through p % step, indexed
-    by point on the first call, moved by t = p - p % step."""
+def _lines_through(geom: Geometry) -> Callable[[int], list[Line]]:
+    """lines_through(p): the lines through p in sorted order.  They are the
+    representatives through p % step, indexed by point on the first call,
+    moved by t = p - p % step."""
     v, step = geom.v, geom.step
     index: list[list[Line]] = []
 
-    def lines_through(p: int, q: int | None = None) -> list[Line]:
+    def lines_through(p: int) -> list[Line]:
         if not index:
             index.extend([] for _ in range(step))
             for ln in sorted(geom.representative_lines()):
@@ -166,8 +166,6 @@ def _lines_through(geom: Geometry) -> Callable[..., list[Line]]:
                     if x < step:
                         index[x].append(ln)
         t, lines = p - p % step, index[p % step]
-        if q is not None:
-            lines = [ln for ln in lines if (q - t) % v in ln]
         return sorted(tuple(sorted([(x + t) % v for x in ln])) for ln in lines) if t else lines
 
     return lines_through
@@ -212,17 +210,19 @@ def classify(report: VerificationReport) -> str:
     return _classify(report.params, report.deficiency, report.kww_components)
 
 
-def _doubled_pairs(geom: Geometry, suspect: set[int], lines_through) -> Iterator[str]:
-    """Quote each pair on two lines at its later line, in sorted order.  Both
-    ends are suspect by representative; the pair's earlier lines are those
-    through both ends below the current one, and the last of them is quoted."""
-    step = geom.step
+def _doubled_pairs(geom: Geometry, doubled: dict[int, dict], lines_through) -> Iterator[str]:
+    """Quote each pair on two lines at its later line, in sorted order: a pair
+    whose move by a % step - a is in doubled, with the last of its lines below
+    the current one."""
+    v, step = geom.v, geom.step
     for ln in geom.line_stream():
-        ends = [x for x in ln if x % step in suspect]
+        ends = [x for x in ln if x % step in doubled]
         for a, b in combinations(ends, 2):
-            earlier = [m for m in lines_through(a, b) if m < ln]
-            if earlier:
-                yield f"pair {(a, b)} on lines {earlier[-1]} and {ln}"
+            t = a - a % step
+            if (b - t) % v in doubled[a - t]:
+                earlier = [m for m in lines_through(a) if b in m and m < ln]
+                if earlier:
+                    yield f"pair {(a, b)} on lines {earlier[-1]} and {ln}"
 
 
 def _opposite_witnesses(x: int, nbrs: set[int], lines_through, witnesses: list[str]) -> None:
@@ -282,22 +282,23 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
         suspect.update(
             x for ln in geom.representative_lines() if len(ln) != k for x in ln if x < step
         )
-    pl_witnesses: list[str] = []
-    if suspect:
-        pl_witnesses = list(islice(_doubled_pairs(geom, suspect, lines_through), WITNESS_LIMIT))
-    # x clashes when two lines on one pair lie inside N(x): one pass keeps the
-    # points in one of their masks (once) and in two (twice).  Rotating the
-    # pair puts a suspect representative at one end, and x clashes exactly
-    # when x % step does.
-    clashing = 0
+    # Per suspect representative a, each partner b on two or more lines through
+    # a, with those lines: every pair on two lines, moved to a representative.
+    doubled: dict[int, dict[int, list[Line]]] = {}
     for a in suspect:
         covering: dict[int, list[Line]] = {}
         for ln in lines_through(a):
             for b in ln:
                 covering.setdefault(b, []).append(ln)
-        for b, lines in covering.items():
-            if b == a or len(lines) < 2:
-                continue
+        doubled[a] = {b: lines for b, lines in covering.items() if b != a and len(lines) > 1}
+    pl_witnesses: list[str] = []
+    if any(doubled.values()):
+        pl_witnesses = list(islice(_doubled_pairs(geom, doubled, lines_through), WITNESS_LIMIT))
+    # x clashes when two lines on one pair lie inside N(x), just when x % step
+    # does: one pass keeps the points in one of their masks (once) and two (twice).
+    clashing = 0
+    for partners in doubled.values():
+        for lines in partners.values():
             once = twice = 0
             for m in _opposite(geom, lines):
                 twice |= once & m
