@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import pent
 from .core import Geometry, Line, derive_params, geometry, is_admissible
@@ -104,31 +104,45 @@ def make_degenerate(k: int, w: int) -> Geometry:
     return _finish(lines, k, r, w, f"degenerate PENT({k},{r},{w})")
 
 
-# The nine blocks laid over one tripled line: each point of the original line
-# contributes one of three copies, all equal or all distinct.
-_TRIPLE_PATTERNS = tuple(
-    [(i, i, i) for i in range(3)]
-    + [(h, i, j) for h in range(3) for i in range(3) for j in range(3) if {h, i, j} == {0, 1, 2}]
+def _connected_input(g: Geometry, what: str) -> None:
+    """Refuse g unless all four axioms hold and its deficiency graph is
+    connected, as tripling and the product need."""
+    _verified(g, f"{what} input")
+    if len(components(g.incidence.deficiency)) > 1:
+        raise PentError(f"{what} needs a connected deficiency graph")
+
+
+def _inflated(n: int, h: int, system: SteinerSystem, gdd: Gdd, blocks: Iterable) -> set[Line]:
+    """Lines on h copies h*p..h*p+h-1 of each point p < n: system on every
+    copy group and, over each sorted block, gdd (of type h^len(block)) with
+    its group c on the copies of the block's c-th point."""
+    lines: set[Line] = set()
+    for p in range(n):
+        lines.update(tuple([h * p + x for x in blk]) for blk in system.blocks)
+    for blk in blocks:
+        lines.update(tuple([h * blk[x // h] + x % h for x in b]) for b in gdd.blocks)
+    return lines
+
+
+# The idempotent TD(3,3) laid over each tripled line: copies h and i of its
+# first two points take copy (-h-i) % 3 of the third, so the three copies
+# are all equal or all distinct.
+_TRIPLE_GDD = Gdd(
+    k=3,
+    groups=((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+    blocks=frozenset((h, 3 + i, 6 + (-h - i) % 3) for h in range(3) for i in range(3)),
 )
 
 
 def triple(g: Geometry) -> Geometry:
-    """PENT(3,3r+1,3w) from a connected PENT(3,r,w): three copies of each
-    point, one line per point tying its copies together, nine lines per
-    original line."""
+    """PENT(3,3r+1,3w) from a connected PENT(3,r,w): the product with h = 3
+    over the idempotent TD(3,3), so one line per point ties its three copies
+    together and nine lines lie over each original line."""
     params = g.params
     if params.k != 3:
         raise UsageError(f"k = {params.k}, tripling needs k = 3")
-    _verified(g, "tripling input")
-    if len(components(g.incidence.deficiency)) > 1:
-        raise PentError("tripling needs a connected deficiency graph")
-    lines: set[Line] = set()
-    for a in range(params.v):
-        lines.add((3 * a, 3 * a + 1, 3 * a + 2))
-    for ln in g.lines:
-        a, b, c = ln
-        for h, i, j in _TRIPLE_PATTERNS:
-            lines.add((3 * a + h, 3 * b + i, 3 * c + j))
+    _connected_input(g, "tripling")
+    lines = _inflated(params.v, 3, single_block_system(3), _TRIPLE_GDD, g.lines)
     return _finish(lines, 3, 3 * params.r + 1, 3 * params.w, "tripled geometry")
 
 
@@ -144,15 +158,8 @@ def product(g: Geometry, h: int) -> Geometry:
         raise PentError(f"(k-1) = {k - 1} does not divide h-1 = {h - 1}")
     system = _steiner(k, h)
     td = uniform_gdd(k, h)
-    _verified(g, "product input")
-    if len(components(g.incidence.deficiency)) > 1:
-        raise PentError("product needs a connected deficiency graph")
-    lines: set[Line] = set()
-    for a in range(params.v):
-        lines.update(tuple([h * a + x for x in blk]) for blk in system.blocks)
-    for ln in g.lines:
-        for blk in td.blocks:
-            lines.add(tuple([h * ln[x // h] + x % h for x in blk]))
+    _connected_input(g, "product")
+    lines = _inflated(params.v, h, system, td, g.lines)
     r_out = h * params.r + (h - 1) // (k - 1)
     return _finish(lines, k, r_out, h * params.w, "product geometry")
 
@@ -300,12 +307,7 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
     gdd = _group_gdd(k, h, u, config)
     system = _steiner(k, h)
 
-    lines: set[Line] = set()
-    for p in range(c.n):
-        lines.update(tuple([h * p + x for x in blk]) for blk in system.blocks)
-        nbrs = bits(c.masks[p])
-        for blk in gdd.blocks:
-            lines.add(tuple([h * nbrs[x // h] + x % h for x in blk]))
+    lines = _inflated(c.n, h, system, gdd, map(bits, c.masks))
     expected_opp = v * (w * (w - h) + h * (h - 1)) // (h * k * (k - 1))
     if len(lines) != expected_opp:
         raise PentError(

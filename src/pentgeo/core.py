@@ -84,8 +84,9 @@ class Geometry:
 
     Holding lines as a frozenset makes duplicates impossible by type; nothing
     here promises that the axioms hold.  |lines| equals params.b exactly when
-    the geometry is complete.  Its incidence index (2*v*v/8 bytes of masks)
-    is built on first use and kept with this object, so every analysis of it
+    the geometry is complete.  Its incidence index (v*v/8 bytes of masks and
+    one reference per point below the step on each representative line) is
+    built on first use and kept with this object, so every analysis of it
     shares one build; an equal geometry built separately builds its own.
     step is the cyclic automorphism of the module docstring: v here, the
     development step for a geometry that develop() returns.  Such a geometry
@@ -147,34 +148,45 @@ class Geometry:
 
 
 class Incidence:
-    """Per point x of a geometry whose lines lie in 0..v-1, as geometry() and
-    develop() make them: its degree, its closed collinearity mask closed[x]
-    (x and every point on a line with x) and, as the deficiency graph with
-    the geometry's step, its mask N[x] = ALL & ~closed[x].  Masks are Python
-    ints, bit y for point y.  They are built for the representatives from
-    the lines through them and rotated to the other points.  More than
-    MAX_VERTICES points are refused before any mask is allocated, so the
-    masks take at most 2*v*v/8 bytes = 64 MiB."""
+    """The index of a geometry whose lines lie in 0..v-1, as geometry() and
+    develop() make them, built in one pass over its representative lines:
+    the deficiency graph, whose mask N[x] (a Python int, bit y for point y)
+    holds the points on no line with x, rotated from the representatives'
+    masks, and through[x], the lines through each representative x, so
+    degree[p] = len(through[p % step]).  More than MAX_VERTICES points are
+    refused before any mask is allocated, so the masks take at most v*v/8
+    bytes = 32 MiB; through holds one reference per point below the step on
+    each representative line."""
 
     def __init__(self, geom: Geometry):
         v, step = geom.v, geom.step
         if v > MAX_VERTICES:
             raise UsageError(f"v = {v} > {MAX_VERTICES} points")
-        # Points above the step gather part of their lines; only the
-        # representatives' entries are kept.
-        degree = [0] * v
-        closed = [1 << x for x in range(v)]
+        through: list[list[Line]] = [[] for _ in range(v)]
+        masks = [1 << x for x in range(v)]
         for ln in geom.representative_lines():
             m = 0
             for x in ln:
                 m |= 1 << x
             for x in ln:
-                degree[x] += 1
-                closed[x] |= m
-        self.degree = tuple(degree[:step]) * (v // step)
-        self.closed = orbit_masks(closed[:step], v)
+                through[x].append(ln)
+                masks[x] |= m
+        # Points above the step gather part of their lines; only the
+        # representatives' entries are kept.
+        del through[step:], masks[step:]
         full = (1 << v) - 1
-        self.deficiency = Graph(v, tuple(full ^ c for c in self.closed), step)
+        for x in range(step):  # x's closed mask, complete, becomes N[x] in place
+            masks[x] ^= full
+        self.through = through
+        self.degree = tuple(map(len, through)) * (v // step)
+        self.deficiency = Graph(v, orbit_masks(masks, v), step)
+
+    def lines_through(self, p: int) -> list[Line]:
+        """The lines through p, sorted: those through p % step, moved by
+        p - p % step."""
+        g = self.deficiency
+        t, lines = p - p % g.step, self.through[p % g.step]
+        return sorted(tuple(sorted([(y + t) % g.n for y in ln])) if t else ln for ln in lines)
 
 
 def geometry(params: PentParams, lines: Iterable[Iterable[int]]) -> Geometry:

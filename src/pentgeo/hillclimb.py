@@ -72,7 +72,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -529,16 +529,25 @@ def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutc
     return ClimbOutcome(EXHAUSTED, frozenset(), tuple(logs))
 
 
+def _climb_gdd(sizes: tuple[int, ...], what: str, config: ClimbConfig | None) -> Gdd:
+    """3-GDD by hill climbing on groups of the given sizes, consecutive
+    ranges, unverified; what names the design in refusals."""
+    v = sum(sizes)
+    _check_pair_count((v * v - sum(s * s for s in sizes)) // 2, f"{what} climb")
+    groups = tuple(tuple(range(e - s, e)) for s, e in zip(sizes, accumulate(sizes)))
+    pairs = frozenset((x, y) for grp in groups for x in grp for y in range(grp[-1] + 1, v))
+    outcome = climb(ClimbProblem(v=v, target_pairs=pairs), config)
+    if outcome.status != COMPLETE:
+        raise ClimbFailed(f"{what} climb exhausted after {outcome.iterations_used} iterations")
+    return Gdd(k=3, groups=groups, blocks=outcome.lines)
+
+
 def climb_sts(w: int, config: ClimbConfig | None = None) -> SteinerSystem:
-    """Steiner triple system on w points by hill climbing."""
+    """Steiner triple system on w points: a 3-GDD of type 1^w, climbed."""
     if w < 3 or w % 6 not in (1, 3):
         raise UsageError(f"no S(2,3,{w}): w must be 1 or 3 (mod 6)")
-    _check_pair_count(w * (w - 1) // 2, f"S(2,3,{w}) climb")
-    pairs = frozenset(combinations(range(w), 2))
-    outcome = climb(ClimbProblem(v=w, target_pairs=pairs), config)
-    if outcome.status != COMPLETE:
-        raise ClimbFailed(f"S(2,3,{w}) climb exhausted after {outcome.iterations_used} iterations")
-    system = SteinerSystem(k=3, w=w, blocks=outcome.lines)
+    blocks = _climb_gdd((1,) * w, f"S(2,3,{w})", config).blocks
+    system = SteinerSystem(k=3, w=w, blocks=blocks)
     verify_steiner(system)
     return system
 
@@ -563,13 +572,6 @@ def climb_3gdd(group_size: int, groups: int, config: ClimbConfig | None = None) 
     fault = _gdd3_fault(g, u)
     if fault:
         raise UsageError(fault)
-    _check_pair_count(g * g * u * (u - 1) // 2, f"3-GDD {g}^{u} climb")
-    group_tuple = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(u))
-    v = g * u
-    pairs = frozenset((x, y) for x in range(v) for y in range((x // g + 1) * g, v))
-    outcome = climb(ClimbProblem(v=v, target_pairs=pairs), config)
-    if outcome.status != COMPLETE:
-        raise ClimbFailed(f"3-GDD {g}^{u} climb exhausted after {outcome.iterations_used} iterations")
-    design = Gdd(k=3, groups=group_tuple, blocks=outcome.lines)
+    design = _climb_gdd((g,) * u, f"3-GDD {g}^{u}", config)
     verify_gdd(design)
     return design

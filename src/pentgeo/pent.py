@@ -2,15 +2,15 @@
 
 Every analysis reads the geometry's incidence index (core.Incidence), which
 is built once per Geometry object and kept with it: per point x, its
-degree, its closed collinearity mask closed[x] (x and every point on a line
-with x) and its deficiency mask N[x] = ALL & ~closed[x], 2*v*v/8 bytes of
-masks in all.  Masks are Python ints, bit y for point y.  Per-line masks are
-not kept; each analysis derives the few it needs.  The axioms become
-popcount identities:
+deficiency mask N[x] (the points on no line with x), v*v/8 bytes of masks
+in all, and the lines through x, of which there are deg(x).  Masks are
+Python ints, bit y for point y.  Per-line masks are not kept; each analysis
+derives the few it needs.  The axioms become popcount identities:
 
-- partial_linear, once every line has k points: |closed[x]| = 1 + deg(x)(k-1).
+- partial_linear, once every line has k points: x is collinear with
+  v - |N[x]| = 1 + deg(x)(k-1) points, itself included.
 - opposite_designs: line l lies inside N(x) exactly when x is in
-  ALL & ~OR(closed[p] for p in l).  If |N(x)| = w and no two lines inside
+  AND(N[p] for p in l).  If |N(x)| = w and no two lines inside
   N(x) share a pair (so always once partial linearity holds), N(x) carries
   an S(2,k,w) exactly when those lines hold w(w-1)/2 pairs, that is when
   there are w(w-1)/(k(k-1)) of them.
@@ -55,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import lcm
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import graphs
 from .core import Geometry, Line, PentParams
@@ -139,36 +139,17 @@ def _tally(geom: Geometry) -> tuple[int, int, list[int]]:
     return b_opp * orbits // scale, sum(weights) * orbits // scale, [h // scale for h in held]
 
 
-def _opposite(geom: Geometry, lines: Iterable[Line]) -> list[int]:
+def _opposite(geom: Geometry, lines: Iterable[Line]) -> Iterator[int]:
     """Per line, the mask of points whose deficiency neighbourhood contains
-    it (0 for an empty line); a line is opposite when its mask is non-zero."""
-    closed, full, out = geom.incidence.closed, (1 << geom.v) - 1, []
+    it, their common non-neighbours (0 for an empty line); a line is
+    opposite when its mask is non-zero.  The masks are yielded one at a
+    time, as all of them together would take b*v/8 bytes."""
+    nbrs, full = geom.incidence.deficiency.masks, (1 << geom.v) - 1
     for ln in lines:
-        c = 0
+        m = full if ln else 0
         for p in ln:
-            c |= closed[p]
-        out.append(full & ~c if c else 0)
-    return out
-
-
-def _lines_through(geom: Geometry) -> Callable[[int], list[Line]]:
-    """lines_through(p): the lines through p in sorted order.  They are the
-    representatives through p % step, indexed by point on the first call,
-    moved by t = p - p % step."""
-    v, step = geom.v, geom.step
-    index: list[list[Line]] = []
-
-    def lines_through(p: int) -> list[Line]:
-        if not index:
-            index.extend([] for _ in range(step))
-            for ln in sorted(geom.representative_lines()):
-                for x in ln:
-                    if x < step:
-                        index[x].append(ln)
-        t, lines = p - p % step, index[p % step]
-        return sorted(tuple(sorted([(x + t) % v for x in ln])) for ln in lines) if t else lines
-
-    return lines_through
+            m &= nbrs[p]
+        yield m
 
 
 def deficiency_graph(geom: Geometry) -> Graph:
@@ -210,11 +191,11 @@ def classify(report: VerificationReport) -> str:
     return _classify(report.params, report.deficiency, report.kww_components)
 
 
-def _doubled_pairs(geom: Geometry, doubled: dict[int, dict], lines_through) -> Iterator[str]:
+def _doubled_pairs(geom: Geometry, doubled: dict[int, dict]) -> Iterator[str]:
     """Quote each pair on two lines at its later line, in sorted order: a pair
     whose move by a % step - a is in doubled, with the last of its lines below
     the current one."""
-    v, step = geom.v, geom.step
+    v, step, lines_through = geom.v, geom.step, geom.incidence.lines_through
     for ln in geom.line_stream():
         ends = [x for x in ln if x % step in doubled]
         for a, b in combinations(ends, 2):
@@ -225,8 +206,9 @@ def _doubled_pairs(geom: Geometry, doubled: dict[int, dict], lines_through) -> I
                     yield f"pair {(a, b)} on lines {earlier[-1]} and {ln}"
 
 
-def _opposite_witnesses(x: int, nbrs: set[int], lines_through, witnesses: list[str]) -> None:
+def _opposite_witnesses(geom: Geometry, x: int, nbrs: set[int], witnesses: list[str]) -> None:
     """Quote why the lines inside nbrs = N(x) are not an S(2,k,w) on it."""
+    lines_through = geom.incidence.lines_through
     met = dict.fromkeys(ln for p in nbrs for ln in lines_through(p))
     inside = [ln for ln in met if nbrs.issuperset(ln)]
     covered: set[tuple[int, int]] = set()
@@ -257,7 +239,7 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     params = geom.params
     k, r, w, v = params.k, params.r, params.w, params.v
     ix = geom.incidence
-    degree, closed, nbrs, step = ix.degree, ix.closed, ix.deficiency.masks, geom.step
+    degree, nbrs, step = ix.degree, ix.deficiency.masks, geom.step
 
     # Every line is a translate of a representative of the same length.
     uniform_witnesses = []
@@ -273,11 +255,11 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     # where two do; only possible when partial linearity fails).
     tally = _tally(geom)
     held = tally[2]
-    lines_through = _lines_through(geom)
-    # Suspect: a representative whose closed mask fails 1 + deg(k-1) or that
-    # lies on a line of the wrong length.  On lines of k points the mask falls
-    # short just when two share a second point, so a doubled pair's ends are.
-    suspect = {x for x in range(step) if closed[x].bit_count() != 1 + degree[x] * (k - 1)}
+    # Suspect: a representative not collinear with 1 + deg(k-1) points, itself
+    # included, or on a line of the wrong length.  On lines of k points the
+    # count falls short just when two share a second point, so a doubled
+    # pair's ends are suspect.
+    suspect = {x for x in range(step) if v - nbrs[x].bit_count() != 1 + degree[x] * (k - 1)}
     if uniform_witnesses:
         suspect.update(
             x for ln in geom.representative_lines() if len(ln) != k for x in ln if x < step
@@ -287,13 +269,13 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     doubled: dict[int, dict[int, list[Line]]] = {}
     for a in suspect:
         covering: dict[int, list[Line]] = {}
-        for ln in lines_through(a):
+        for ln in ix.lines_through(a):
             for b in ln:
                 covering.setdefault(b, []).append(ln)
         doubled[a] = {b: lines for b, lines in covering.items() if b != a and len(lines) > 1}
     pl_witnesses: list[str] = []
     if any(doubled.values()):
-        pl_witnesses = list(islice(_doubled_pairs(geom, doubled, lines_through), WITNESS_LIMIT))
+        pl_witnesses = list(islice(_doubled_pairs(geom, doubled), WITNESS_LIMIT))
     # x clashes when two lines on one pair lie inside N(x), just when x % step
     # does: one pass keeps the points in one of their masks (once) and two (twice).
     clashing = 0
@@ -311,7 +293,7 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
         if size != w:
             opposite_witnesses.append(f"point {x}: {size} non-collinear points, expected {w}")
         elif 2 * held[x % step] != w * (w - 1) or x % step in clash_reps:
-            _opposite_witnesses(x, set(bits(nbrs[x])), lines_through, opposite_witnesses)
+            _opposite_witnesses(geom, x, set(bits(nbrs[x])), opposite_witnesses)
         if len(opposite_witnesses) >= WITNESS_LIMIT:
             break
 
@@ -489,9 +471,8 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
         for x, (c, f, n) in enumerate(zip(covered[:step], far, sizes))
     )
     if not partitioned:
-        lines_through = _lines_through(geom)
         for x in range(step):
-            through = lines_through(x)
+            through = geom.incidence.lines_through(x)
             blades = [ln for ln, opp in zip(through, _opposite(geom, through)) if not opp]
             failure = _blade_failure(x, blades, far)
             if failure:

@@ -186,6 +186,29 @@ def test_verify_over_point_limit_exits_2(tmp_path):
     assert f"v = 80004 > {MAX_VERTICES} points" in proc.stderr
 
 
+def test_verify_largest_geometry_json_under_65_mib(tmp_path):
+    # 40 bytes of JSON name v = 16,384 = MAX_VERTICES points, whose
+    # deficiency masks take 32 MiB.  The report needs 57 MiB of address
+    # space (measured on Python 3.11); an index that also kept the closed
+    # masks, a second family as large, needed 74 MiB.  The child is capped
+    # at 65 MiB, 8 MiB above the one and 9 MiB below the other.
+    path = tmp_path / "max.json"
+    path.write_text('{"k":3,"r":8190,"w":3,"lines":[[0,1,2]]}')
+    cap = 65 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from pentgeo.cli import main\n"
+        f"sys.exit(main(['verify', {str(path)!r}]))\n"
+    )
+    proc = run_child(script)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = proc.stdout.splitlines()
+    assert report[0] == "PENT(3,8190,3): v = 16384, b = 44728320"
+    assert "    point 0: 16381 non-collinear points, expected 3" in report
+    assert report[-1] == "  type: invalid"
+
+
 @pytest.mark.parametrize(
     "text,code",
     [("3 100000 3 1\n0 1 2\n", 2), (fixture_text("pent_3_3_3"), 0)],

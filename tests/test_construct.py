@@ -184,6 +184,21 @@ def test_product_rejections(pent33):
         product(parts, 3)
 
 
+# Lines of a double tripling and of a product by h = 5, pinned before
+# tripling was laid as the product over the idempotent TD(3,3).
+PINNED_INFLATIONS = {"triple2": "4df188156a51", "product5": "b7e98045de42"}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INFLATIONS))
+def test_triple_and_product_pinned(geometries, name):
+    if name == "triple2":
+        geom = triple(triple(geometries["pent_3_3_3"]))
+    else:
+        geom = product(geometries["pent_5_21_5"], 5)
+    digest = hashlib.sha256(repr(geom.lines_sorted()).encode()).hexdigest()[:12]
+    assert digest == PINNED_INFLATIONS[name]
+
+
 def climbed_gdd(sizes):
     """A 3-GDD with groups of the given sizes, in order, by hill climbing."""
     groups = []

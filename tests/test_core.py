@@ -3,6 +3,7 @@
 import json
 import re
 
+import oracle
 import pytest
 from conftest import FIXTURE_NAMES, fixture_text
 
@@ -279,7 +280,9 @@ def test_developed_geometry_equals_plain_geometry(name):
     assert geometry_from_json(text).step == file.params.v
     ours, theirs = developed.incidence, plain.incidence
     assert ours.degree == theirs.degree
-    assert ours.closed == theirs.closed
+    by_point = oracle._lines_by_point(plain)
+    for ix in (ours, theirs):
+        assert [ix.lines_through(p) for p in range(plain.v)] == by_point
     assert ours.deficiency == theirs.deficiency
     assert (ours.deficiency.step, theirs.deficiency.step) == (file.d, file.params.v)
 

@@ -3,6 +3,7 @@
 import tracemalloc
 from itertools import permutations
 
+import oracle
 import pytest
 from conftest import FIXTURE_FACTS, FIXTURE_NAMES, GIRTH5_NAMES
 
@@ -215,7 +216,29 @@ def test_equal_geometries_do_not_share_an_index(pent33, index_builds):
     assert len(index_builds) == 2
     assert index_builds[0] is first and index_builds[1] is second
     assert first.incidence is not second.incidence
-    assert first.incidence.closed == second.incidence.closed
+    by_point = oracle._lines_by_point(first)
+    for geom in (first, second):
+        assert [geom.incidence.lines_through(p) for p in range(geom.v)] == by_point
+
+
+@pytest.fixture(scope="module")
+def degenerate301():
+    geom = make_degenerate(3, 301)
+    geom.incidence
+    return geom
+
+
+@pytest.mark.parametrize("analysis", [verify, line_split, dist3_analysis], ids=lambda f: f.__name__)
+def test_analyses_hold_no_mask_per_line(degenerate301, analysis):
+    # make_degenerate(3, 301) has 30,100 lines, each with a 602-bit opposite
+    # mask: 3.2 MiB for all of them at once.  The analyses read one at a time.
+    tracemalloc.start()
+    try:
+        analysis(degenerate301)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_index_refuses_more_points_than_the_limit_before_allocating():
