@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import pent
 from .core import (
     Geometry,
+    _decode_json,
     _json_int,
     develop,
     geometry_from_json,
@@ -54,9 +55,10 @@ def _exit_code(exc: BaseException) -> int:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -229,10 +231,7 @@ def _load_gdd_fill(path: str) -> GddFillPlan:
     from .construct import GddFillPlan
     from .designs import Gdd
 
-    try:
-        spec = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad JSON: {exc}") from exc
+    spec = _decode_json(_read_text(path))
     if type(spec) is not dict or "gdd" not in spec or "ingredients" not in spec:
         raise UsageError("gdd-fill spec needs 'gdd' and 'ingredients'")
     gdd, named = spec["gdd"], spec["ingredients"]

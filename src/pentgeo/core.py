@@ -8,21 +8,21 @@ module knows the counting identities and the on-disk formats, and builds the
 per-point masks every analysis reads; the axioms themselves are checked in
 pentgeo.pent.
 
-Step rule: a Geometry carries a step dividing v for which x -> x + step
-(mod v) maps lines to lines.  develop() records the development step d of
-its base blocks; every other geometry has step = v, the identity, as no
-symmetry is known for it.  The points 0..step-1 represent the point orbits,
-and the masks of x are those of x % step rotated by x - x % step (mod v), so
-the incidence index is built from the lines through the representatives.
-Those are the lines whose least point is below the step, all a developed
-geometry keeps; Geometry.line_stream moves them to every line in sorted
+Step rule: a Geometry is (params, step, reps).  x -> x + step (mod v), the
+step dividing v, maps its lines to lines, and reps are the lines through the
+points 0..step-1: as lines are sorted, those whose least point is below the
+step.  develop() gives the development step d of its base blocks, geometry()
+gives step = v, the identity, where every line is in reps.  The points
+0..step-1 represent the point orbits, and the masks of x are those of
+x % step rotated by x - x % step (mod v), so the incidence index is built
+from reps alone; Geometry.line_stream moves them to every line in sorted
 order.  Equality, hashing, repr and JSON ignore the step and read all lines.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -78,48 +78,53 @@ def is_admissible(k: int, r: int, w: int) -> bool:
     return (r * (w + 1 - r)) % k == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Geometry:
-    """A point set 0..v-1 together with a set of canonical lines.
+    """A point set 0..v-1 with canonical lines, kept as reps, the lines
+    through 0..step-1, from which x -> x + step (mod v) develops the rest.
 
-    Holding lines as a frozenset makes duplicates impossible by type; nothing
-    here promises that the axioms hold.  |lines| equals params.b exactly when
-    the geometry is complete.  Its incidence index (v*v/8 bytes of masks and
-    one reference per point below the step on each representative line) is
-    built on first use and kept with this object, so every analysis of it
-    shares one build; an equal geometry built separately builds its own.
-    step is the cyclic automorphism of the module docstring: v here, the
-    development step for a geometry that develop() returns.  Such a geometry
-    keeps only its representative lines and builds lines from them when it
-    is first read, then keeps it.
+    The constructor refuses a step that does not divide v and, below v,
+    replaces each given line by its translates through 0..step-1, so the
+    step is an automorphism of lines: reps itself at step = v, otherwise
+    built from reps when first read.  A frozenset makes duplicate lines
+    impossible; nothing here promises that the axioms hold, and |lines|
+    equals params.b exactly when the geometry is complete.  The incidence
+    index (v*v/8 bytes of masks and one reference per point below the step
+    on each representative line) is built on first use and kept with this
+    object, so every analysis of it shares one build; an equal geometry
+    built separately builds its own.
     """
 
     params: PentParams
-    lines: frozenset[Line]
-    step: int = field(init=False, repr=False, compare=False)
+    step: int
+    reps: frozenset[Line]
 
     def __post_init__(self):
-        object.__setattr__(self, "step", self.params.v)
+        v, step = self.params.v, self.step
+        if step < 1 or v % step:
+            raise UsageError(f"d = {step} does not divide v = {v}")
+        reps = self.reps
+        if step < v:  # each line moved back by t = x - x % step for its points x
+            moves = ((ln, {x - x % step for x in ln}) for ln in reps)
+            reps = (tuple(sorted([(y - t) % v for y in ln])) for ln, ts in moves for t in ts)
+        object.__setattr__(self, "reps", frozenset(reps))
 
-    @classmethod
-    def _developed(cls, params: PentParams, step: int, reps: tuple[Line, ...]) -> Geometry:
-        """The geometry that x -> x + step develops from reps, its lines
-        through 0..step-1, holding no other line yet."""
-        geom = cls.__new__(cls)
-        for name, value in (("params", params), ("step", step), ("_reps", reps)):
-            object.__setattr__(geom, name, value)
-        return geom
+    def __eq__(self, other):
+        return type(other) is Geometry and (self.params, self.lines) == (other.params, other.lines)
 
-    def __getattr__(self, name: str):
-        # An unset attribute: a developed geometry's lines, built on first read.
-        if name != "lines" or "_reps" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "lines", frozenset(self.line_stream()))
-        return self.lines
+    def __hash__(self):
+        return hash((self.params, self.lines))
+
+    def __repr__(self):
+        return f"Geometry(params={self.params!r}, lines={self.lines!r})"
 
     @property
     def v(self) -> int:
         return self.params.v
+
+    @cached_property
+    def lines(self) -> frozenset[Line]:
+        return self.reps if self.step == self.v else frozenset(self.line_stream())
 
     def lines_sorted(self) -> list[Line]:
         return list(self.line_stream())
@@ -129,18 +134,11 @@ class Geometry:
         least point lies in window q is a representative R moved by
         t = q*step with no point wrapping, so window q yields R + t for each
         sorted R with R[-1] + t < v.  An R that wraps wraps later too."""
-        v, live = self.v, sorted(self.representative_lines())
+        v, live = self.v, sorted(self.reps)
         yield from live
         for t in range(self.step, v, self.step):
             live = [rep for rep in live if rep[-1] + t < v]
             yield from (tuple([x + t for x in rep]) for rep in live)
-
-    def representative_lines(self) -> Iterable[Line]:
-        """The lines through a representative 0..step-1, each once: as lines
-        are sorted, those whose least point is below the step.  A developed
-        geometry keeps exactly these, so reading them never builds its full
-        line set; any other geometry has step = v, where they are all lines."""
-        return self._reps if "_reps" in vars(self) else self.lines
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -164,7 +162,7 @@ class Incidence:
             raise UsageError(f"v = {v} > {MAX_VERTICES} points")
         through: list[list[Line]] = [[] for _ in range(v)]
         masks = [1 << x for x in range(v)]
-        for ln in geom.representative_lines():
+        for ln in geom.reps:
             m = 0
             for x in ln:
                 m |= 1 << x
@@ -205,7 +203,7 @@ def geometry(params: PentParams, lines: Iterable[Iterable[int]]) -> Geometry:
             for x in ln:
                 if not 0 <= x < params.v:
                     raise UsageError(f"point {x} outside 0..{params.v - 1}")
-    return Geometry(params=params, lines=frozenset(canon))
+    return Geometry(params, params.v, canon)
 
 
 @dataclass(frozen=True)
@@ -276,27 +274,15 @@ def write_pent_file(file: BaseBlockFile) -> str:
 def develop(file: BaseBlockFile) -> Geometry:
     """Close the base blocks under x -> x+d (mod v) and deduplicate.
 
-    The geometry records d as its step.  For each base block B and each
-    window q = x // d of a point x of B it keeps the translate B - q*d;
-    these are its lines through 0..d-1, at most k per base block, and all
-    that verify and the other analyses read.  A base block stands for up to
-    v/d lines (fewer for a short orbit), so a file can ask for much more
-    than its own size: one block with d = 1 at r = 10^5 stands for 200,004
-    lines, which only JSON output and equality build.
+    The geometry has step d, so it keeps each base block's translates
+    through 0..d-1, at most k per block, and all that verify and the other
+    analyses read.  A base block stands for up to v/d lines (fewer for a
+    short orbit), so a file can ask for much more than its own size: one
+    block with d = 1 at r = 10^5 stands for 200,004 lines, which only JSON
+    output and equality build.
     """
-    params = file.params
-    v, d = params.v, file.d
-    if v % d != 0:
-        raise UsageError(f"d = {d} does not divide v = {v}")
-    reps: set[Line] = set()
-    for blk in file.blocks:
-        # A shift of a duplicate-free block stays duplicate-free, so only the
-        # base block itself is checked.
-        start = canonical_line(blk)
-        for q in {x // d for x in start}:
-            t = v - q * d
-            reps.add(tuple(sorted([(x + t) % v for x in start])))
-    return Geometry._developed(params, d, tuple(sorted(reps)))
+    # Shifts of a duplicate-free block stay duplicate-free: only blocks are checked.
+    return Geometry(file.params, file.d, map(canonical_line, file.blocks))
 
 
 def geometry_to_json(geom: Geometry, provenance: dict | None = None) -> str:
@@ -312,6 +298,16 @@ def geometry_to_json(geom: Geometry, provenance: dict | None = None) -> str:
     return json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
 
 
+def _decode_json(text: str):
+    """json.loads, refusing malformed text, too many digits or deep nesting."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError among them
+        raise UsageError(f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError("bad JSON: nested too deeply") from None
+
+
 def _json_int(value, field: str) -> int:
     if type(value) is not int:
         raise UsageError(f"{field} must be an integer, got {value!r}")
@@ -323,10 +319,7 @@ def geometry_from_json(text: str) -> Geometry:
 
     k, r and w must be integers, lines a list of integer lists, and v, when
     present, the point count that (k, r, w) give."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad JSON: {exc}")
+    payload = _decode_json(text)
     if type(payload) is not dict:
         raise UsageError("geometry JSON must be an object")
     missing = [field for field in ("k", "r", "w", "lines") if field not in payload]

@@ -29,11 +29,11 @@ check work on the representatives only.  A failing point's representative
 fails too and is never larger than it, so the first witness or exception
 is the one a point-by-point search finds.  Equality ignores the step.
 
-Orbit-weight rule: the representative lines (those through 0..step-1, the
-only lines a developed geometry keeps) stand for all lines.  The window of
-a point x is x // step.  A representative L meeting c windows stands for
-(v/step)/c lines, and so counts (v/step)/c towards the line and
-opposite-line totals.  Towards the pairs held[x] on the lines inside N(x)
+Orbit-weight rule: the representative lines (core.Geometry.reps, those
+through 0..step-1) stand for all lines.  The window of a point x is
+x // step.  A representative L meeting c windows stands for (v/step)/c
+lines, and so counts (v/step)/c towards the line and opposite-line
+totals.  Towards the pairs held[x] on the lines inside N(x)
 of a representative x it counts pairs(L) * |opp(L) & (x + step*Z)| / c,
 where opp(L) holds the points whose deficiency neighbourhood contains L.
 Each sum is taken in units of 1/s, s the lcm of the window counts, and
@@ -113,7 +113,7 @@ def _tally(geom: Geometry) -> tuple[int, int, list[int]]:
     per representative x in 0..step-1 the pairs held[x] on the lines inside
     N(x)."""
     v, step = geom.v, geom.step
-    reps = list(geom.representative_lines())
+    reps = geom.reps
     # A representative meeting c windows weighs scale // c, where scale is
     # the lcm of every c, so each sum is an exact multiple of scale;
     # c = scale = 1 when step = v.
@@ -243,7 +243,7 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
 
     # Every line is a translate of a representative of the same length.
     uniform_witnesses = []
-    if set(map(len, geom.representative_lines())) - {k}:
+    if set(map(len, geom.reps)) - {k}:
         uniform_witnesses = [f"line {ln}" for ln in geom.line_stream() if len(ln) != k]
 
     regular_witnesses = [
@@ -262,7 +262,7 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     suspect = {x for x in range(step) if v - nbrs[x].bit_count() != 1 + degree[x] * (k - 1)}
     if uniform_witnesses:
         suspect.update(
-            x for ln in geom.representative_lines() if len(ln) != k for x in ln if x < step
+            x for ln in geom.reps if len(ln) != k for x in ln if x < step
         )
     # Per suspect representative a, each partner b on two or more lines through
     # a, with those lines: every pair on two lines, moved to a representative.
@@ -456,7 +456,7 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     # part of theirs.
     v = geom.v
     covered, sizes, counts = [0] * v, [0] * v, [0] * v
-    reps = list(geom.representative_lines())
+    reps = geom.reps
     for ln, opp in zip(reps, _opposite(geom, reps)):
         if not opp:
             m = 0

@@ -33,7 +33,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pentgeo.core import BaseBlockFile, Geometry, Line, PentParams, canonical_line
+from pentgeo.core import BaseBlockFile, Geometry, Line, PentParams, canonical_line, geometry
 from pentgeo.designs import Gdd, SteinerSystem
 from pentgeo.errors import PentError, UsageError
 from pentgeo.graphs import Graph, GraphReport, graph_from_edges
@@ -188,7 +188,7 @@ def develop(file: BaseBlockFile) -> Geometry:
             if cur == start:
                 break
             lines.add(cur)
-    return Geometry(params=params, lines=frozenset(lines))
+    return geometry(params, lines)
 
 
 def _collinear_sets(geom: Geometry) -> tuple[list[set[int]], list[str]]:

@@ -264,6 +264,23 @@ def test_verify_doubled_pairs_under_256_mib(tmp_path):
     assert report[-1] == "  type: invalid"
 
 
+def test_loaders_refuse_random_input_under_512_mib(tmp_path):
+    # fuzz_loaders feeds random bytes and token streams to the geometry,
+    # graph and gdd-fill loaders; each must end in a PentError.  It runs in a
+    # child capped at 512 MiB of address space, never in this process: a
+    # loader that allocates by a number it read would exhaust the machine.
+    cap = 512 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import fuzz_loaders\n"
+        f"fuzz_loaders.main({str(tmp_path)!r}, examples=500)\n"
+    )
+    proc = run_child(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_leaves_constructions_unimported(fix18):
     script = (
         "import sys\n"
@@ -591,8 +608,9 @@ def test_construct_gdd_fill_malformed_spec_exits_2(cli, tmp_path, change):
 
 
 # One failing call per place where a construction reports an ingredient's
-# failure as its own, with the exit code and message it ends in.  The
-# c36 pair bound is the 3-GDD refusal that stays a usage error.
+# failure as its own, or a loader refuses a file it cannot decode, with the
+# exit code and message it ends in.  The c36 pair bound is the 3-GDD refusal
+# that stays a usage error.
 REFUSALS = {
     "product-steiner": (
         ["construct", "product", "pent_3_3_3.pent", "--h", "5"],
@@ -625,6 +643,18 @@ REFUSALS = {
         2,
         "gdd does not verify: pair (0, 10) covered by no block",
     ),
+    "verify-not-utf8": (
+        ["verify", "latin1.pent"],
+        2,
+        "latin1.pent: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0:"
+        " invalid start byte",
+    ),
+    "verify-nested-json": (["verify", "nested.json"], 2, "bad JSON: nested too deeply"),
+    "gdd-fill-nested-json": (
+        ["construct", "gdd-fill", "nested.json"],
+        2,
+        "bad JSON: nested too deeply",
+    ),
 }
 
 
@@ -638,9 +668,11 @@ def test_construction_refusals(cli, tmp_path, monkeypatch, argv, code, message):
         "hs.graph": write_graph_file(hoffman_singleton()),
         "c5.graph": "5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
         "short.json": json.dumps({"gdd": short, "ingredients": {"10": "pent_3_3_3.pent"}}),
+        "latin1.pent": b"\xff\xfe\n",
+        "nested.json": '{"k":3,"r":3,"w":3,"lines":' + "[" * 100_000,
     }
-    for name, text in inputs.items():
-        (tmp_path / name).write_text(text)
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data if type(data) is bytes else data.encode())
     monkeypatch.chdir(tmp_path)
     assert cli(argv) == (code, "", f"pentctl: {message}\n")
 

@@ -6,9 +6,12 @@ import re
 import oracle
 import pytest
 from conftest import FIXTURE_NAMES, fixture_text
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentgeo import (
     BaseBlockFile,
+    Geometry,
     derive_params,
     develop,
     geometry,
@@ -212,6 +215,10 @@ def test_json_provenance_recorded(pent33):
 def test_json_rejects_garbage():
     with pytest.raises(UsageError, match=r"^bad JSON: Expecting property name"):
         geometry_from_json("{not json")
+    with pytest.raises(UsageError, match=r"^bad JSON: nested too deeply$"):
+        geometry_from_json('{"k":3,"r":3,"w":3,"lines":' + "[" * 100_000)
+    with pytest.raises(UsageError, match=r"^bad JSON: Exceeds the limit"):
+        geometry_from_json('{"k":' + "9" * 5000 + "}")
     with pytest.raises(UsageError, match=r"^missing field 'r'$"):
         geometry_from_json('{"k": 3}')
 
@@ -287,7 +294,37 @@ def test_developed_geometry_equals_plain_geometry(name):
     assert (ours.deficiency.step, theirs.deficiency.step) == (file.d, file.params.v)
 
 
-def test_geometry_constructor_takes_no_step(pent33):
-    with pytest.raises(TypeError):
-        type(pent33)(params=pent33.params, lines=pent33.lines, step=5)
-    assert type(pent33)(params=pent33.params, lines=pent33.lines).step == pent33.v
+# --- the one constructor: its step is always an automorphism of its lines ----
+
+
+@pytest.mark.parametrize("step", [0, -2, 3, 11])
+def test_geometry_refuses_a_step_not_dividing_v(pent33, step):
+    with pytest.raises(UsageError, match=rf"^d = {step} does not divide v = 10$"):
+        Geometry(pent33.params, step, pent33.lines)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_geometry_of_base_blocks_is_their_development(name):
+    """The base blocks, or every line, given with the step d make the
+    developed geometry and keep its representatives."""
+    file = parse_pent_file(fixture_text(name))
+    developed = develop(file)
+    for given in (map(canonical_line, file.blocks), developed.lines):
+        geom = Geometry(file.params, file.d, given)
+        assert geom == developed and geom.reps == developed.reps
+
+
+@settings(max_examples=100)
+@given(
+    step=st.sampled_from([1, 2, 3, 6, 9, 18]),
+    blocks=st.lists(st.lists(st.integers(0, 17), min_size=3, max_size=3, unique=True), max_size=8),
+)
+def test_geometry_step_is_an_automorphism_of_its_lines(step, blocks):
+    """Whatever lines a caller gives, the geometry holds their orbits under
+    x -> x + step, as the oracle develops them, and represents them by the
+    lines through 0..step-1."""
+    file = BaseBlockFile(k=3, r=6, w=5, d=step, blocks=tuple(map(tuple, blocks)))  # v = 18
+    geom = Geometry(file.params, step, map(canonical_line, blocks))
+    assert {canonical_line((x + step) % 18 for x in ln) for ln in geom.lines} == geom.lines
+    assert geom.lines == oracle.develop(file).lines
+    assert geom.reps == {ln for ln in geom.lines if ln[0] < step}
