@@ -50,8 +50,9 @@ LOADERS = {
 
 
 def main(workdir: str, examples: int) -> None:
-    """Feed each loader `examples` inputs in workdir, where the ingredient
-    p.pent is pent_3_3_3; raise on the first input a loader fails on."""
+    """Feed the loaders `examples` inputs in all, as files in workdir, where
+    the ingredient p.pent is pent_3_3_3; raise on the first input a loader
+    fails on."""
     path = Path(workdir) / "input"
     (Path(workdir) / "p.pent").write_text(fixture_text("pent_3_3_3"))
 
