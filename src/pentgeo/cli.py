@@ -55,8 +55,11 @@ def _exit_code(exc: BaseException) -> int:
 
 
 def _read_text(path: str) -> str:
+    # stdin's own decoding would pass undecodable bytes on as surrogates.
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -80,10 +83,16 @@ def _load_graph(path: str) -> Graph:
     return parse_graph_file(_read_text(path))
 
 
+def _only_read_by(readers: str, read: bool, option: str, value) -> None:
+    """Refuse an option given where nothing reads it (read is False)."""
+    if value is not None and not read:
+        raise UsageError(f"{option} is only read by {readers}")
+
+
 def _climb_config(args: argparse.Namespace) -> ClimbConfig:
     from .hillclimb import ClimbConfig
 
-    return ClimbConfig(seed=args.seed)
+    return ClimbConfig() if args.seed is None else ClimbConfig(seed=args.seed)
 
 
 def _report_dict(rep: pent.VerificationReport) -> dict:
@@ -163,6 +172,9 @@ _GRAPH_SOURCES = ("petersen", "gp", "hs", "orbit")
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    _only_read_by("gp", args.source == "gp", "N", args.n)
+    _only_read_by("orbit", args.source == "orbit", "--file", args.file)
+    _only_read_by("orbit", args.source == "orbit", "--step", args.step)
     if args.source == "petersen":
         g = petersen()
     elif args.source == "gp":
@@ -196,6 +208,7 @@ def _cmd_sts(args: argparse.Namespace) -> int:
     from .designs import steiner_to_json_dict, sts
     from .hillclimb import climb_sts
 
+    _only_read_by("--climb", args.climb, "--seed", args.seed)
     system = climb_sts(args.w, _climb_config(args)) if args.climb else sts(args.w)
     _emit(json.dumps(steiner_to_json_dict(system), separators=(",", ":")) + "\n", args.output)
     return 0
@@ -206,7 +219,9 @@ def _cmd_gdd(args: argparse.Namespace) -> int:
     from .hillclimb import climb_3gdd
 
     u = args.groups if args.groups is not None else args.k
-    if args.climb or u != args.k:
+    climbed = args.climb or u != args.k
+    _only_read_by("a climb (--climb, or --groups other than k)", climbed, "--seed", args.seed)
+    if climbed:
         if args.k != 3:
             raise UsageError(f"only 3-GDDs can be hill climbed, got k = {args.k}")
         d = climb_3gdd(args.g, u, _climb_config(args))
@@ -259,6 +274,9 @@ def _load_gdd_fill(path: str) -> GddFillPlan:
 def _cmd_construct(args: argparse.Namespace) -> int:
     from . import construct
 
+    _only_read_by("product and c36", args.kind in ("product", "c36"), "--h", args.h)
+    _only_read_by("c36", args.kind == "c36", "--k", args.k)
+    _only_read_by("girth5 and c36", args.kind in ("girth5", "c36"), "--seed", args.seed)
     config = _climb_config(args)
     if args.kind == "tripling":
         geom = construct.triple(_load_geometry(args.file))
@@ -274,12 +292,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         provenance = {"construction": "gdd-fill", "group_type": plan.gdd.group_type()}
     elif args.kind == "girth5":
         geom = construct.from_girth5_graph(_load_graph(args.file), config)
-        provenance = {"construction": "girth5", "seed": args.seed}
+        provenance = {"construction": "girth5", "seed": config.seed}
     else:
         if args.h is None:
             raise UsageError("c36 needs --h")
-        geom = construct.construction36(_load_graph(args.file), args.h, args.k, config)
-        provenance = {"construction": "c36", "h": args.h, "k": args.k, "seed": args.seed}
+        k = 3 if args.k is None else args.k
+        geom = construct.construction36(_load_graph(args.file), args.h, k, config)
+        provenance = {"construction": "c36", "h": args.h, "k": k, "seed": config.seed}
     _emit(geometry_to_json(geom, provenance), args.output)
     return 0
 
@@ -341,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sts", help="Steiner triple system on w points")
     p.add_argument("w", type=int)
     p.add_argument("--climb", action="store_true", help="hill climb instead of direct recipe")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="climb seed (default 0)")
     add_output(p)
     p.set_defaults(func=_cmd_sts)
 
@@ -350,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g", type=int, help="group size")
     p.add_argument("--climb", action="store_true", help="hill climb instead of direct recipe")
     p.add_argument("--groups", type=int, default=None, help="group count (default k)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="climb seed (default 0)")
     add_output(p)
     p.set_defaults(func=_cmd_gdd)
 
@@ -358,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("tripling", "product", "gdd-fill", "girth5", "c36"))
     p.add_argument("file", help="input geometry, spec JSON or graph; '-' for stdin")
     p.add_argument("--h", type=int, default=None, help="copies per point (product, c36)")
-    p.add_argument("--k", type=int, default=3, help="line size for c36")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=int, default=None, help="line size for c36 (default 3)")
+    p.add_argument("--seed", type=int, default=None, help="climb seed (default 0)")
     add_output(p)
     p.set_defaults(func=_cmd_construct)
 

@@ -13,10 +13,10 @@ step dividing v, maps its lines to lines, and reps are the lines through the
 points 0..step-1: as lines are sorted, those whose least point is below the
 step.  develop() gives the development step d of its base blocks, geometry()
 gives step = v, the identity, where every line is in reps.  The points
-0..step-1 represent the point orbits, and the masks of x are those of
-x % step rotated by x - x % step (mod v), so the incidence index is built
-from reps alone; Geometry.line_stream moves them to every line in sorted
-order.  Equality, hashing, repr and JSON ignore the step and read all lines.
+0..step-1 represent the point orbits, so the incidence index is built from
+reps alone, and its deficiency graph is a graphs.Graph of the same step;
+Geometry.line_stream moves reps to every line in sorted order.  Equality,
+hashing, repr and JSON ignore the step and read all lines.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import UsageError
-from .graphs import MAX_VERTICES, Graph, data_lines, orbit_masks
+from .graphs import MAX_VERTICES, Graph, data_lines
 
 # A line is a sorted, duplicate-free tuple of point identifiers.
 Line = tuple[int, ...]
@@ -149,7 +149,7 @@ class Incidence:
     """The index of a geometry whose lines lie in 0..v-1, as geometry() and
     develop() make them, built in one pass over its representative lines:
     the deficiency graph, whose mask N[x] (a Python int, bit y for point y)
-    holds the points on no line with x, rotated from the representatives'
+    holds the points on no line with x, made from the representatives'
     masks, and through[x], the lines through each representative x, so
     degree[p] = len(through[p % step]).  More than MAX_VERTICES points are
     refused before any mask is allocated, so the masks take at most v*v/8
@@ -177,7 +177,7 @@ class Incidence:
             masks[x] ^= full
         self.through = through
         self.degree = tuple(map(len, through)) * (v // step)
-        self.deficiency = Graph(v, orbit_masks(masks, v), step)
+        self.deficiency = Graph(v, masks)
 
     def lines_through(self, p: int) -> list[Line]:
         """The lines through p, sorted: those through p % step, moved by

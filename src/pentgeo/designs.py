@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import Line, canonical_line
 from .errors import PentError, UsageError
@@ -301,35 +301,30 @@ def sts(w: int) -> SteinerSystem:
     return system
 
 
-def affine_plane(q: int) -> SteinerSystem:
-    """AG(2,q) as S(2,q,q^2); point (x,y) is numbered x*q+y."""
+def _affine_lines(q: int) -> Iterator[tuple[list[int], int]]:
+    """Each line of AG(2,q), point (x,y) numbered x*q+y, with its direction:
+    the slope m of y = mx + c, or q for the verticals x = c."""
     f = field(q)
-    blocks = []
     for m in range(q):
         for c in range(q):
-            blocks.append(canonical_line(x * q + f.add(f.mul(m, x), c) for x in range(q)))
+            yield [x * q + f.add(f.mul(m, x), c) for x in range(q)], m
     for c in range(q):
-        blocks.append(canonical_line(c * q + y for y in range(q)))
-    system = SteinerSystem(k=q, w=q * q, blocks=frozenset(blocks))
+        yield [c * q + y for y in range(q)], q
+
+
+def affine_plane(q: int) -> SteinerSystem:
+    """AG(2,q) as S(2,q,q^2); point (x,y) is numbered x*q+y."""
+    blocks = frozenset(canonical_line(ln) for ln, _ in _affine_lines(q))
+    system = SteinerSystem(k=q, w=q * q, blocks=blocks)
     verify_steiner(system)
     return system
 
 
 def projective_plane(q: int) -> SteinerSystem:
-    """PG(2,q) as S(2,q+1,q^2+q+1).
-
-    Affine points (x,y) are numbered x*q+y; the point at infinity on slope m
-    is q^2+m and the vertical direction is q^2+q.
-    """
-    f = field(q)
-    blocks = []
-    for m in range(q):
-        for c in range(q):
-            line = [x * q + f.add(f.mul(m, x), c) for x in range(q)]
-            line.append(q * q + m)
-            blocks.append(canonical_line(line))
-    for c in range(q):
-        blocks.append(canonical_line([c * q + y for y in range(q)] + [q * q + q]))
+    """PG(2,q) as S(2,q+1,q^2+q+1): AG(2,q) with the point q^2+d at infinity
+    added to each line of direction d, and the line at infinity on those
+    q+1 points."""
+    blocks = [canonical_line(ln + [q * q + d]) for ln, d in _affine_lines(q)]
     blocks.append(canonical_line(range(q * q, q * q + q + 1)))
     system = SteinerSystem(k=q + 1, w=q * q + q + 1, blocks=frozenset(blocks))
     verify_steiner(system)

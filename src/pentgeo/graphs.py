@@ -1,19 +1,19 @@
 """Simple undirected graphs: girth, named families, inflation, distance-3.
 
 Deficiency graphs of pentagonal geometries are what these functions exist
-for, but nothing here knows about geometries.  A Graph is its neighbourhood
-bit masks (Python ints, bit y of masks[x] set when xy is an edge), and every
-invariant reads them directly, so pentgeo.pent hands a geometry's deficiency
-masks over as a Graph without conversion.  Graphs are immutable; girth
-returns None for acyclic graphs rather than a sentinel number.
+for, but nothing here knows about geometries.  Every invariant reads a
+Graph's neighbourhood bit masks (Python ints, bit y of masks[x] set when xy
+is an edge) directly, so pentgeo.pent hands a geometry's deficiency masks
+over as a Graph without conversion.  Graphs are immutable; girth returns
+None for acyclic graphs rather than a sentinel number.
 
-Step rule: a Graph also carries a step dividing n for which x -> x + step
-(mod n) is an automorphism, checked when the Graph is made.  The points
-0..step-1 represent the point orbits, and the mask of x is the mask of its
-representative x % step rotated by x - x % step (mod n), so girth,
-distance3_graph and neighborhood_intersection_profile work on the
-representatives only.  step = n when no symmetry is known, which makes every
-point its own representative.  Equality and hashing ignore the step.
+Step rule: a Graph is (n, reps), the masks of the points 0..step-1, where
+step = len(reps) divides n.  Every other point x takes the mask of its
+representative x % step rotated by x - x % step (mod n), so x -> x + step is
+an automorphism by construction, and girth, distance3_graph and
+neighborhood_intersection_profile work on the representatives only.  At
+step = n every point is its own representative and masks is reps itself.
+Equality and hashing read n and masks, never the step.
 """
 
 from __future__ import annotations
@@ -34,27 +34,31 @@ MAX_VERTICES = 1 << 14
 class Graph:
     """A simple graph on 0..n-1: bit y of masks[x] is set when xy is an edge.
 
-    The masks take up to n*n/8 bytes, 32 MiB at n = MAX_VERTICES = 2^14;
-    graph_from_edges and inflate refuse more vertices than that, before
-    allocating.  Deficiency graphs from pentgeo.pent wrap a geometry's own
-    masks and are bounded by the geometry instead.  step (n when not given)
-    is a cyclic automorphism, as the module docstring says; one that is not
-    is refused.
+    It is made from reps, the masks of 0..step-1, by the step rule of the
+    module docstring.  The masks take up to n*n/8 bytes, 32 MiB at
+    n = MAX_VERTICES = 2^14; graph_from_edges and inflate refuse more
+    vertices than that, before allocating.  Deficiency graphs from
+    pentgeo.pent are bounded by the geometry instead.
     """
 
     n: int
-    masks: tuple[int, ...]
-    step: int = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    reps: tuple[int, ...] = field(compare=False, repr=False)
+    masks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        n, step, masks = self.n, self.step, self.masks
-        if step is None:
-            object.__setattr__(self, "step", n)
-        elif step != n:
-            if not 0 < step < n or n % step:
-                raise UsageError(f"step = {step} does not divide n = {n}")
-            if not _preserves(masks, step, n):
-                raise UsageError(f"x -> x + {step} (mod {n}) is not an automorphism")
+        n, reps = self.n, tuple(self.reps)
+        step, full = len(reps), (1 << n) - 1
+        if step != n and (not 0 < step < n or n % step):
+            raise UsageError(f"step = {step} does not divide n = {n}")
+        masks = reps if step == n else tuple(
+            (m << t | m >> n - t) & full for t in range(0, n, step) for m in reps
+        )
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "masks", masks)
+
+    @property
+    def step(self) -> int:
+        return len(self.reps)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v, in ascending order."""
@@ -81,7 +85,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise UsageError(f"loop at {u}")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(n, tuple(masks))
+    return Graph(n, masks)
 
 
 @dataclass(frozen=True)
@@ -114,16 +118,6 @@ def bits(m: int) -> list[int]:
     return out
 
 
-def orbit_masks(reps: list[int], n: int) -> tuple[int, ...]:
-    """Masks of all n points from those of the representatives 0..step-1
-    (step = len(reps)) by the step rule: x takes the mask of x % step
-    rotated by x - x % step (mod n)."""
-    if len(reps) == n:
-        return tuple(reps)
-    full = (1 << n) - 1
-    return tuple((m << t | m >> n - t) & full for t in range(0, n, len(reps)) for m in reps)
-
-
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for an acyclic graph.
 
@@ -139,7 +133,7 @@ def girth(g: Graph) -> int | None:
     four = False
     # Masks are read by comprehension here and below: a tuple's __getitem__
     # passed to map() is about twice as slow.
-    for nx in adj[: g.step]:
+    for nx in g.reps:
         around = [adj[y] for y in bits(nx)]
         reach = reduce(or_, around, 0)
         if reach & nx:
@@ -249,17 +243,13 @@ def orbit_graph(base_edges: Iterable[tuple[int, int]], step: int, modulus: int) 
         raise UsageError(f"modulus = {modulus} < 1")
     if step < 1 or modulus % step != 0:
         raise UsageError(f"step = {step} does not divide modulus = {modulus}")
-    base = list(base_edges)
-    for u, v in base:
-        if not (0 <= u < modulus and 0 <= v < modulus):
-            raise UsageError(f"edge ({u},{v}) outside 0..{modulus - 1}")
-        if u == v:
-            raise UsageError(f"loop at {u}")
+    # Made a graph first, each base edge is checked before it is moved.
+    base = graph_from_edges(modulus, base_edges).edges()
     shifts = range(0, modulus, step)
     g = graph_from_edges(
         modulus, (((u + t) % modulus, (v + t) % modulus) for u, v in base for t in shifts)
     )
-    return Graph(g.n, g.masks, step)
+    return Graph(modulus, g.masks[:step])
 
 
 def inflate(g: Graph, h: int) -> Graph:
@@ -267,19 +257,19 @@ def inflate(g: Graph, h: int) -> Graph:
 
     inflate(g, 1) returns a graph equal to g.  For h >= 2 any edge yields a
     4-cycle, so the result has girth 4.  x -> x + step lifts to
-    x -> x + h*step on the copies.
+    x -> x + h*step on the copies, so only the representatives are spread.
     """
     if h < 1:
         raise UsageError(f"h = {h} < 1")
     _check_order(h * g.n)
     block = (1 << h) - 1
     masks = []
-    for m in g.masks:
+    for m in g.reps:
         spread = 0
         for y in bits(m):
             spread |= block << h * y
         masks.extend([spread] * h)
-    return Graph(h * g.n, tuple(masks), h * g.step)
+    return Graph(h * g.n, masks)
 
 
 def shift_automorphisms(g: Graph) -> tuple[int, ...]:
@@ -308,9 +298,9 @@ def distance3_graph(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     far = [
         full & ~reduce(or_, [adj[y] for y in bits(nx)], nx | 1 << x)
-        for x, nx in enumerate(adj[: g.step])
+        for x, nx in enumerate(g.reps)
     ]
-    return Graph(g.n, orbit_masks(far, g.n), g.step)
+    return Graph(g.n, far)
 
 
 def neighborhood_intersection_profile(g: Graph) -> Counter:
@@ -323,12 +313,12 @@ def neighborhood_intersection_profile(g: Graph) -> Counter:
     two representatives weigh double.  Without a symmetry that is the plain
     count over pairs x < y.
     """
-    adj, step = g.masks, g.step
-    rest = adj[step:]
+    reps, step = g.reps, g.step
+    rest = g.masks[step:]
     among: Counter = Counter()
     across: Counter = Counter()
-    for x, nx in enumerate(adj[:step]):
-        among.update(map(int.bit_count, map(nx.__and__, adj[x + 1 : step])))
+    for x, nx in enumerate(reps):
+        among.update(map(int.bit_count, map(nx.__and__, reps[x + 1 :])))
         across.update(map(int.bit_count, map(nx.__and__, rest)))
     return Counter({u: (2 * among[u] + across[u]) * g.n // step // 2 for u in among | across})
 

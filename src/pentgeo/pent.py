@@ -193,17 +193,18 @@ def classify(report: VerificationReport) -> str:
 
 def _doubled_pairs(geom: Geometry, doubled: dict[int, dict]) -> Iterator[str]:
     """Quote each pair on two lines at its later line, in sorted order: a pair
-    whose move by a % step - a is in doubled, with the last of its lines below
-    the current one."""
-    v, step, lines_through = geom.v, geom.step, geom.incidence.lines_through
+    (a, b) whose move (a - t, b - t), t = a - a % step, is in doubled, with
+    the last of doubled's lines for it, moved by t, below the current one."""
+    v, step = geom.v, geom.step
     for ln in geom.line_stream():
         ends = [x for x in ln if x % step in doubled]
         for a, b in combinations(ends, 2):
             t = a - a % step
-            if (b - t) % v in doubled[a - t]:
-                earlier = [m for m in lines_through(a) if b in m and m < ln]
-                if earlier:
-                    yield f"pair {(a, b)} on lines {earlier[-1]} and {ln}"
+            lines = doubled[a - t].get((b - t) % v, ())
+            moved = (tuple(sorted([(y + t) % v for y in m])) for m in lines)
+            earlier = max((m for m in moved if m < ln), default=None)
+            if earlier:
+                yield f"pair {(a, b)} on lines {earlier} and {ln}"
 
 
 def _opposite_witnesses(geom: Geometry, x: int, nbrs: set[int], witnesses: list[str]) -> None:

@@ -67,7 +67,7 @@ def _edges(g: Graph) -> list[tuple[int, int]]:
 
 
 def _graph(v: int, adjacency) -> Graph:
-    return Graph(n=v, masks=tuple(sum(1 << y for y in a) for a in adjacency))
+    return Graph(n=v, reps=tuple(sum(1 << y for y in a) for a in adjacency))
 
 
 def girth(g: Graph) -> int | None:

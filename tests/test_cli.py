@@ -56,7 +56,8 @@ ORBIT_SEED_FILE = "20\n0 4\n1 5\n2 6\n0 3\n1 3\n2 3\n"
 @pytest.fixture
 def cli(capsys, monkeypatch):
     def run(argv, stdin=""):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        data = stdin if type(stdin) is bytes else stdin.encode()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -493,6 +494,7 @@ def test_construct_girth5(cli, tmp_path):
     payload = json.loads(out)
     assert (payload["r"], payload["w"]) == (13, 3)
     assert len(payload["lines"]) == 130
+    assert payload["provenance"] == {"construction": "girth5", "seed": 0}
 
 
 def test_construct_girth5_over_pair_limit_exits_2(tmp_path):
@@ -546,6 +548,7 @@ def test_construct_c36(cli, tmp_path):
     payload = json.loads(out)
     assert (payload["r"], payload["w"]) == (10, 9)
     assert len(payload["lines"]) == 100
+    assert payload["provenance"] == {"construction": "c36", "h": 3, "k": 3, "seed": 0}
 
 
 def test_construct_c36_needs_h(cli, tmp_path):
@@ -608,9 +611,9 @@ def test_construct_gdd_fill_malformed_spec_exits_2(cli, tmp_path, change):
 
 
 # One failing call per place where a construction reports an ingredient's
-# failure as its own, or a loader refuses a file it cannot decode, with the
-# exit code and message it ends in.  The c36 pair bound is the 3-GDD refusal
-# that stays a usage error.
+# failure as its own, a loader refuses a file it cannot decode, or an option
+# is given where nothing reads it, with the exit code and message it ends in.
+# The c36 pair bound is the 3-GDD refusal that stays a usage error.
 REFUSALS = {
     "product-steiner": (
         ["construct", "product", "pent_3_3_3.pent", "--h", "5"],
@@ -649,11 +652,49 @@ REFUSALS = {
         "latin1.pent: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0:"
         " invalid start byte",
     ),
+    "verify-stdin-not-utf8": (
+        ["verify", "-"],
+        2,
+        "-: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0:"
+        " invalid start byte",
+    ),
     "verify-nested-json": (["verify", "nested.json"], 2, "bad JSON: nested too deeply"),
     "gdd-fill-nested-json": (
         ["construct", "gdd-fill", "nested.json"],
         2,
         "bad JSON: nested too deeply",
+    ),
+    "construct-h-unread": (
+        ["construct", "tripling", "pent_3_3_3.pent", "--h", "5"],
+        2,
+        "--h is only read by product and c36",
+    ),
+    "construct-k-unread": (
+        ["construct", "product", "pent_3_3_3.pent", "--h", "7", "--k", "7"],
+        2,
+        "--k is only read by c36",
+    ),
+    "construct-seed-unread": (
+        ["construct", "gdd-fill", "short.json", "--seed", "5"],
+        2,
+        "--seed is only read by girth5 and c36",
+    ),
+    "sts-seed-unread": (["sts", "9", "--seed", "5"], 2, "--seed is only read by --climb"),
+    "gdd-seed-unread": (
+        ["gdd", "3", "4", "--seed", "5"],
+        2,
+        "--seed is only read by a climb (--climb, or --groups other than k)",
+    ),
+    "graph-n-unread": (["graph", "petersen", "12", "--report"], 2, "N is only read by gp"),
+    "graph-file-unread": (
+        ["graph", "gp", "5", "--file", "c5.graph"],
+        2,
+        "--file is only read by orbit",
+    ),
+    "graph-step-unread": (
+        ["graph", "petersen", "--step", "3", "--report"],
+        2,
+        "--step is only read by orbit",
     ),
 }
 
@@ -674,7 +715,8 @@ def test_construction_refusals(cli, tmp_path, monkeypatch, argv, code, message):
     for name, data in inputs.items():
         (tmp_path / name).write_bytes(data if type(data) is bytes else data.encode())
     monkeypatch.chdir(tmp_path)
-    assert cli(argv) == (code, "", f"pentctl: {message}\n")
+    # Only the verify-stdin row reads stdin.
+    assert cli(argv, stdin=inputs["latin1.pent"]) == (code, "", f"pentctl: {message}\n")
 
 
 def test_plan_pent3(cli):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentgeo.designs import (
+    MAX_FIELD_ORDER,
     Gdd,
     SteinerSystem,
     affine_plane,
@@ -125,6 +126,47 @@ def test_projective_plane(q):
     assert plane.k == q + 1 and plane.w == q * q + q + 1
     assert len(plane.blocks) == q * q + q + 1
     all_pairs_once(plane.blocks, plane.w)
+
+
+# Digests of the sorted blocks of AG(2,q) and PG(2,q) for every order the
+# constructions can ask for: each prime power q up to MAX_FIELD_ORDER.
+PINNED_PLANES = {
+    2: ("8cf7c838487fa83b", "449879aac0a29ea1"),
+    3: ("238334326924fd27", "04079c978ae64786"),
+    4: ("4385130fedf1fbbc", "b3d3d512b9c064e4"),
+    5: ("cf6624890c15d8ac", "a9cb74bdc5be2b96"),
+    7: ("05f43b3806af5f84", "3e2d9d0c41eb520b"),
+    8: ("69f9351d5fd4b980", "a30b06b6142d3110"),
+    9: ("0e701c0dd7d3dd99", "902954e505a7c8b7"),
+    11: ("bd5efa9a7a4a2db6", "a738ff6469012d03"),
+    13: ("171766d222255af2", "5908aa226b818f51"),
+    16: ("9bb3c5670200a535", "fb9bd3f4a969a889"),
+    17: ("acead1937d257279", "b281de08e971b469"),
+    19: ("5a00112e91203ac9", "1cfb47e5b3dd8148"),
+    23: ("080c1a9f595b6ea1", "3e1ebdc0ca33c742"),
+    25: ("4f9b41014f781a76", "f8b512d49d602d5b"),
+    27: ("c921d61d7da41f1c", "024e22c01b352ce3"),
+    29: ("6feaa18db5584ea2", "c2121330d8195dbd"),
+    31: ("e4121d50b5db7eb6", "7547f743a07dd6c1"),
+    32: ("02652fe69b3ad6d5", "3951c7a540e7f432"),
+    37: ("4a8702f69156dabe", "81e3f4dc4d3ab664"),
+    41: ("eab617ecf96d22c5", "593bda454fc30be3"),
+    43: ("caed436a00d08b0d", "bccbc86108e34cad"),
+    47: ("a9ed7598ebdc4814", "adf55e2b26d54e68"),
+    49: ("b06bfd978325103c", "34df1f06601a8ec9"),
+}
+
+
+def test_planes_pinned():
+    assert sorted(PINNED_PLANES) == [
+        q for q in range(2, MAX_FIELD_ORDER + 1) if prime_power(q) is not None
+    ]
+    for q, digests in PINNED_PLANES.items():
+        planes = (affine_plane(q), projective_plane(q))
+        got = tuple(
+            hashlib.sha256(repr(sorted(p.blocks)).encode()).hexdigest()[:16] for p in planes
+        )
+        assert got == digests, q
 
 
 def test_mols_are_orthogonal_latin_squares():

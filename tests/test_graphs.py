@@ -7,7 +7,7 @@ import tracemalloc
 
 import networkx as nx
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentgeo.errors import UsageError
@@ -323,17 +323,56 @@ def test_step_carried_through_inflate_and_distance3():
     assert orbit_graph(ORBIT_BASE, 20, 20).step == 20
 
 
-def test_graph_refuses_a_step_that_is_not_an_automorphism():
-    g = orbit_graph(ORBIT_BASE, 4, 20)
-    assert 2 not in shift_automorphisms(g)
-    with pytest.raises(UsageError, match=r"x -> x \+ 2 \(mod 20\) is not an automorphism"):
-        Graph(g.n, g.masks, 2)
-    p = petersen()
-    assert shift_automorphisms(p) == ()
-    for step in (1, 2, 5):
-        with pytest.raises(UsageError, match="not an automorphism"):
-            Graph(p.n, p.masks, step)
-    for step in (0, 3, 11, -5):
+def test_graph_refuses_a_step_not_dividing_n():
+    """The step is len(reps); one that does not divide n is refused, and for
+    each divisor s of n the masks of 0..s-1 of the ring rebuild the ring."""
+    for step in (0, 3, 4, 11):
         with pytest.raises(UsageError, match=rf"^step = {step} does not divide n = 10$"):
-            Graph(p.n, p.masks, step)
-    assert [Graph(20, ring(20).masks, s).step for s in (1, 10, 20)] == [1, 10, 20]
+            Graph(10, [0] * step)
+    c20 = ring(20)
+    assert [Graph(20, c20.masks[:s]).step for s in (1, 10, 20)] == [1, 10, 20]
+    assert all(Graph(20, c20.masks[:s]) == c20 for s in (1, 2, 4, 5, 10))
+
+
+def test_graph_masks_are_its_reps_at_step_n():
+    g = orbit_graph(ORBIT_BASE, 4, 20)
+    assert g.reps == g.masks[:4]
+    plain = Graph(20, g.masks)
+    assert plain.masks is plain.reps and plain.step == 20
+
+
+def invariants(g: Graph) -> tuple:
+    """What the graph functions compute from g."""
+    return (
+        girth(g),
+        components(g),
+        distance3_graph(g),
+        neighborhood_intersection_profile(g),
+        inflate(g, 2),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    modulus=st.sampled_from([6, 8, 12, 15, 18, 20]),
+    data=st.data(),
+)
+def test_orbit_graph_from_random_base_edges_at_every_step(modulus, data):
+    """An orbit graph remade from the masks of 0..s-1, for each shift s in
+    shift_automorphisms that divides n, is the same graph, and every graph
+    function reads the same from it as at step n."""
+    step = data.draw(st.sampled_from([s for s in range(1, modulus + 1) if modulus % s == 0]))
+    pairs = st.tuples(st.integers(0, modulus - 1), st.integers(0, modulus - 1))
+    base = data.draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=5))
+    g = orbit_graph(base, step, modulus)
+    plain = Graph(modulus, g.masks)
+    assert plain.step == modulus and g == plain
+    expected = invariants(plain)
+    assert invariants(g) == expected
+    divisors = [s for s in shift_automorphisms(g) if modulus % s == 0]
+    assert step == modulus or step in divisors
+    for s in divisors:
+        at_s = Graph(modulus, g.masks[:s])
+        assert at_s == g and at_s.step == s
+        assert invariants(at_s) == expected
+        assert distance3_graph(at_s).step == s and inflate(at_s, 2).step == 2 * s
