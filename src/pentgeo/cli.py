@@ -291,7 +291,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         geom = construct.gdd_fill(plan)
         provenance = {"construction": "gdd-fill", "group_type": plan.gdd.group_type()}
     elif args.kind == "girth5":
-        geom = construct.from_girth5_graph(_load_graph(args.file), config)
+        geom = construct.construction36(_load_graph(args.file), 1, 3, config)
         provenance = {"construction": "girth5", "seed": config.seed}
     else:
         if args.h is None:

@@ -7,6 +7,12 @@ in ascending order, mapping a sorted block or line through an increasing map
 of its points (a block meets each group at most once); _finish then
 canonicalises and checks every line once, in core.geometry().
 
+construction36 (the paper's Construction 3.6) inflates each vertex of a
+regular girth->=5 seed into h >= 1 points: h = 1, or h >= k so that an
+S(2,k,h) can lie on each group.  At h = 1 it is the girth-5 completion: the
+seed's neighbourhoods carry the opposite designs, the seed is the deficiency
+graph, and for k = 3 a climb covers the pairs at distance 3 or more.
+
 Planners do arithmetic only: they search for ingredient sizes satisfying a
 recursion and return a plan object, never a geometry.  Each recursion's
 rules are stated once, beside its plan class; the planner searches with them
@@ -23,7 +29,7 @@ from operator import mul
 from typing import Iterable, Mapping
 
 from . import pent
-from .core import Geometry, Line, derive_params, geometry, is_admissible
+from .core import Geometry, Line, derive_params, geometry
 from .designs import (
     Gdd,
     SteinerSystem,
@@ -220,13 +226,12 @@ def _climb_completion(
     placed: set[Line],
     config: ClimbConfig | None,
     what: str,
-    shifts: tuple[int, ...] = (),
+    shifts: tuple[int, ...],
 ) -> set[Line]:
-    far = distance3_graph(dgraph)
-    _check_pair_count(far.edge_count(), what)
-    targets = frozenset(far.edges())
-    if not targets:
-        return placed
+    """placed plus triples covering every pair at distance 3 or more in
+    dgraph: first by a climb under each shift in turn, up to the first
+    whose problem builds, then without one."""
+    targets = frozenset(distance3_graph(dgraph).edges())
     spent = 0
     for shift in shifts:
         try:
@@ -250,44 +255,20 @@ def _climb_completion(
     return placed | set(outcome.lines)
 
 
-def from_girth5_graph(d: Graph, config: ClimbConfig | None = None) -> Geometry:
-    """PENT(3,r,3) whose deficiency graph is the given cubic girth->=5 graph.
-
-    Point neighbourhoods become the opposite lines; the remaining lines are
-    found by hill climbing over the pairs at distance 3 or more.
-    """
-    rep = report(d)
-    if rep.regular_degree != 3:
-        raise PentError(f"seed must be 3-regular, degrees give {rep.regular_degree}")
-    if rep.girth is not None and rep.girth < 5:
-        raise PentError(f"seed girth {rep.girth} < 5")
-    if not rep.connected:
-        raise PentError("seed must be connected")
-    if d.n % 2 != 0 or d.n < 6:
-        raise PentError(f"seed must have an even vertex count >= 6, got {d.n}")
-    r = (d.n - 4) // 2
-    if not is_admissible(3, r, 3):
-        raise PentError(f"r = (n-4)/2 = {r} is not admissible for k = w = 3")
-    what = f"PENT(3,{r},3) completion"
-    # Cubic, connected and of girth >= 5, the seed has 1 + 3 + 6 vertices
-    # within distance 2 of each vertex, so the rest are the pairs to complete.
-    _check_pair_count(d.n * (d.n - 10) // 2, what)
-    placed = {tuple(bits(m)) for m in d.masks}
-    lines = _climb_completion(d.n, d, placed, config, what)
-    return _finish(lines, 3, r, 3, "geometry from cubic girth-5 graph")
-
-
 def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) -> Geometry:
-    """Inflate a (w/h)-regular girth->=5 graph into a PENT(k,r,hw/h...) shell.
+    """Inflate a u-regular girth->=5 graph into a PENT(k,r,hu) on h points
+    per vertex, for h = 1 or h >= k.
 
     Each vertex p of the seed becomes a group H(p) of h points.  A k-GDD of
-    type h^deg laid over each vertex's neighbour groups plus an S(2,k,h) on
+    type h^u laid over each vertex's neighbour groups plus an S(2,k,h) on
     every group supply all opposite designs; for k = 3 any remaining pairs
-    are closed by hill climbing.
+    are closed by hill climbing.  At h = 1 a group is one point and carries
+    no block, and the GDD of type 1^u is an S(2,k,u): this is the girth-5
+    completion, whose deficiency graph is the seed itself.
     """
     if k < 3:
         raise UsageError(f"k = {k} < 3")
-    if h < k:
+    if h != 1 and h < k:
         raise UsageError(f"h = {h} < k = {k}")
     crep = report(c)
     if crep.regular_degree is None or crep.regular_degree < 1:
@@ -303,9 +284,20 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
         raise PentError(f"(k-1) does not divide v-w-1 = {v - w - 1}")
     r = (v - w - 1) // (k - 1)
     params = derive_params(k, r, w)
+    # Girth >= 5 puts h - 1 + hu + hu(u-1) = h(1 + u^2) - 1 other points
+    # within distance 2 of each point; the pairs of the rest need lines
+    # through no opposite design.
+    pairs = v * (v - h * (1 + u * u)) // 2
+    if pairs and k != 3:
+        raise PentError(
+            f"{2 * pairs // (k * (k - 1))} non-opposite lines needed but k = {k} > 3"
+        )
+    what = f"PENT(3,{r},{w}) completion"
+    _check_pair_count(pairs, what)
 
     gdd = _group_gdd(k, h, u, config)
-    system = _steiner(k, h)
+    # At h = 1 a group is one point, with no pair for a block to cover.
+    system = _steiner(k, h) if h > 1 else SteinerSystem(k=k, w=1, blocks=frozenset())
 
     lines = _inflated(c.n, h, system, gdd, map(bits, c.masks))
     expected_opp = v * (w * (w - h) + h * (h - 1)) // (h * k * (k - 1))
@@ -313,29 +305,21 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
         raise PentError(
             f"laid {len(lines)} opposite lines, expected {expected_opp}"
         )
-    if len(lines) < params.b:
-        if k != 3:
-            raise PentError(
-                f"{params.b - len(lines)} non-opposite lines needed but k = {k} > 3"
-            )
+    if pairs:
         # A shift symmetry of the seed lifts to x -> x + h*s on the inflated
         # points; climbing whole orbits makes the completion tractable.
         sources = sorted(
             shift_automorphisms(c), key=lambda s: (-(c.n // math.gcd(c.n, s)), s)
         )
-        lines = _climb_completion(
-            v,
-            inflate(c, h),
-            lines,
-            config,
-            f"PENT(3,{r},{w}) completion",
-            tuple(h * s for s in sources),
-        )
+        shifts = tuple(h * s for s in sources)
+        lines = _climb_completion(v, inflate(c, h), lines, config, what, shifts)
     return _finish(lines, k, r, w, "inflated-seed geometry")
 
 
 def _group_gdd(k: int, h: int, u: int, config: ClimbConfig | None) -> Gdd:
     """k-GDD of type h^u for laying over a seed vertex's neighbour groups."""
+    if h == 1:  # type 1^u: an S(2,k,u) on singleton groups
+        return Gdd(k=k, groups=tuple((p,) for p in range(u)), blocks=_steiner(k, u).blocks)
     if u == 1:
         return Gdd(k=k, groups=(tuple(range(h)),), blocks=frozenset())
     if u == k:

@@ -188,9 +188,12 @@ def verify_gdd(d: Gdd) -> None:
 
     The blocks are walked in sorted order, and the pairs of a block in the
     order of its points.  Bit y of seen[x] marks the pair (x, y) as covered
-    and bit y of group[x] puts y in the group of x, so a pair's checks are
-    two mask tests, and the pairs no block covers are the cross-group points
-    above x left out of seen[x].
+    and bit y of group[x] puts y in the group of x.  A block's point a
+    covers the pairs (a, b) for the points b after it, whose mask tail is
+    ORed into seen[a] in one step once tail & (group[a] | seen[a]) is 0 for
+    every a.  Only a block failing that test, or with a repeated point, is
+    walked pair by pair, to name its first defect.  The pairs no block
+    covers are the cross-group points above x left out of seen[x].
     """
     n = d.n
     points = set()
@@ -212,24 +215,37 @@ def verify_gdd(d: Gdd) -> None:
     for blk in blocks:
         if len(blk) != k or not points.issuperset(blk):
             raise UsageError(f"bad block {blk}")
-        for i in range(k - 1):
-            a = blk[i]
-            in_group, covered = group[a], seen[a]
-            for b in blk[i + 1 :]:
-                bit = 1 << b
-                if in_group & bit:
-                    raise PentError(f"within-group pair {(a, b)} covered by {blk}")
-                if covered & bit:
-                    first = _first_cover(blocks, a, b)
-                    raise PentError(f"pair {(a, b)} covered by both {first} and {blk}")
-                covered |= bit
-            seen[a] = covered
+        tail = clash = 0
+        tails = []
+        for a in reversed(blk):
+            tails.append(tail)
+            clash |= tail & (group[a] | seen[a])
+            tail |= 1 << a
+        if clash or tail.bit_count() < k:
+            _block_defect(blk, blocks, group, seen)
+        for a, after in zip(reversed(blk), tails):
+            seen[a] |= after
     full = (1 << n) - 1
     for x in range(n):
         missing = (full >> x + 1 << x + 1) & ~(group[x] | seen[x])
         if missing:
             y = (missing & -missing).bit_length() - 1
             raise PentError(f"pair {(x, y)} covered by no block")
+
+
+def _block_defect(blk: Line, blocks: list[Line], group: list[int], seen: list[int]) -> None:
+    """Raise the first defect among blk's pairs, walked in order, given the
+    pairs the blocks before it cover (verify_gdd's masks)."""
+    for i, a in enumerate(blk):
+        covered = seen[a]
+        for b in blk[i + 1 :]:
+            bit = 1 << b
+            if group[a] & bit:
+                raise PentError(f"within-group pair {(a, b)} covered by {blk}")
+            if covered & bit:
+                first = _first_cover(blocks, a, b)
+                raise PentError(f"pair {(a, b)} covered by both {first} and {blk}")
+            covered |= bit
 
 
 def _first_cover(blocks: list[Line], a: int, b: int) -> Line:

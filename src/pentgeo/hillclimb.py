@@ -88,6 +88,8 @@ EXHAUSTED = "exhausted"
 
 _PATIENCE = 5
 _KICK_SIZE = 2
+_ATTEMPTS = 20
+_STEPS_PER_PAIR = 100
 
 # The most target pairs a climb is built for.  Beyond the pair set itself,
 # building a ClimbProblem and climbing it peaks at about 290 bytes per pair
@@ -216,12 +218,9 @@ class ClimbProblem:
 
 @dataclass(frozen=True)
 class ClimbConfig:
-    """max_iterations of None means 100 * |target_pairs| per attempt; a
-    given budget must be at least 1."""
+    """Attempt i of a climb draws from random.Random(seed + i)."""
 
     seed: int = 0
-    max_iterations: int | None = None
-    restarts: int = 20
 
 
 class AttemptLog(NamedTuple):
@@ -509,20 +508,15 @@ def _attempt(
 
 
 def climb(problem: ClimbProblem, config: ClimbConfig | None = None) -> ClimbOutcome:
-    """Run up to config.restarts seeded attempts; first completion wins."""
-    config = config or ClimbConfig()
-    if config.restarts < 1:
-        raise UsageError(f"restarts = {config.restarts} < 1")
-    if config.seed < 0:  # random.Random(-s) would replay seed s
-        raise UsageError(f"seed = {config.seed} < 0")
-    budget = config.max_iterations
-    if budget is None:
-        budget = 100 * len(problem.target_pairs)
-    elif budget < 1:
-        raise UsageError(f"max_iterations = {budget} < 1")
+    """Run up to _ATTEMPTS seeded attempts of _STEPS_PER_PAIR steps per
+    target pair each; first completion wins."""
+    seed = (config or ClimbConfig()).seed
+    if seed < 0:  # random.Random(-s) would replay seed s
+        raise UsageError(f"seed = {seed} < 0")
+    budget = _STEPS_PER_PAIR * len(problem.target_pairs)
     logs: list[AttemptLog] = []
-    for attempt in range(config.restarts):
-        added, log = _attempt(problem, random.Random(config.seed + attempt), budget)
+    for attempt in range(_ATTEMPTS):
+        added, log = _attempt(problem, random.Random(seed + attempt), budget)
         logs.append(log)
         if added is not None:
             return ClimbOutcome(COMPLETE, _develop(added, problem), tuple(logs))

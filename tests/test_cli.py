@@ -47,7 +47,6 @@ from pentgeo.graphs import (
     petersen,
     write_graph_file,
 )
-from pentgeo.hillclimb import ClimbConfig, climb_sts
 from pentgeo.pent import dist3_analysis, overlap_profile
 
 ORBIT_SEED_FILE = "20\n0 4\n1 5\n2 6\n0 3\n1 3\n2 3\n"
@@ -811,9 +810,15 @@ def _pent33_with(line: tuple[int, ...]) -> pentgeo.Geometry:
 FAILURES = {
     "PentError": (1, lambda: _raise(PentError("x"))),
     "UsageError": (2, lambda: _raise(UsageError("x"))),
-    "ClimbFailed": (3, lambda: climb_sts(9, ClimbConfig(max_iterations=1, restarts=1))),
+    # One pair at distance 3 in GP(9) lies in no triangle of such pairs.
+    "ClimbFailed": (3, lambda: construct.construction36(generalized_petersen(9), 1, 3)),
     "ArityMismatch": (2, lambda: parse_pent_file("3 3 3 10\n0 1\n")),
-    "BadSeedGraph": (1, lambda: construct.from_girth5_graph(hoffman_singleton())),
+    "BadSeedGraph": (
+        1,
+        lambda: construct.construction36(
+            graph_from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)]), 1, 3
+        ),
+    ),
     "CompletionUnsupported": (
         1,
         lambda: construct.construction36(graph_from_edges(23, QUARTIC_23), 4, 4),

@@ -12,7 +12,6 @@ from pentgeo.construct import (
     GddFillPlan,
     Pent3Plan,
     construction36,
-    from_girth5_graph,
     gdd_fill,
     make_degenerate,
     plan_pent3,
@@ -22,7 +21,15 @@ from pentgeo.construct import (
 )
 from pentgeo.designs import Gdd, uniform_gdd
 from pentgeo.errors import PentError, UsageError
-from pentgeo.graphs import generalized_petersen, graph_from_edges, orbit_graph, petersen
+from pentgeo.graphs import (
+    distance3_graph,
+    generalized_petersen,
+    graph_from_edges,
+    hoffman_singleton,
+    inflate,
+    orbit_graph,
+    petersen,
+)
 from pentgeo.hillclimb import ClimbConfig, ClimbProblem, climb
 
 from pentgeo import geometry
@@ -277,50 +284,93 @@ def test_gdd_fill_rejects_invalid_ingredient(pent33):
 
 
 def test_from_girth5_graph_petersen(pent33):
-    geom = from_girth5_graph(petersen())
+    geom = construction36(petersen(), 1, 3)
     assert geom.params == pent33.params
     assert verify(geom).valid
 
 
-# Lines of from_girth5_graph(generalized_petersen(n)) at the default seed: a
-# climb without a shift on top of fixed lines, the seed's neighbourhoods.
+# Lines of the girth-5 completion construction36(generalized_petersen(n), 1, 3)
+# at the default seed: a climb without a shift on top of fixed lines, the
+# seed's neighbourhoods.
 PINNED_GIRTH5 = {21: "e727f8c9c1dc", 27: "402eff378748"}
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_GIRTH5))
 def test_from_girth5_graph_pinned(n):
-    geom = from_girth5_graph(generalized_petersen(n))
+    geom = construction36(generalized_petersen(n), 1, 3)
     digest = hashlib.sha256(repr(geom.lines_sorted()).encode()).hexdigest()[:12]
     assert digest == PINNED_GIRTH5[n]
 
 
+# Lines of construction36(hoffman_singleton(), 1, k): HS is a Moore graph of
+# degree 7, so every pair lies within distance 2 and nothing is climbed.
+# Its neighbourhoods carry an S(2,3,7) each at k = 3 and one line at k = 7.
+PINNED_HS = {3: ((21, 7), "aeee05ed438d"), 7: ((7, 7), "a82d8422f018")}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_HS))
+def test_girth5_completion_of_hoffman_singleton_pinned(k):
+    geom = construction36(hoffman_singleton(), 1, k)
+    rep = verify(geom)
+    assert rep.valid and rep.geometry_type == "A"
+    (r, w), pin = PINNED_HS[k]
+    assert (geom.params.k, geom.params.r, geom.params.w) == (k, r, w)
+    assert hashlib.sha256(repr(geom.lines_sorted()).encode()).hexdigest()[:12] == pin
+
+
 def test_from_girth5_graph_rejections():
-    with pytest.raises(PentError, match=r"^seed must be 3-regular, degrees give 2$"):
-        from_girth5_graph(ring(6))  # not cubic
+    with pytest.raises(PentError, match=r"^\(k-1\) does not divide v-w-1 = 3$"):
+        construction36(ring(6), 1, 3)  # not cubic: w = 2
     k33 = graph_from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     with pytest.raises(PentError, match=r"^seed girth 4 < 5$"):
-        from_girth5_graph(k33)  # girth 4
-    with pytest.raises(PentError, match=r"^r = \(n-4\)/2 = 8 is not admissible for k = w = 3$"):
-        from_girth5_graph(generalized_petersen(10))  # r = 8 is inadmissible
+        construction36(k33, 1, 3)  # girth 4
+    with pytest.raises(UsageError, match=r"^k = 3 does not divide v\*r = 160$"):
+        construction36(generalized_petersen(10), 1, 3)  # r = 8 is inadmissible
     two = generalized_petersen(15)
     doubled = graph_from_edges(
         60, [(a, b) for a, b in two.edges()] + [(a + 30, b + 30) for a, b in two.edges()]
     )
-    with pytest.raises(PentError, match=r"^seed must be connected$"):
-        from_girth5_graph(doubled)  # disconnected
+    with pytest.raises(PentError, match=r"^seed graph must be connected$"):
+        construction36(doubled, 1, 3)  # disconnected
 
 
 def test_from_girth5_graph_refuses_pair_count_before_distance3(monkeypatch):
     # A cubic girth-5 seed on n vertices has n(n-10)/2 pairs to complete:
     # n = 730 is the first even n past MAX_COMPLETION_PAIRS = 2^18.
-    def no_distance3(g):
-        raise AssertionError("distance-3 graph built")
+    def built(what):
+        def refuse(*args):
+            raise AssertionError(f"{what} built")
 
-    monkeypatch.setattr(construct, "distance3_graph", no_distance3)
-    with pytest.raises(UsageError, match=r": 262800 pairs to complete > 262144$"):
-        from_girth5_graph(generalized_petersen(365))
-    with pytest.raises(AssertionError, match="distance-3 graph built"):
-        from_girth5_graph(generalized_petersen(363))  # 259,908 pairs are admitted
+        return refuse
+
+    for name in ("distance3_graph", "inflate", "shift_automorphisms"):
+        monkeypatch.setattr(construct, name, built(name))
+    refusal = r"^PENT\(3,363,3\) completion: 262800 pairs to complete > 262144$"
+    with pytest.raises(UsageError, match=refusal):
+        construction36(generalized_petersen(365), 1, 3)
+    with pytest.raises(AssertionError, match="shift_automorphisms built"):
+        construction36(generalized_petersen(363), 1, 3)  # 259,908 pairs are admitted
+
+
+@pytest.mark.parametrize(
+    "seed,h,pairs",
+    [
+        (petersen(), 1, 0),
+        (generalized_petersen(15), 1, 300),
+        (orbit_graph(((0, 4), (1, 5), (2, 6), (0, 3), (1, 3), (2, 3)), 4, 20), 3, 900),
+        (hoffman_singleton(), 1, 0),
+        (hoffman_singleton(), 7, 0),
+    ],
+    ids=["petersen-1", "gp15-1", "orbit-3", "hs-1", "hs-7"],
+)
+def test_construction36_pair_count_is_the_distance3_edge_count(monkeypatch, seed, h, pairs):
+    # construction36 bounds v(v - h(1 + u^2))/2, read from n, h and u alone,
+    # which must be the pairs the completion climbs.
+    assert distance3_graph(inflate(seed, h)).edge_count() == pairs
+    counted = []
+    monkeypatch.setattr(construct, "_check_pair_count", lambda n, what: counted.append(n))
+    construction36(seed, h, 3)
+    assert counted == [pairs]
 
 
 def test_construction36_moore_seed():

@@ -8,7 +8,7 @@ import pytest
 from conftest import FIXTURE_FACTS, FIXTURE_NAMES, GIRTH5_NAMES
 
 from pentgeo import classify, core, deficiency_graph, derive_params, geometry, line_split, verify
-from pentgeo.construct import GddFillPlan, from_girth5_graph, gdd_fill, make_degenerate
+from pentgeo.construct import GddFillPlan, construction36, gdd_fill, make_degenerate
 from pentgeo.designs import uniform_gdd
 from pentgeo.errors import PentError, UsageError
 from pentgeo.graphs import MAX_VERTICES, generalized_petersen, petersen
@@ -59,7 +59,7 @@ def test_line_split_girth4_counted(geometries, reports):
 
 
 def test_type_a_from_cubic_graph():
-    geom = from_girth5_graph(generalized_petersen(15))
+    geom = construction36(generalized_petersen(15), 1, 3)
     rep = verify(geom)
     assert rep.valid and rep.geometry_type == "A"
     assert (rep.params.v, rep.params.r, rep.params.w) == (30, 13, 3)
