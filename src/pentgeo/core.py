@@ -83,16 +83,18 @@ class Geometry:
     """A point set 0..v-1 with canonical lines, kept as reps, the lines
     through 0..step-1, from which x -> x + step (mod v) develops the rest.
 
-    The constructor refuses a step that does not divide v and, below v,
-    replaces each given line by its translates through 0..step-1, so the
-    step is an automorphism of lines: reps itself at step = v, otherwise
-    built from reps when first read.  A frozenset makes duplicate lines
-    impossible; nothing here promises that the axioms hold, and |lines|
-    equals params.b exactly when the geometry is complete.  The incidence
-    index (v*v/8 bytes of masks and one reference per point below the step
-    on each representative line) is built on first use and kept with this
-    object, so every analysis of it shares one build; an equal geometry
-    built separately builds its own.
+    The constructor takes canonical lines (sorted tuples, as
+    canonical_line, geometry() and develop() give them) and does not sort
+    them again.  It refuses a step that does not divide v and, below v,
+    replaces each given line by its translates through 0..step-1, one per
+    window of the step the line meets, so the step is an automorphism of
+    lines: reps itself at step = v, otherwise built from reps when first
+    read.  A frozenset makes duplicate lines impossible; nothing here
+    promises that the axioms hold, and |lines| equals params.b exactly when
+    the geometry is complete.  The incidence index (v*v/8 bytes of masks
+    and one reference per point below the step on each representative line)
+    is built on first use and kept with this object, so every analysis of
+    it shares one build; an equal geometry built separately builds its own.
     """
 
     params: PentParams
@@ -104,9 +106,8 @@ class Geometry:
         if step < 1 or v % step:
             raise UsageError(f"d = {step} does not divide v = {v}")
         reps = self.reps
-        if step < v:  # each line moved back by t = x - x % step for its points x
-            moves = ((ln, {x - x % step for x in ln}) for ln in reps)
-            reps = (tuple(sorted([(y - t) % v for y in ln])) for ln, ts in moves for t in ts)
+        if step < v:
+            reps = _translates(reps, step, v)
         object.__setattr__(self, "reps", frozenset(reps))
 
     def __eq__(self, other):
@@ -145,33 +146,49 @@ class Geometry:
         return Incidence(self)
 
 
+def _translates(lines: Iterable[Line], step: int, v: int) -> list[Line]:
+    """Each sorted line moved back by t = x - x % step for its points x, one
+    translate per window of the step it meets.  The points from the first
+    one in the window on come first, then those below it wrapped past v, so
+    each translate is sorted as made."""
+    out = []
+    for ln in lines:
+        t = -1
+        for i, x in enumerate(ln):
+            if x - x % step != t:
+                t = x - x % step
+                out.append(tuple([(y - t) % v for y in ln[i:] + ln[:i]]))
+    return out
+
+
 class Incidence:
     """The index of a geometry whose lines lie in 0..v-1, as geometry() and
     develop() make them, built in one pass over its representative lines:
     the deficiency graph, whose mask N[x] (a Python int, bit y for point y)
     holds the points on no line with x, made from the representatives'
     masks, and through[x], the lines through each representative x, so
-    degree[p] = len(through[p % step]).  More than MAX_VERTICES points are
-    refused before any mask is allocated, so the masks take at most v*v/8
-    bytes = 32 MiB; through holds one reference per point below the step on
-    each representative line."""
+    degree[p] = len(through[p % step]).  Both tables have step entries,
+    and the pass stops on each sorted line at its first point at or above
+    the step, so it pays for the representatives only.  More than
+    MAX_VERTICES points are refused before any mask is allocated, so the
+    masks take at most v*v/8 bytes = 32 MiB; through holds one reference
+    per point below the step on each representative line."""
 
     def __init__(self, geom: Geometry):
         v, step = geom.v, geom.step
         if v > MAX_VERTICES:
             raise UsageError(f"v = {v} > {MAX_VERTICES} points")
-        through: list[list[Line]] = [[] for _ in range(v)]
-        masks = [1 << x for x in range(v)]
+        through: list[list[Line]] = [[] for _ in range(step)]
+        masks = [1 << x for x in range(step)]
         for ln in geom.reps:
             m = 0
             for x in ln:
                 m |= 1 << x
-            for x in ln:
+            for x in ln:  # the representatives on ln, a prefix as ln is sorted
+                if x >= step:
+                    break
                 through[x].append(ln)
                 masks[x] |= m
-        # Points above the step gather part of their lines; only the
-        # representatives' entries are kept.
-        del through[step:], masks[step:]
         full = (1 << v) - 1
         for x in range(step):  # x's closed mask, complete, becomes N[x] in place
             masks[x] ^= full

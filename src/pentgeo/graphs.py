@@ -10,10 +10,11 @@ None for acyclic graphs rather than a sentinel number.
 Step rule: a Graph is (n, reps), the masks of the points 0..step-1, where
 step = len(reps) divides n.  Every other point x takes the mask of its
 representative x % step rotated by x - x % step (mod n), so x -> x + step is
-an automorphism by construction, and girth, distance3_graph and
-neighborhood_intersection_profile work on the representatives only.  At
-step = n every point is its own representative and masks is reps itself.
-Equality and hashing read n and masks, never the step.
+an automorphism by construction, and girth, report's degrees,
+distance3_graph and neighborhood_intersection_profile work on the
+representatives only.  At step = n every point is its own representative
+and masks is reps itself.  Equality and hashing read n and masks, never the
+step.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def report(g: Graph) -> GraphReport:
-    degrees = set(map(int.bit_count, g.masks))
+    degrees = set(map(int.bit_count, g.reps))  # a point has its representative's degree
     comps = components(g)
     return GraphReport(
         n=g.n,
@@ -312,15 +313,42 @@ def neighborhood_intersection_profile(g: Graph) -> Counter:
     representative is paired once with the vertices above it, and pairs of
     two representatives weigh double.  Without a symmetry that is the plain
     count over pairs x < y.
+
+    The sizes come bit-sliced: y is in N(z) just when z is in N(y), so
+    adding the masks of the z in N(x) into a vertical binary counter leaves
+    |N(x) & N(y)| in bit y of its planes, plane j holding bit j of the
+    count.  Splitting the vertices above x by each plane in turn gives the
+    set of those meeting x in each size, and one popcount below the step
+    and one in all weighs it.  That costs deg(x) additions of
+    log2(deg(x)) + 1 planes per representative, not one AND per vertex.
     """
-    reps, step = g.reps, g.step
-    rest = g.masks[step:]
-    among: Counter = Counter()
-    across: Counter = Counter()
-    for x, nx in enumerate(reps):
-        among.update(map(int.bit_count, map(nx.__and__, reps[x + 1 :])))
-        across.update(map(int.bit_count, map(nx.__and__, rest)))
-    return Counter({u: (2 * among[u] + across[u]) * g.n // step // 2 for u in among | across})
+    adj, n, step = g.masks, g.n, g.step
+    low = (1 << step) - 1
+    weighted: Counter = Counter()
+    for x, nx in enumerate(g.reps):
+        planes: list[int] = []
+        for z in bits(nx):
+            carry = adj[z]
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        above = (1 << n) - (2 << x)
+        sizes = {0: above} if above else {}  # the vertices above x, each of size 0 so far
+        for j, plane in enumerate(planes):
+            split = {}
+            for u, ys in sizes.items():
+                if ys & ~plane:
+                    split[u] = ys & ~plane
+                if ys & plane:
+                    split[u | 1 << j] = ys & plane
+            sizes = split
+        for u, ys in sizes.items():
+            weighted[u] += (ys & low).bit_count() + ys.bit_count()
+    return Counter({u: t * n // step // 2 for u, t in weighted.items()})
 
 
 def data_lines(text: str) -> Iterator[tuple[int, tuple[int, ...]]]:

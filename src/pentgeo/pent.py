@@ -24,10 +24,14 @@ Step rule: the geometry's step (core.Geometry.step) is a cyclic
 automorphism x -> x + step (mod v), the development step for a geometry
 from core.develop and v, the identity, when no symmetry is known.  The
 points 0..step-1 represent the point orbits, and the deficiency graph
-carries the same step, so the graph invariants and dist3_analysis's blade
-check work on the representatives only.  A failing point's representative
-fails too and is never larger than it, so the first witness or exception
-is the one a point-by-point search finds.  Equality ignores the step.
+carries the same step, so the graph invariants, dist3_analysis's blade
+check and the axiom loops of check_axioms work on the representatives
+only: their tables have step entries, and each sorted representative line
+is read up to its first point at or above the step.  A failing point's
+representative fails too and is never larger than it, so the first witness
+or exception is the one a point-by-point search finds; check_axioms walks
+all v points, in order, only once a representative has failed, to quote
+its witnesses.  Equality ignores the step.
 
 Orbit-weight rule: the representative lines (core.Geometry.reps, those
 through 0..step-1) stand for all lines.  The window of a point x is
@@ -132,9 +136,19 @@ def _tally(geom: Geometry) -> tuple[int, int, list[int]]:
             b_opp += weight
             held_by_mask[m] += weight * len(ln) * (len(ln) - 1) // 2
     held = [0] * step
+    # Bit q*step of the repunit is set for each window q: (m >> x) & repunit
+    # holds the points of m in the residue class of x.
+    repunit = ((1 << v) - 1) // ((1 << step) - 1)
     for m, pairs in held_by_mask.items():
-        for x in bits(m) if step == v else [y % step for y in bits(m)]:
-            held[x] += pairs
+        if step == v:
+            for x in bits(m):
+                held[x] += pairs
+        elif m.bit_count() > step:  # one AND per class, not one step per point
+            for x in range(step):
+                held[x] += pairs * (m >> x & repunit).bit_count()
+        else:
+            for y in bits(m):
+                held[y % step] += pairs
     orbits = v // step
     return b_opp * orbits // scale, sum(weights) * orbits // scale, [h // scale for h in held]
 
@@ -247,9 +261,13 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     if set(map(len, geom.reps)) - {k}:
         uniform_witnesses = [f"line {ln}" for ln in geom.line_stream() if len(ln) != k]
 
-    regular_witnesses = [
-        f"point {x} on {degree[x]} lines, expected {r}" for x in range(v) if degree[x] != r
-    ]
+    # A point has its representative's degree and deficiency mask, rotated,
+    # so the loops below test 0..step-1 and walk every point only to quote.
+    regular_witnesses = []
+    if set(degree[:step]) - {r}:
+        regular_witnesses = [
+            f"point {x} on {degree[x]} lines, expected {r}" for x in range(v) if degree[x] != r
+        ]
 
     # x fails opposite_designs unless |N(x)| = w, the lines inside N(x) hold
     # w(w-1)/2 pairs, and no two of them share a pair (clashing marks the x
@@ -289,14 +307,18 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
             clashing |= twice
     clash_reps = {y % step for y in bits(clashing)}
     opposite_witnesses: list[str] = []
-    for x in range(v):
-        size = nbrs[x].bit_count()
-        if size != w:
-            opposite_witnesses.append(f"point {x}: {size} non-collinear points, expected {w}")
-        elif 2 * held[x % step] != w * (w - 1) or x % step in clash_reps:
-            _opposite_witnesses(geom, x, set(bits(nbrs[x])), opposite_witnesses)
-        if len(opposite_witnesses) >= WITNESS_LIMIT:
-            break
+    if any(
+        nbrs[x].bit_count() != w or 2 * held[x] != w * (w - 1) or x in clash_reps
+        for x in range(step)
+    ):
+        for x in range(v):
+            size = nbrs[x].bit_count()
+            if size != w:
+                opposite_witnesses.append(f"point {x}: {size} non-collinear points, expected {w}")
+            elif 2 * held[x % step] != w * (w - 1) or x % step in clash_reps:
+                _opposite_witnesses(geom, x, set(bits(nbrs[x])), opposite_witnesses)
+            if len(opposite_witnesses) >= WITNESS_LIMIT:
+                break
 
     axioms = (
         _check(AXIOM_PARTIAL_LINEAR, pl_witnesses),
@@ -321,7 +343,8 @@ def verify(geom: Geometry) -> VerificationReport:
     axioms, (opposite_count, line_count, _) = check_axioms(geom)
     dgraph = geom.incidence.deficiency
     dreport = graphs.report(dgraph)
-    kww = _count_kww_components(dgraph, params.w)
+    # Only a component of 2w vertices can be a K_{w,w}.
+    kww = _count_kww_components(dgraph, params.w) if 2 * params.w in dreport.component_sizes else 0
 
     geometry_type, split, profile = TYPE_INVALID, None, None
     if all(a.passed for a in axioms):
@@ -453,23 +476,23 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     # blade through x is a blade of each of its points a, so its other points
     # lie in far[a].  A line is non-opposite when its opposite mask is 0 (an
     # empty line has no point to count).  Only the representatives are
-    # checked, from the lines through them; points above the step gather
-    # part of theirs.
-    v = geom.v
-    covered, sizes, counts = [0] * v, [0] * v, [0] * v
+    # checked, from the lines through them, so the tables have step entries.
+    covered, sizes, counts = [0] * step, [0] * step, [0] * step
     reps = geom.reps
     for ln, opp in zip(reps, _opposite(geom, reps)):
         if not opp:
             m = 0
             for x in ln:
                 m |= 1 << x
-            for x in ln:
+            for x in ln:  # the representatives on ln, a prefix as ln is sorted
+                if x >= step:
+                    break
                 covered[x] |= m
                 sizes[x] += len(ln) - 1
                 counts[x] += 1
     partitioned = all(
         c & ~(1 << x) == f and f.bit_count() == n
-        for x, (c, f, n) in enumerate(zip(covered[:step], far, sizes))
+        for x, (c, f, n) in enumerate(zip(covered, far, sizes))
     )
     if not partitioned:
         for x in range(step):
@@ -482,5 +505,5 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
         degree_bound=bound,
         min_degree=min_degree,
         degrees_tight=tight,
-        blade_counts=tuple(counts[:step]) * (v // step),
+        blade_counts=tuple(counts) * (geom.v // step),
     )

@@ -314,17 +314,21 @@ def test_geometry_of_base_blocks_is_their_development(name):
         assert geom == developed and geom.reps == developed.reps
 
 
-@settings(max_examples=100)
-@given(
-    step=st.sampled_from([1, 2, 3, 6, 9, 18]),
-    blocks=st.lists(st.lists(st.integers(0, 17), min_size=3, max_size=3, unique=True), max_size=8),
-)
-def test_geometry_step_is_an_automorphism_of_its_lines(step, blocks):
+@settings(max_examples=200)
+@given(shape=st.sampled_from([(3, 6, 5), (5, 6, 5)]), data=st.data())
+def test_geometry_step_is_an_automorphism_of_its_lines(shape, data):
     """Whatever lines a caller gives, the geometry holds their orbits under
     x -> x + step, as the oracle develops them, and represents them by the
-    lines through 0..step-1."""
-    file = BaseBlockFile(k=3, r=6, w=5, d=step, blocks=tuple(map(tuple, blocks)))  # v = 18
+    lines through 0..step-1.  At k = 5, v = 30 and steps 1, 2, 3 and 5 there
+    are 6 to 30 windows, so a line meets up to five and its translates
+    wrap past v at each of its points."""
+    k, r, w = shape
+    v = derive_params(k, r, w).v  # 18 or 30
+    step = data.draw(st.sampled_from([d for d in range(1, v + 1) if v % d == 0]), "step")
+    block = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+    blocks = data.draw(st.lists(block, max_size=8), "blocks")
+    file = BaseBlockFile(k=k, r=r, w=w, d=step, blocks=tuple(map(tuple, blocks)))
     geom = Geometry(file.params, step, map(canonical_line, blocks))
-    assert {canonical_line((x + step) % 18 for x in ln) for ln in geom.lines} == geom.lines
+    assert {canonical_line((x + step) % v for x in ln) for ln in geom.lines} == geom.lines
     assert geom.lines == oracle.develop(file).lines
     assert geom.reps == {ln for ln in geom.lines if ln[0] < step}

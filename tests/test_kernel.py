@@ -249,6 +249,9 @@ NAMED_GRAPHS = (
     [petersen(), hoffman_singleton()]
     + [generalized_petersen(n) for n in range(5, 21)]
     + [complete_bipartite(w) for w in range(1, 8)]
+    # Degrees 15 and 31 fill four and five bit planes of the overlap
+    # profile's counter; 16, 32 and 40 carry into a fifth and a sixth.
+    + [complete_bipartite(w) for w in (15, 16, 31, 32, 40)]
 )
 
 
@@ -259,11 +262,13 @@ def test_named_graph_matches_bfs(index):
 
 @settings(max_examples=200)
 @given(
-    n=st.integers(0, 24),
-    density=st.floats(0.0, 0.5),
+    n=st.integers(0, 70),
+    density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_random_graph_matches_bfs(n, density, seed):
+    """Up to 70 vertices, masks span several 30-bit digits, and dense graphs
+    push the overlap profile's counter to six or seven bit planes."""
     rng = random.Random(seed)
     edges = [(x, y) for x in range(n) for y in range(x + 1, n) if rng.random() < density]
     assert_graph_agrees(graph_from_edges(n, edges))
