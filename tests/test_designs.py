@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import random
+import re
 
 import oracle
 import pytest
@@ -312,6 +313,13 @@ def test_verify_gdd_negatives():
     with pytest.raises(UsageError, match=r"^bad block \(0, 3\)$"):
         verify_gdd(bad_block)
 
+    # With the block count right, a point out of range must be refused
+    # before it indexes a table or is shifted into a mask.
+    for blk in ((-1, 3, 6), (0, 3, 2**62)):
+        bad_point = Gdd(k=3, groups=base.groups, blocks=base.blocks - {(0, 3, 6)} | {blk})
+        with pytest.raises(UsageError, match=f"^{re.escape(f'bad block {blk}')}$"):
+            verify_gdd(bad_point)
+
 
 def test_gdd_group_type_mixed():
     d = Gdd(k=3, groups=((0, 1), (2, 3), (4, 5, 6)), blocks=frozenset())
@@ -384,6 +392,17 @@ def reverse_block(blocks, rng, n, k):
     blocks[i] = blocks[i][::-1]
 
 
+def swap_points(blocks, rng, n, k):
+    """Swap a point of one block with a point of another and re-sort both:
+    the block count stays, so a doubled pair and a missing pair balance in
+    the pair count and only the cover of each point tells them apart."""
+    i, j = rng.sample(range(len(blocks)), 2)
+    p = rng.choice([x for x in blocks[i] if x not in blocks[j]])
+    q = rng.choice([x for x in blocks[j] if x not in blocks[i]])
+    blocks[i] = tuple(sorted(q if x == p else x for x in blocks[i]))
+    blocks[j] = tuple(sorted(p if x == q else x for x in blocks[j]))
+
+
 def outcome(verifier, design):
     try:
         return verifier(design)
@@ -394,7 +413,7 @@ def outcome(verifier, design):
 @settings(max_examples=200)
 @given(
     name=st.sampled_from(sorted(DESIGNS)),
-    kind=st.sampled_from((delete_block, add_block, move_point, reverse_block)),
+    kind=st.sampled_from((delete_block, add_block, move_point, reverse_block, swap_points)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_design_verifier_matches_oracle(name, kind, seed):
