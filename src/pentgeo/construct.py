@@ -34,6 +34,7 @@ from .designs import (
     Gdd,
     SteinerSystem,
     affine_plane,
+    check_recipe_pairs,
     projective_plane,
     single_block_system,
     sts,
@@ -61,9 +62,12 @@ def _named(what: str, reason: str) -> str:
 
 
 def _steiner(k: int, w: int) -> SteinerSystem:
-    """S(2,k,w) from the recipes at hand, or PentError."""
+    """S(2,k,w) from the recipes at hand, or PentError; an STS too large to
+    build is refused as a UsageError (MAX_RECIPE_PAIRS), not a missing recipe."""
     if w == k:
         return single_block_system(k)
+    if k == 3 and w % 6 in (1, 3):
+        check_recipe_pairs(w * (w - 1) // 2, f"S(2,3,{w})")
     try:
         if k == 3:
             return sts(w)
@@ -226,17 +230,17 @@ def _climb_completion(
     placed: set[Line],
     config: ClimbConfig | None,
     what: str,
-    shifts: tuple[int, ...],
+    steps: list[int],
 ) -> set[Line]:
     """placed plus triples covering every pair at distance 3 or more in
-    dgraph: first by a climb under each shift in turn, up to the first
-    whose problem builds, then without one."""
+    dgraph: first by a climb under each step in turn (core's step rule), up
+    to the first whose problem builds, then at step v, no symmetry."""
     targets = frozenset(distance3_graph(dgraph).edges())
     spent = 0
-    for shift in shifts:
+    for step in steps:
         try:
             problem = ClimbProblem(
-                v=v, target_pairs=targets, fixed_lines=frozenset(placed), shift=shift
+                v=v, target_pairs=targets, fixed_lines=frozenset(placed), step=step
             )
         except UsageError:
             continue
@@ -306,13 +310,12 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
             f"laid {len(lines)} opposite lines, expected {expected_opp}"
         )
     if pairs:
-        # A shift symmetry of the seed lifts to x -> x + h*s on the inflated
-        # points; climbing whole orbits makes the completion tractable.
-        sources = sorted(
-            shift_automorphisms(c), key=lambda s: (-(c.n // math.gcd(c.n, s)), s)
-        )
-        shifts = tuple(h * s for s in sources)
-        lines = _climb_completion(v, inflate(c, h), lines, config, what, shifts)
+        # A shift s of the seed generates the symmetry of step gcd(n, s),
+        # which lifts to step h * gcd(n, s) on the inflated points; climbing
+        # whole orbits makes the completion tractable.  Ascending steps are
+        # the longest orbits first, each orbit structure once.
+        steps = sorted({h * math.gcd(c.n, s) for s in shift_automorphisms(c)})
+        lines = _climb_completion(v, inflate(c, h), lines, config, what, steps)
     return _finish(lines, k, r, w, "inflated-seed geometry")
 
 

@@ -18,6 +18,15 @@ from .errors import PentError, UsageError
 
 MAX_FIELD_ORDER = 49
 
+# The most pairs a recipe without a field order to cap it (sts, and
+# uniform_gdd at k = 3) is asked to cover.  Building the design peaks at
+# 65-73 bytes per covered pair (tracemalloc: sts(751), sts(1501),
+# uniform_gdd(3, 300)), so 2^20 pairs is about 73 MiB.  This admits STS(w)
+# up to w = 1447, which holds make_degenerate(3, 751) and its 281,625 pairs,
+# and TD(3,g) up to g = 591.  A larger design is refused before it is built:
+# STS(20001) has 200,010,000 pairs and TD(3,20000) 1,200,000,000.
+MAX_RECIPE_PAIRS = 1 << 20
+
 # Monic irreducible polynomials over GF(p), coefficients low degree first.
 IRREDUCIBLE = {
     4: (1, 1, 1),
@@ -299,6 +308,12 @@ def _first_cover(blocks: list[Line], a: int, b: int) -> Line:
     return next(blk for blk in blocks if a in blk and b in blk[blk.index(a) + 1 :])
 
 
+def check_recipe_pairs(n_pairs: int, what: str) -> None:
+    """Refuse a design covering more than MAX_RECIPE_PAIRS pairs."""
+    if n_pairs > MAX_RECIPE_PAIRS:
+        raise UsageError(f"{what}: {n_pairs} pairs to cover > {MAX_RECIPE_PAIRS}")
+
+
 def single_block_system(k: int) -> SteinerSystem:
     """S(2,k,k): the one block covering everything."""
     if k < 2:
@@ -352,12 +367,10 @@ def sts(w: int) -> SteinerSystem:
     """Steiner triple system on w points, w = 1 or 3 (mod 6)."""
     if w < 3:
         raise UsageError(f"w = {w} < 3")
-    if w % 6 == 3:
-        blocks = _bose((w - 3) // 6)
-    elif w % 6 == 1:
-        blocks = _skolem((w - 1) // 6)
-    else:
+    if w % 6 not in (1, 3):
         raise UsageError(f"no S(2,3,{w}): w = {w} is not 1 or 3 (mod 6)")
+    check_recipe_pairs(w * (w - 1) // 2, f"S(2,3,{w})")
+    blocks = _bose((w - 3) // 6) if w % 6 == 3 else _skolem((w - 1) // 6)
     system = SteinerSystem(k=3, w=w, blocks=blocks)
     verify_steiner(system)
     return system
@@ -427,6 +440,7 @@ def uniform_gdd(k: int, g: int) -> Gdd:
     if g < 2:
         raise UsageError(f"g = {g} < 2")
     if k == 3:
+        check_recipe_pairs(3 * g * g, f"TD(3,{g})")
         squares = [[[(x + y) % g for y in range(g)] for x in range(g)]]
     else:
         try:

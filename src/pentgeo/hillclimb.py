@@ -15,14 +15,15 @@ displaces 2 - [z in U(x)] - [z in U(y)] triples, so its tiers are
 U(x) & U(y), (U(x) ^ U(y)) & avail(x) & avail(y), and the rest of the common
 points.
 
-A problem may declare a cyclic symmetry x -> x + shift (mod v) of its target
-pairs.  The climb then works on whole pair orbits and develops every chosen
-triple around the cycle, which shrinks the search space by the orbit length.
-Since whole orbits are covered, U(x + shift) = rotate(U(x), shift) (mod v)
-holds throughout, so U is stored for the g = gcd(v, shift) point-orbit
-representatives only and read by rotation, and covering or uncovering a
-class flips two bits.  Without a shift g = v and every rotation is by 0:
-both kinds of problem run the same code.
+A problem's symmetry is a step g, by core's step rule: g divides v, the
+translation x -> x + g (mod v) permutes the target pairs, and g = v, the
+default, is no symmetry.  The climb works on whole pair orbits and develops
+every chosen triple around the cycle, which shrinks the search space by the
+orbit length v // g.  Since whole orbits are covered,
+U(x + g) = rotate(U(x), g) (mod v) holds throughout, so U is stored for the
+point-orbit representatives 0..g-1 only and read by rotation, and covering
+or uncovering a class flips two bits.  At g = v every rotation is by 0: both
+kinds of problem run the same code.
 
 The step hashes no pair.  A problem derives avail and numbers its pair
 classes once, and an attempt reads them by id: rows[x][y] is the id of the
@@ -32,10 +33,10 @@ triple with the ids of its three classes, read from rows once when the move
 places it, so displacing or kicking it out reads no row.  A pair under a
 fixed line is in no class.  avail, the ids and the flip bits depend only on
 the problem, so restarts share them; rows holds one entry per end of an
-open pair and never a v x v table.  Without a shift a class is its pair,
+open pair and never a v x v table.  At step = v a class is its pair,
 and point a numbers its pairs (a, b), b > a, as one run of ids.  A move
 flips only its net change: a class the new triple takes over from a
-displaced triple (c_xz or c_yz, or with a shift both) keeps its bits, as
+displaced triple (c_xz or c_yz, or below step v both) keeps its bits, as
 two flips would cancel.  Only the displaced triples' other classes and the
 new triple's open classes flip.
 
@@ -46,7 +47,7 @@ n_covered cell variables, read through a cell on every use in the step
 loop.  It stays a function, not written out in the move, so that a move's
 removals can be observed by name.  The move orders its triple by
 comparisons rather than tuple(sorted(...)), and a drawn rank below
-len(live), every draw of a problem without a shift, skips the divmod.
+len(live), every draw of a problem at step = v, skips the divmod.
 These took a step from 4.72 to 4.49 us on the c36 climbs of seeds 0-19
 (141,170 steps) and from 3.88 to 3.59 us on ten STS(99) climbs, every draw
 and AttemptLog unchanged (medians of five alternating runs, Python 3.11.7
@@ -54,14 +55,14 @@ on a 2-CPU Intel Xeon virtual machine).
 
 The stall limit is the number of steps an attempt takes without a new
 fewest uncovered count before it kicks, and it scales with the problem: an
-attempt that starts with n_open open classes (shift orbits, or pairs without
-a shift) kicks after n_open // 4 idle steps.  A fixed limit of 400 was
-2.2 n_open for the c36 orbit-graph climb of construction36 (h = k = 3,
-n_open = 180), which then spent most of its steps circling a plateau of 3
-uncovered classes between kicks; for STS(69), STS(99) and large GDDs
-n_open // 4 is above 400 (586, 1,212 and 29,715 for a 3-GDD of type
-60^3 66^5 10^1), so those climbs kick less often.  Each step resamples its
-candidate pair up to 5 times, and a kick sheds 2 placed triples.  Over
+attempt that starts with n_open open classes (pair orbits under the step,
+single pairs at step = v) kicks after n_open // 4 idle steps.  A fixed
+limit of 400 was 2.2 n_open for the c36 orbit-graph climb of construction36
+(h = k = 3, n_open = 180), which then spent most of its steps circling a
+plateau of 3 uncovered classes between kicks; for STS(69), STS(99) and
+large GDDs n_open // 4 is above 400 (586, 1,212 and 29,715 for a 3-GDD of
+type 60^3 66^5 10^1), so those climbs kick less often.  Each step resamples
+its candidate pair up to 5 times, and a kick sheds 2 placed triples.  Over
 whole climbs, on seeds not used to choose the rule, the iterations to
 completion were:
 
@@ -86,7 +87,6 @@ import random
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, repeat
-from math import gcd
 from typing import Callable, NamedTuple
 
 from .core import Line
@@ -137,31 +137,37 @@ class ClimbProblem:
     """Cover every target pair exactly once by triples whose pairs are all
     target pairs, on top of an immovable set of fixed lines.
 
-    A non-None shift asserts that x -> x + shift (mod v) permutes the target
-    pairs with every pair orbit of full length v/gcd(v, shift); the solution
-    is then searched for among unions of triple orbits.
+    The step follows core's step rule: it divides v, and None, the default,
+    is stored as v, no symmetry.  A step g below v asserts that x -> x + g
+    (mod v) permutes the target pairs with every pair orbit of full length
+    v // g; the solution is then searched for among unions of triple orbits.
 
     Checking the problem derives, once, everything a climb attempt reads.
     Bit y of avail[x] is set iff {x,y} is a target pair that no fixed line
     covers.  The pairs in avail fall into the classes the climb covers whole:
-    the shift orbits, or single pairs without a shift.  Class ids run in the
-    order of each class's least pair, and a pair under a fixed line gets
-    none.  rows[x][y] is the id of the class of {x,y}, with one entry per end
-    of an open pair, and flips[i] is (ra, ba, rb, bb): covering or uncovering
-    class i flips mask bits ba of uncovered[ra] and bb of uncovered[rb] (see
-    _attempt).
+    the pair orbits under the step, single pairs at step = v.  Class ids run
+    in the order of each class's least pair, and a pair under a fixed line
+    gets none.  rows[x][y] is the id of the class of {x,y}, with one entry
+    per end of an open pair, and flips[i] is (ra, ba, rb, bb): covering or
+    uncovering class i flips mask bits ba of uncovered[ra] and bb of
+    uncovered[rb] (see _attempt).
     """
 
     v: int
     target_pairs: frozenset[Pair]
     fixed_lines: frozenset[Line] = frozenset()
-    shift: int | None = None
+    step: int | None = None
     avail: tuple[int, ...] = field(init=False, repr=False, compare=False)
     rows: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
     flips: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v, shift, targets = self.v, self.shift, self.target_pairs
+        v, step, targets = self.v, self.step, self.target_pairs
+        if step is None:
+            step = v
+            object.__setattr__(self, "step", v)
+        if step < 1 or v % step:
+            raise UsageError(f"step = {step} does not divide v = {v}")
         bit = [1 << y for y in range(v)]
         avail = [0] * v
         for x, y in targets:
@@ -181,19 +187,15 @@ class ClimbProblem:
                     avail[a] ^= bit[b]
                     avail[b] ^= bit[a]
                     fixed = True
-        if shift is not None:
-            if not (1 <= shift < v):
-                raise UsageError(f"shift {shift} out of range for v = {v}")
-            if fixed:
-                raise UsageError("shift requires fixed lines that cover no target pair")
+        if fixed and step < v:
+            raise UsageError("a step below v requires fixed lines that cover no target pair")
         # Walked in sorted order, each class is first met at its least pair
         # (a, b), which numbers it.  Class {a,b} owns bit b of U(a), which lies
-        # in uncovered[a % g] rotated by a - a % g, and bit a of U(b) likewise.
-        order = self.order
-        g = v // order
+        # in uncovered[a % step] rotated by a - a % step, and bit a of U(b)
+        # likewise.
         rows: tuple[dict[int, int], ...] = tuple({} for _ in range(v))
         flips = []
-        if order == 1:
+        if step == v:
             # A class is its pair: the pairs (a, b), b > a, take the next ids.
             for a, row in enumerate(rows):
                 high = bits(avail[a] >> a + 1 << a + 1)
@@ -211,14 +213,14 @@ class ClimbProblem:
                     i = len(flips)
                     rows[a][b] = rows[b][a] = i
                     x, y = a, b
-                    for _ in range(order - 1):
-                        x, y = (x + shift) % v, (y + shift) % v
+                    for _ in range(v // step - 1):
+                        x, y = (x + step) % v, (y + step) % v
                         if _pair(x, y) == (a, b):
-                            raise UsageError(f"pair ({a},{b}) has a short orbit under shift {shift}")
+                            raise UsageError(f"pair ({a},{b}) has a short orbit under step {step}")
                         if not avail[x] & bit[y]:
-                            raise UsageError(f"shift {shift} does not preserve the target pairs")
+                            raise UsageError(f"step {step} does not preserve the target pairs")
                         rows[x][y] = rows[y][x] = i
-                    ra, rb = a % g, b % g
+                    ra, rb = a % step, b % step
                     flips.append((ra, bit[(b - a + ra) % v], rb, bit[(a - b + rb) % v]))
         object.__setattr__(self, "avail", tuple(avail))
         object.__setattr__(self, "rows", rows)
@@ -226,7 +228,7 @@ class ClimbProblem:
 
     @property
     def order(self) -> int:
-        return 1 if self.shift is None else self.v // gcd(self.v, self.shift)
+        return self.v // self.step
 
 
 @dataclass(frozen=True)
@@ -264,16 +266,16 @@ class ClimbOutcome:
 
 
 def _develop(added: set[Line], problem: ClimbProblem) -> frozenset[Line]:
-    if problem.shift is None:
+    v, step = problem.v, problem.step
+    if step == v:
         return frozenset(added)
-    v, shift, order = problem.v, problem.shift, problem.order
     # A translate of a placed triple is canonical once sorted.
     out = {
         tuple(sorted(((a + d) % v, (b + d) % v, (c + d) % v)))
         for a, b, c in added
-        for d in range(0, order * shift, shift)
+        for d in range(0, v, step)
     }
-    if len(out) != order * len(added):
+    if len(out) != problem.order * len(added):
         raise ClimbFailed("internal: developed triples collide")
     return frozenset(out)
 
@@ -356,18 +358,18 @@ def _attempt(
     problem: ClimbProblem, rng: random.Random, budget: int
 ) -> tuple[set[Line] | None, AttemptLog]:
     v, avail, row, flips = problem.v, problem.avail, problem.rows, problem.flips
-    # x, x + shift, x + 2 shift, ... (mod v) make up the point orbit of x mod g,
-    # and it has order points.  Without a shift order = 1 and g = v.
-    order = problem.order
-    g = v // order
+    # x, x + g, x + 2g, ... (mod v) make up the point orbit of x mod g, and it
+    # has order points.  At g = v, no symmetry, order = 1.
+    g = problem.step
+    order = v // g
     full = (1 << v) - 1
     below = _draw_below(rng)
     getrandbits = rng.getrandbits
     select = _select
 
     # Bit y of U(x) is set iff bit y of avail[x] is and the class of {x,y} is
-    # uncovered.  The climb covers whole classes, which are the shift orbits
-    # of pairs, so U(x + shift) is U(x) rotated by shift (mod v): U is kept
+    # uncovered.  The climb covers whole classes, which are the pair orbits
+    # under the step, so U(x + g) is U(x) rotated by g (mod v): U is kept
     # for the orbit representatives r < g only, and U(r + d) for d a multiple
     # of g is uncovered[r] rotated by d.  Class {a,b} then owns one bit of
     # uncovered[a % g] and one of uncovered[b % g] (distinct bits when
@@ -416,14 +418,14 @@ def _attempt(
         # getrandbits(n.bit_length()) redrawn until it is below n.  The set
         # bit of rank i in a mask with n set bits is found as _select finds
         # it, by clearing the i lowest set bits when n <= 8.  A rotation by
-        # d = 0 is skipped: without a shift every d is 0.
+        # d = 0 is skipped: at g = v every d is 0.
         for _ in range(_PATIENCE):
             i = getrandbits(k_points)
             while i >= n_points:
                 if not n_points:
                     raise ClimbFailed("internal: no live point with classes left uncovered")
                 i = getrandbits(k_points)
-            # Without a shift n_points = n_live, so every draw lands here.
+            # At g = v n_points = n_live, so every draw lands here.
             if i < n_live:
                 d, r = 0, live[i]
             else:
@@ -469,8 +471,8 @@ def _attempt(
                 # moved by a multiple d != 0 of g: {x,z} = {x,y} + d makes
                 # d = x - y and z = 2x - y, {y,z} = {x,y} + d makes z = 2y - x,
                 # and {x,z} = {y,z} + d makes z = y + d with 2d = x - y
-                # (mod v).  Each needs x = y (mod g), which a problem without
-                # a shift never has; these few z leave every tier.
+                # (mod v).  Each needs x = y (mod g), which a problem at
+                # g = v never has; these few z leave every tier.
                 e = (x - y) % v
                 bad = 1 << (x + e) % v | 1 << (y - e) % v
                 if v & 1:

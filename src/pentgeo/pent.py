@@ -137,13 +137,11 @@ def _tally(geom: Geometry) -> tuple[int, int, list[int]]:
             held_by_mask[m] += weight * len(ln) * (len(ln) - 1) // 2
     held = [0] * step
     # Bit q*step of the repunit is set for each window q: (m >> x) & repunit
-    # holds the points of m in the residue class of x.
+    # holds the points of m in the residue class of x.  At step = v no mask
+    # has more than step points, and y % step is y.
     repunit = ((1 << v) - 1) // ((1 << step) - 1)
     for m, pairs in held_by_mask.items():
-        if step == v:
-            for x in bits(m):
-                held[x] += pairs
-        elif m.bit_count() > step:  # one AND per class, not one step per point
+        if m.bit_count() > step:  # one AND per class, not one step per point
             for x in range(step):
                 held[x] += pairs * (m >> x & repunit).bit_count()
         else:

@@ -596,7 +596,7 @@ def climb_classes(problem: ClimbProblem):
     representative, and a map from each representative to its class, in
     order of first meeting.  A class is a shift orbit, or one pair without a
     shift; every target pair is in one, fixed or not."""
-    v, shift, targets = problem.v, problem.shift, problem.target_pairs
+    v, shift, targets = problem.v, problem.step, problem.target_pairs
     fixed_cover = set()
     for ln in problem.fixed_lines:
         for i in range(len(ln)):

@@ -28,6 +28,7 @@ from pentgeo import (
 from pentgeo.cli import _exit_code, _report_dict, build_parser, main
 from pentgeo.construct import MAX_COMPLETION_PAIRS
 from pentgeo.designs import (
+    MAX_RECIPE_PAIRS,
     FiniteField,
     Gdd,
     SteinerSystem,
@@ -537,6 +538,33 @@ def test_climb_over_pair_limit_exits_2(argv, refusal):
     proc = run_child(script)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == f"pentctl: {refusal} pairs to complete > {MAX_COMPLETION_PAIRS}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,refusal",
+    [
+        (["sts", "20001"], "S(2,3,20001): 200010000"),
+        (["gdd", "3", "20000"], "TD(3,20000): 1200000000"),
+        (["construct", "product", "FIXTURE", "--h", "20001"], "S(2,3,20001): 200010000"),
+    ],
+    ids=["sts", "gdd", "product"],
+)
+def test_recipe_over_pair_limit_exits_2(fix33, argv, refusal):
+    # The Bose/Skolem STS and the cyclic TD(3,g) have no field order to cap
+    # them; each of these designs would take gigabytes.  The run is a child
+    # process capped at 512 MiB of address space, so a missing bound fails
+    # here instead of exhausting the machine.
+    argv = [fix33 if a == "FIXTURE" else a for a in argv]
+    cap = 512 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from pentgeo.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = run_child(script)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"pentctl: {refusal} pairs to cover > {MAX_RECIPE_PAIRS}\n"
 
 
 def test_construct_c36(cli, tmp_path):

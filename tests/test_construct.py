@@ -30,7 +30,7 @@ from pentgeo.graphs import (
     orbit_graph,
     petersen,
 )
-from pentgeo.hillclimb import ClimbConfig, ClimbProblem, climb
+from pentgeo.hillclimb import COMPLETE, EXHAUSTED, ClimbConfig, ClimbProblem, climb
 
 from pentgeo import geometry
 
@@ -112,6 +112,20 @@ def test_make_degenerate_no_system():
         make_degenerate(3, 5)
     with pytest.raises(PentError, match=r"^no S\(2,4,10\) recipe here$"):
         make_degenerate(4, 10)
+
+
+def test_steiner_past_the_pair_bound_is_a_usage_error(pent33):
+    # An admissible STS too large to build is a malformed request (exit 2),
+    # refused before the ingredient is built; an inadmissible order stays a
+    # missing recipe (exit 1), however large.
+    refusal = r"^S\(2,3,20001\): 200010000 pairs to cover > 1048576$"
+    with pytest.raises(UsageError, match=refusal):
+        make_degenerate(3, 20001)
+    with pytest.raises(UsageError, match=refusal):
+        product(pent33, 20001)
+    with pytest.raises(PentError, match=r"^no S\(2,3,20003\): w = 20003 is not") as info:
+        make_degenerate(3, 20003)
+    assert type(info.value) is PentError
 
 
 def test_construction36_names_an_inadmissible_3gdd_once():
@@ -290,8 +304,8 @@ def test_from_girth5_graph_petersen(pent33):
 
 
 # Lines of the girth-5 completion construction36(generalized_petersen(n), 1, 3)
-# at the default seed: a climb without a shift on top of fixed lines, the
-# seed's neighbourhoods.
+# at the default seed: a climb at step v, no symmetry, on top of fixed lines,
+# the seed's neighbourhoods.
 PINNED_GIRTH5 = {21: "e727f8c9c1dc", 27: "402eff378748"}
 
 
@@ -316,6 +330,48 @@ def test_girth5_completion_of_hoffman_singleton_pinned(k):
     (r, w), pin = PINNED_HS[k]
     assert (geom.params.k, geom.params.r, geom.params.w) == (k, r, w)
     assert hashlib.sha256(repr(geom.lines_sorted()).encode()).hexdigest()[:12] == pin
+
+
+# GP(12,5), girth 6: eleven shifts of the seed generate the symmetries of
+# steps 2, 4, 6, 8 and 12 (core's step rule).  Lines of its girth-5
+# completion at seed 0, taken before the climb read steps instead of shifts.
+GP_12_5 = orbit_graph(((0, 2), (0, 1), (1, 11)), 2, 24)
+PINNED_GP_12_5 = "f07e015691e2"
+
+
+def test_girth5_completion_of_gp12_5_tries_each_step_once(monkeypatch):
+    # c36 builds one problem per step, ascending, until one builds: steps 2,
+    # 4 and 6 leave pair (0,12) a short orbit, step 8 builds and is climbed
+    # to exhaustion, and the problem at step v = 24 completes.
+    built, climbed = [], []
+
+    def build(**kwargs):
+        try:
+            problem = ClimbProblem(**kwargs)
+        except UsageError as exc:
+            built.append((kwargs["step"], str(exc)))
+            raise
+        built.append((problem.step, None))
+        return problem
+
+    def record(problem, config=None):
+        outcome = climb(problem, config)
+        climbed.append((problem.step, outcome.status))
+        return outcome
+
+    monkeypatch.setattr(construct, "ClimbProblem", build)
+    monkeypatch.setattr(construct, "climb", record)
+    geom = construction36(GP_12_5, 1, 3, ClimbConfig(seed=0))
+    assert built == [
+        (2, "pair (0,12) has a short orbit under step 2"),
+        (4, "pair (0,12) has a short orbit under step 4"),
+        (6, "pair (0,12) has a short orbit under step 6"),
+        (8, None),
+        (24, None),
+    ]
+    assert climbed == [(8, EXHAUSTED), (24, COMPLETE)]
+    digest = hashlib.sha256(repr(geom.lines_sorted()).encode()).hexdigest()[:12]
+    assert digest == PINNED_GP_12_5
 
 
 def test_from_girth5_graph_rejections():

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentgeo import designs
 from pentgeo.designs import (
     MAX_FIELD_ORDER,
+    MAX_RECIPE_PAIRS,
     Gdd,
     SteinerSystem,
     affine_plane,
@@ -259,6 +261,25 @@ def test_uniform_gdd_errors():
         PentError, match=r"^no TD\(5,2\) recipe here: only 1 MOLS of side 2 available, 3 requested$"
     ):
         uniform_gdd(5, 2)  # needs 3 MOLS of side 2
+
+
+def test_recipes_refuse_past_the_pair_bound(monkeypatch):
+    # STS(1447) and TD(3,591) are the largest admitted; STS(1449) and
+    # TD(3,592), the next admissible orders, are refused before a block is
+    # made, as are STS(20001) and TD(3,20000), which would take gigabytes.
+    assert 1447 * 1446 // 2 <= MAX_RECIPE_PAIRS < 1449 * 1448 // 2
+    assert 3 * 591 * 591 <= MAX_RECIPE_PAIRS < 3 * 592 * 592
+    for recipe in ("_bose", "_skolem", "canonical_line"):
+        monkeypatch.setattr(designs, recipe, lambda *args, name=recipe: pytest.fail(f"{name} ran"))
+    for w, pairs in ((1449, 1049076), (20001, 200010000)):
+        with pytest.raises(UsageError, match=rf"^S\(2,3,{w}\): {pairs} pairs to cover > 1048576$"):
+            sts(w)
+    for g, pairs in ((592, 1051392), (20000, 1200000000)):
+        with pytest.raises(UsageError, match=rf"^TD\(3,{g}\): {pairs} pairs to cover > 1048576$"):
+            uniform_gdd(3, g)
+    # Admissibility is still decided first.
+    with pytest.raises(UsageError, match=r"^no S\(2,3,20003\): w = 20003 is not 1 or 3"):
+        sts(20003)
 
 
 def test_uniform_gdd_field_too_large():

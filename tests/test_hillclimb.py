@@ -138,25 +138,28 @@ def test_problem_validations():
 
 def test_shift_validations():
     pairs13 = all_pairs(13)
-    with pytest.raises(UsageError, match=r"^shift 0 out of range for v = 13$"):
-        ClimbProblem(v=13, target_pairs=pairs13, shift=0)
-    with pytest.raises(UsageError, match=r"^shift 13 out of range for v = 13$"):
-        ClimbProblem(v=13, target_pairs=pairs13, shift=13)
-    # fixed lines may not touch any target when a shift is set
+    # The step rule of core: a step divides v, and the default is v.
+    for step in (0, -13, 5, 26):
+        with pytest.raises(UsageError, match=rf"^step = {step} does not divide v = 13$"):
+            ClimbProblem(v=13, target_pairs=pairs13, step=step)
+    assert ClimbProblem(v=13, target_pairs=pairs13).step == 13
+    assert ClimbProblem(v=13, target_pairs=pairs13, step=13) == ClimbProblem(
+        v=13, target_pairs=pairs13
+    )
+    # fixed lines may not touch any target when the step is below v
     with pytest.raises(
-        UsageError, match=r"^shift requires fixed lines that cover no target pair$"
+        UsageError, match=r"^a step below v requires fixed lines that cover no target pair$"
     ):
         ClimbProblem(
-            v=13, target_pairs=pairs13, fixed_lines=frozenset({(0, 1, 2)}), shift=1
+            v=13, target_pairs=pairs13, fixed_lines=frozenset({(0, 1, 2)}), step=1
         )
-    # targets not closed under the shift
+    # targets not closed under the step
     open_targets = frozenset(p for p in all_pairs(6) if 5 not in p)
-    with pytest.raises(UsageError, match=r"^shift 1 does not preserve the target pairs$"):
-        ClimbProblem(v=6, target_pairs=open_targets, shift=1)
-    # pair (0,3) maps to itself after 3 steps, not order = 2 steps... it IS
-    # its own image under +3 (mod 6), a short orbit
-    with pytest.raises(UsageError, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
-        ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), shift=3)
+    with pytest.raises(UsageError, match=r"^step 1 does not preserve the target pairs$"):
+        ClimbProblem(v=6, target_pairs=open_targets, step=1)
+    # pair (0,3) is its own image under +3 (mod 6), a short orbit
+    with pytest.raises(UsageError, match=r"^pair \(0,3\) has a short orbit under step 3$"):
+        ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), step=3)
 
 
 def test_order_property():
@@ -166,11 +169,11 @@ def test_order_property():
         for a in range(12)
         for i in range(3)
     )
-    assert ClimbProblem(v=12, target_pairs=closed, shift=4).order == 3
+    assert ClimbProblem(v=12, target_pairs=closed, step=4).order == 3
 
 
 def test_cyclic_sts_by_shift():
-    problem = ClimbProblem(v=13, target_pairs=all_pairs(13), shift=1)
+    problem = ClimbProblem(v=13, target_pairs=all_pairs(13), step=1)
     assert problem.order == 13
     outcome = climb(problem, ClimbConfig(seed=0))
     assert outcome.status == COMPLETE
@@ -179,7 +182,7 @@ def test_cyclic_sts_by_shift():
 
 
 def test_cyclic_sts_deterministic():
-    problem = ClimbProblem(v=13, target_pairs=all_pairs(13), shift=1)
+    problem = ClimbProblem(v=13, target_pairs=all_pairs(13), step=1)
     a = climb(problem, ClimbConfig(seed=3))
     b = climb(problem, ClimbConfig(seed=3))
     assert a.lines == b.lines
@@ -241,7 +244,7 @@ def test_attempt_logs_total_the_pins(w, seed):
 
 
 # (iterations_used, attempts_used, digest of the sorted blocks) of
-# climb_3gdd(6, 5) per seed: a climb without a shift on a pair set that is
+# climb_3gdd(6, 5) per seed: a climb at step = v on a pair set that is
 # not complete.
 PINNED_3GDD = {
     0: (276, 1, "746ea48ef5fa"),
@@ -302,17 +305,17 @@ def test_corrupted_problem_fails_instead_of_spinning():
 
 def test_small_climbs_complete_on_first_attempt():
     # The stall limit scales with the open classes: 5 at STS(7), 1 for the
-    # 6 shift orbits of v = 13, 0 for 3 open classes.  Small problems must
+    # 6 pair orbits of v = 13 under step 1, 0 for 3 open classes.  Small problems must
     # still finish without a restart.
     problems = [
         ClimbProblem(v=w, target_pairs=all_pairs(w)) for w in range(3, 28) if w % 6 in (1, 3)
     ]
-    problems += [ClimbProblem(v=v, target_pairs=all_pairs(v), shift=1) for v in (7, 13, 19, 25)]
+    problems += [ClimbProblem(v=v, target_pairs=all_pairs(v), step=1) for v in (7, 13, 19, 25)]
     for problem in problems:
         for seed in range(30):
             outcome = climb(problem, ClimbConfig(seed=seed))
-            assert outcome.status == COMPLETE, (problem.v, problem.shift, seed)
-            assert outcome.attempts_used == 1, (problem.v, problem.shift, seed)
+            assert outcome.status == COMPLETE, (problem.v, problem.step, seed)
+            assert outcome.attempts_used == 1, (problem.v, problem.step, seed)
 
 
 def class_members(problem):
@@ -340,7 +343,7 @@ def test_problem_derives_classes():
     # the 18 open pairs are numbered in sorted order
     assert [plain.rows[x][y] for x, y in sorted(all_pairs(7) - fixed_pairs)] == list(range(18))
 
-    cyclic = ClimbProblem(v=7, target_pairs=all_pairs(7), shift=1)
+    cyclic = ClimbProblem(v=7, target_pairs=all_pairs(7), step=1)
     assert avail_pairs(cyclic) == all_pairs(7)
     assert class_members(cyclic) == [
         ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)),
@@ -348,7 +351,7 @@ def test_problem_derives_classes():
         ((0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)),
     ]
     # derived data takes no part in equality or hashing
-    assert cyclic == ClimbProblem(v=7, target_pairs=all_pairs(7), shift=1)
+    assert cyclic == ClimbProblem(v=7, target_pairs=all_pairs(7), step=1)
     assert hash(plain) == hash(ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed))
 
     # rows[x][y] = rows[y][x] is the id of the class of {x,y}, with one entry
@@ -361,19 +364,18 @@ def test_problem_derives_classes():
         assert set(itertools.chain.from_iterable(map(dict.values, problem.rows))) == set(
             range(len(problem.flips))
         )
-    # Without a shift g = v, so class {a,b} flips bit b of uncovered[a] and
-    # bit a of uncovered[b]; with shift 1, g = 1 and U(a) is uncovered[0]
-    # rotated by a.
+    # At step g = v class {a,b} flips bit b of uncovered[a] and bit a of
+    # uncovered[b]; at step g = 1 U(a) is uncovered[0] rotated by a.
     gdd_pairs = [pairs[0] for pairs in class_members(gdd)]
     assert all(gdd.flips[i] == (a, 1 << b, b, 1 << a) for i, (a, b) in enumerate(gdd_pairs))
     assert cyclic.flips == ((0, 1 << 1, 0, 1 << 6), (0, 1 << 2, 0, 1 << 5), (0, 1 << 3, 0, 1 << 4))
 
 
 def test_problem_validation_messages():
-    with pytest.raises(UsageError, match=r"^pair \(0,3\) has a short orbit under shift 3$"):
-        ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), shift=3)
-    with pytest.raises(UsageError, match=r"^shift 1 does not preserve the target pairs$"):
-        ClimbProblem(v=6, target_pairs=frozenset({(0, 1)}), shift=1)
+    with pytest.raises(UsageError, match=r"^pair \(0,3\) has a short orbit under step 3$"):
+        ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), step=3)
+    with pytest.raises(UsageError, match=r"^step 1 does not preserve the target pairs$"):
+        ClimbProblem(v=6, target_pairs=frozenset({(0, 1)}), step=1)
     with pytest.raises(UsageError, match=r"^fixed lines cover \(0, 1\) twice$"):
         ClimbProblem(
             v=6, target_pairs=frozenset({(0, 1)}), fixed_lines=frozenset({(0, 1, 2), (0, 1, 3)})
@@ -382,7 +384,7 @@ def test_problem_validation_messages():
 
 @functools.cache
 def c36_shift_problem() -> ClimbProblem:
-    """The shift-12 completion problem construction36 climbs on the cubic
+    """The step-12 completion problem construction36 climbs on the cubic
     girth-5 orbit graph on 20 vertices with h = k = 3."""
     seen = []
 
@@ -393,7 +395,7 @@ def c36_shift_problem() -> ClimbProblem:
     seed_graph = orbit_graph(((0, 4), (1, 5), (2, 6), (0, 3), (1, 3), (2, 3)), 4, 20)
     with mock.patch.object(construct, "climb", record):
         construct.construction36(seed_graph, 3, 3, ClimbConfig(seed=1))
-    assert seen[0].shift == 12
+    assert seen[0].step == 12
     return seen[0]
 
 
@@ -418,7 +420,7 @@ def cyclic_problem(size):
     # w = 3 (mod 6) leaves a number of full pair orbits not divisible by 3,
     # so those attempts always run out.
     w = (7, 9, 13, 15, 19, 21)[size]
-    return ClimbProblem(v=w, target_pairs=all_pairs(w), shift=1)
+    return ClimbProblem(v=w, target_pairs=all_pairs(w), step=1)
 
 
 def c36_problem(size):
@@ -426,16 +428,16 @@ def c36_problem(size):
 
 
 def quotient_problem(size):
-    # 1 < gcd(v, shift) < v: several point orbits, and classes {a,b} with
+    # 1 < step < v: several point orbits, and classes {a,b} with
     # a = b (mod gcd) whose two ends share a representative.  (15, 5) and
     # (21, 7) leave a number of pair orbits not divisible by 3, so those
     # attempts always run out.
-    v, shift = ((9, 3), (15, 3), (15, 5), (21, 3), (21, 7), (27, 9))[size]
-    return ClimbProblem(v=v, target_pairs=all_pairs(v), shift=shift)
+    v, step = ((9, 3), (15, 3), (15, 5), (21, 3), (21, 7), (27, 9))[size]
+    return ClimbProblem(v=v, target_pairs=all_pairs(v), step=step)
 
 
 # Complete pair sets, 3-GDD pair sets, fixed lines, and the three kinds of
-# shift problem.
+# problem with a step below v.
 FAMILIES = {
     "sts": sts_problem,
     "gdd": gdd_problem,
@@ -453,7 +455,7 @@ def fixed99_problem(size):
     )
 
 
-# Problems without a shift at size, where the classes are numbered in bulk.
+# Problems at step = v at size, where the classes are numbered in bulk.
 AT_SIZE = {
     "sts99": lambda size: ClimbProblem(v=99, target_pairs=all_pairs(99)),
     "fixed99": fixed99_problem,
@@ -507,7 +509,7 @@ def test_attempt_matches_oracle(family, size, seed, budget):
     [
         (lambda: ClimbProblem(v=69, target_pairs=all_pairs(69)), 0),
         (lambda: ClimbProblem(v=99, target_pairs=all_pairs(99)), 3),
-        (lambda: ClimbProblem(v=13, target_pairs=all_pairs(13), shift=1), 3),
+        (lambda: ClimbProblem(v=13, target_pairs=all_pairs(13), step=1), 3),
         (c36_shift_problem, 6),
         (c36_shift_problem, 12),
         # STS(19) over 20 fixed lines: 111 open classes of 171, 8 kicks.
@@ -558,10 +560,10 @@ def net_move_counts(problem, seed, budget):
 @pytest.mark.parametrize(
     "make,seed,branch",
     [
-        # With shift 12, one placed triple can hold translates of both {x,z}
+        # At step 12, one placed triple can hold translates of both {x,z}
         # and {y,z}; seed 1 displaces such a triple twice in 3,970 steps.
         (c36_shift_problem, 1, "one triple"),
-        # A cost-2 move on the 27-point problem with shift 9.
+        # A cost-2 move on the 27-point problem at step 9.
         (lambda: quotient_problem(5), 2, "two triples"),
     ],
     ids=["c36-1", "quotient27-2"],
@@ -578,14 +580,14 @@ def test_net_move_branches_match_oracle(make, seed, branch):
     assert fast_rng.getstate() == slow_rng.getstate()
 
 
-@pytest.mark.parametrize("v,shift", [(20, 4), (28, 4)])
-def test_attempt_matches_oracle_on_even_quotients(v, shift):
+@pytest.mark.parametrize("v,step", [(20, 4), (28, 4)])
+def test_attempt_matches_oracle_on_even_quotients(v, step):
     # The degenerate third points of a pair x = y (mod g) include z = y + d
     # with 2d = x - y (mod v), which has two roots d when v is even.  Of the
     # families above only c36 has an even v; here g = 4, and exactly one of
     # the two roots is a multiple of g.  Neither problem can complete, so
     # every attempt runs its whole budget.
-    problem = ClimbProblem(v=v, target_pairs=all_pairs(v), shift=shift)
+    problem = ClimbProblem(v=v, target_pairs=all_pairs(v), step=step)
     for seed in range(10):
         fast_rng, slow_rng = random.Random(seed), random.Random(seed)
         fast = _attempt(problem, fast_rng, 1500)
