@@ -42,7 +42,16 @@ from .designs import (
     verify_gdd,
 )
 from .errors import ClimbFailed, PentError, UsageError
-from .graphs import Graph, bits, components, distance3_graph, inflate, report, shift_automorphisms
+from .graphs import (
+    MAX_VERTICES,
+    Graph,
+    bits,
+    components,
+    distance3_graph,
+    inflate,
+    report,
+    shift_automorphisms,
+)
 from .hillclimb import (
     COMPLETE,
     MAX_COMPLETION_PAIRS,
@@ -191,6 +200,10 @@ def gdd_fill(plan: GddFillPlan) -> Geometry:
     pairs, so each point keeps its opposite design inside its own group.  The
     deficiency graph is the disjoint union of the ingredients'.
     """
+    # The filled geometry has the gdd's points, and core refuses more than
+    # MAX_VERTICES; verify_gdd's masks are as many bits wide.
+    if plan.gdd.n > MAX_VERTICES:
+        raise UsageError(f"gdd: n = {plan.gdd.n} > {MAX_VERTICES} points")
     try:
         verify_gdd(plan.gdd)
     except PentError as exc:
@@ -225,38 +238,30 @@ def gdd_fill(plan: GddFillPlan) -> Geometry:
 
 
 def _climb_completion(
-    v: int,
-    dgraph: Graph,
-    placed: set[Line],
-    config: ClimbConfig | None,
-    what: str,
-    steps: list[int],
-) -> set[Line]:
-    """placed plus triples covering every pair at distance 3 or more in
-    dgraph: first by a climb under each step in turn (core's step rule), up
-    to the first whose problem builds, then at step v, no symmetry."""
+    dgraph: Graph, config: ClimbConfig | None, what: str, steps: list[int]
+) -> frozenset[Line]:
+    """Triples covering every pair at distance 3 or more in dgraph: first by
+    a climb under each step in turn (core's step rule), up to the first whose
+    problem builds, then at step v, no symmetry."""
     targets = frozenset(distance3_graph(dgraph).edges())
     spent = 0
     for step in steps:
         try:
-            problem = ClimbProblem(
-                v=v, target_pairs=targets, fixed_lines=frozenset(placed), step=step
-            )
+            problem = ClimbProblem(v=dgraph.n, target_pairs=targets, step=step)
         except UsageError:
             continue
         outcome = climb(problem, config)
         spent += outcome.iterations_used
         if outcome.status == COMPLETE:
-            return placed | set(outcome.lines)
+            return outcome.lines
         break
-    problem = ClimbProblem(v=v, target_pairs=targets, fixed_lines=frozenset(placed))
-    outcome = climb(problem, config)
+    outcome = climb(ClimbProblem(v=dgraph.n, target_pairs=targets), config)
     if outcome.status != COMPLETE:
         raise ClimbFailed(
             f"{what}: {len(targets)} pairs left, exhausted after "
             f"{spent + outcome.iterations_used} iterations"
         )
-    return placed | set(outcome.lines)
+    return outcome.lines
 
 
 def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) -> Geometry:
@@ -315,7 +320,7 @@ def construction36(c: Graph, h: int, k: int, config: ClimbConfig | None = None) 
         # whole orbits makes the completion tractable.  Ascending steps are
         # the longest orbits first, each orbit structure once.
         steps = sorted({h * math.gcd(c.n, s) for s in shift_automorphisms(c)})
-        lines = _climb_completion(v, inflate(c, h), lines, config, what, steps)
+        lines |= _climb_completion(inflate(c, h), config, what, steps)
     return _finish(lines, k, r, w, "inflated-seed geometry")
 
 

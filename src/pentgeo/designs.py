@@ -67,11 +67,12 @@ class FiniteField:
     """
 
     def __init__(self, q: int):
+        # The bound first: prime_power factors by trial division.
+        if q > MAX_FIELD_ORDER:
+            raise UsageError(f"q = {q} > {MAX_FIELD_ORDER}")
         pe = prime_power(q)
         if pe is None:
             raise UsageError(f"{q} is not a prime power")
-        if q > MAX_FIELD_ORDER:
-            raise UsageError(f"q = {q} > {MAX_FIELD_ORDER}")
         self.q = q
         self.p, self.e = pe
         self._add = [[0] * q for _ in range(q)]

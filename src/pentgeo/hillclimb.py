@@ -7,13 +7,12 @@ triples already covering the two far pairs are displaced.  Moves displacing
 fewer triples are preferred, and a long stall sheds a couple of placed
 triples so the walk can leave the basin it is circling.
 
-The state is Python int masks.  Bit y of avail[x] marks a target pair {x,y}
-not owned by a fixed line, and bit y of U(x) one whose pair class is still
-uncovered.  The step scores candidates by mask algebra rather than point by
-point: a third point z common to the target neighbourhoods of x and y
-displaces 2 - [z in U(x)] - [z in U(y)] triples, so its tiers are
-U(x) & U(y), (U(x) ^ U(y)) & avail(x) & avail(y), and the rest of the common
-points.
+The state is Python int masks.  Bit y of avail[x] marks a target pair {x,y},
+and bit y of U(x) one whose pair class is still uncovered.  The step scores
+candidates by mask algebra rather than point by point: a third point z
+common to the target neighbourhoods of x and y displaces
+2 - [z in U(x)] - [z in U(y)] triples, so its tiers are U(x) & U(y),
+(U(x) ^ U(y)) & avail(x) & avail(y), and the rest of the common points.
 
 A problem's symmetry is a step g, by core's step rule: g divides v, the
 translation x -> x + g (mod v) permutes the target pairs, and g = v, the
@@ -30,15 +29,14 @@ classes once, and an attempt reads them by id: rows[x][y] is the id of the
 class of {x,y}, flips[i] the two mask bits class i owns, and cover[i] the
 placed triple covering class i, or None.  The attempt keeps each placed
 triple with the ids of its three classes, read from rows once when the move
-places it, so displacing or kicking it out reads no row.  A pair under a
-fixed line is in no class.  avail, the ids and the flip bits depend only on
-the problem, so restarts share them; rows holds one entry per end of an
-open pair and never a v x v table.  At step = v a class is its pair,
-and point a numbers its pairs (a, b), b > a, as one run of ids.  A move
-flips only its net change: a class the new triple takes over from a
-displaced triple (c_xz or c_yz, or below step v both) keeps its bits, as
-two flips would cancel.  Only the displaced triples' other classes and the
-new triple's open classes flip.
+places it, so displacing or kicking it out reads no row.  avail, the ids
+and the flip bits depend only on the problem, so restarts share them;
+rows holds one entry per end of a target pair and never a v x v table.
+At step = v a class is its pair, and point a numbers its pairs (a, b),
+b > a, as one run of ids.  A move flips only its net change: a class the
+new triple takes over from a displaced triple (c_xz or c_yz, or below
+step v both) keeps its bits, as two flips would cancel.  Only the
+displaced triples' other classes and the new triple's open classes flip.
 
 A step pays only for its own work.  remove_triple, called about once per
 step, is a module-level function given the attempt's state as arguments:
@@ -86,7 +84,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, repeat
 from typing import Callable, NamedTuple
 
 from .core import Line
@@ -135,7 +133,7 @@ def _stall_limit(n_open: int) -> int:
 @dataclass(frozen=True)
 class ClimbProblem:
     """Cover every target pair exactly once by triples whose pairs are all
-    target pairs, on top of an immovable set of fixed lines.
+    target pairs.
 
     The step follows core's step rule: it divides v, and None, the default,
     is stored as v, no symmetry.  A step g below v asserts that x -> x + g
@@ -143,19 +141,17 @@ class ClimbProblem:
     v // g; the solution is then searched for among unions of triple orbits.
 
     Checking the problem derives, once, everything a climb attempt reads.
-    Bit y of avail[x] is set iff {x,y} is a target pair that no fixed line
-    covers.  The pairs in avail fall into the classes the climb covers whole:
-    the pair orbits under the step, single pairs at step = v.  Class ids run
-    in the order of each class's least pair, and a pair under a fixed line
-    gets none.  rows[x][y] is the id of the class of {x,y}, with one entry
-    per end of an open pair, and flips[i] is (ra, ba, rb, bb): covering or
-    uncovering class i flips mask bits ba of uncovered[ra] and bb of
-    uncovered[rb] (see _attempt).
+    Bit y of avail[x] is set iff {x,y} is a target pair.  The target pairs
+    fall into the classes the climb covers whole: the pair orbits under the
+    step, single pairs at step = v.  Class ids run in the order of each
+    class's least pair.  rows[x][y] is the id of the class of {x,y}, with
+    one entry per end of a target pair, and flips[i] is (ra, ba, rb, bb):
+    covering or uncovering class i flips mask bits ba of uncovered[ra] and
+    bb of uncovered[rb] (see _attempt).
     """
 
     v: int
     target_pairs: frozenset[Pair]
-    fixed_lines: frozenset[Line] = frozenset()
     step: int | None = None
     avail: tuple[int, ...] = field(init=False, repr=False, compare=False)
     rows: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
@@ -175,20 +171,6 @@ class ClimbProblem:
                 raise UsageError(f"bad pair ({x},{y})")
             avail[x] |= bit[y]
             avail[y] |= bit[x]
-        # A fixed line takes its target pairs out of avail, so a target pair
-        # already out is covered twice.
-        fixed = False
-        for ln in self.fixed_lines:
-            for x, y in combinations(ln, 2):
-                p = a, b = _pair(x, y)
-                if p in targets:
-                    if not avail[a] & bit[b]:
-                        raise UsageError(f"fixed lines cover {p} twice")
-                    avail[a] ^= bit[b]
-                    avail[b] ^= bit[a]
-                    fixed = True
-        if fixed and step < v:
-            raise UsageError("a step below v requires fixed lines that cover no target pair")
         # Walked in sorted order, each class is first met at its least pair
         # (a, b), which numbers it.  Class {a,b} owns bit b of U(a), which lies
         # in uncovered[a % step] rotated by a - a % step, and bit a of U(b)

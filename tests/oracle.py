@@ -591,19 +591,11 @@ def _pair(x: int, y: int) -> Pair:
 
 
 def climb_classes(problem: ClimbProblem):
-    """(fixed_cover, canon, members) of a checked problem: the target pairs
-    its fixed lines cover, a map from each target pair to its class
-    representative, and a map from each representative to its class, in
-    order of first meeting.  A class is a shift orbit, or one pair without a
-    shift; every target pair is in one, fixed or not."""
+    """(canon, members) of a checked problem: a map from each target pair to
+    its class representative, and a map from each representative to its
+    class, in order of first meeting.  A class is a shift orbit, or one pair
+    without a shift; every target pair is in one."""
     v, shift, targets = problem.v, problem.step, problem.target_pairs
-    fixed_cover = set()
-    for ln in problem.fixed_lines:
-        for i in range(len(ln)):
-            for j in range(i + 1, len(ln)):
-                p = _pair(ln[i], ln[j])
-                if p in targets:
-                    fixed_cover.add(p)
     canon: dict[Pair, Pair] = {}
     members: dict[Pair, tuple[Pair, ...]] = {}
     for p in sorted(targets):
@@ -617,22 +609,20 @@ def climb_classes(problem: ClimbProblem):
         for q in orbit:
             canon[q] = p
         members[p] = tuple(orbit)
-    return frozenset(fixed_cover), canon, members
+    return canon, members
 
 
 def _attempt(problem: ClimbProblem, rng: random.Random, budget: int):
-    fixed_cover, canon, members = climb_classes(problem)
+    canon, members = climb_classes(problem)
 
-    # y in avail[x] iff {x,y} is a target pair not owned by a fixed line;
-    # y in uncovered_at[x] additionally requires its orbit to be uncovered.
+    # y in avail[x] iff {x,y} is a target pair; y in uncovered_at[x]
+    # additionally requires its orbit to be uncovered.
     avail: dict[int, set[int]] = {x: set() for x in range(problem.v)}
     for x, y in problem.target_pairs:
-        if (x, y) not in fixed_cover:
-            avail[x].add(y)
-            avail[y].add(x)
+        avail[x].add(y)
+        avail[y].add(x)
     uncovered_at = {x: set(avail[x]) for x in range(problem.v)}
-    # Without a shift every class is one pair; with one, no pair is fixed.
-    n_uncovered = len(members) - len(fixed_cover)
+    n_uncovered = len(members)
     stall_limit = _stall_limit(n_uncovered)
 
     cover: dict[Pair, Line] = {}

@@ -79,12 +79,12 @@ def fix33(tmp_path):
     return str(path)
 
 
-def run_child(script: str) -> subprocess.CompletedProcess:
+def run_child(script: str, timeout: float = 300) -> subprocess.CompletedProcess:
     """Run a Python script in a fresh interpreter that imports this pentgeo."""
     paths = [str(Path(pentgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -567,6 +567,50 @@ def test_recipe_over_pair_limit_exits_2(fix33, argv, refusal):
     assert proc.stderr == f"pentctl: {refusal} pairs to cover > {MAX_RECIPE_PAIRS}\n"
 
 
+@pytest.mark.parametrize(
+    "gdd",
+    [
+        {"k": 3, "groups": [[x] for x in range(100000)], "lines": [[0, 1, 2]]},
+        {
+            "k": 3,
+            "groups": [list(range(g, g + 20000)) for g in (0, 20000, 40000)],
+            "lines": [[x, x + 20000, x + 40000] for x in range(20000)],
+        },
+    ],
+    ids=["singletons", "three-groups"],
+)
+def test_gdd_fill_past_the_point_limit_exits_2(tmp_path, gdd):
+    # Specs of 789 and 738 KB whose point counts, 100,000 and 60,000, pass
+    # MAX_VERTICES.  verify_gdd's masks are n bits wide, and checking these
+    # designs peaked at 700 and 294 MB; a filled geometry that large is
+    # refused anyway.  The run is a child process capped at 256 MiB of
+    # address space, so a missing bound fails here instead of exhausting
+    # the machine.
+    path = tmp_path / "fill.json"
+    path.write_text(json.dumps({"gdd": gdd, "ingredients": {}}, separators=(",", ":")))
+    cap = 256 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from pentgeo.cli import main\n"
+        f"sys.exit(main(['construct', 'gdd-fill', {str(path)!r}]))\n"
+    )
+    proc = run_child(script)
+    n = sum(map(len, gdd["groups"]))
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"pentctl: gdd: n = {n} > {MAX_VERTICES} points\n"
+
+
+def test_gdd_past_the_field_order_refused_at_once():
+    # FiniteField compares q with the order bound before prime_power factors
+    # it by trial division, which did not finish in 20 s on this prime.
+    q = 10**18 + 3
+    script = f"import sys\nfrom pentgeo.cli import main\nsys.exit(main(['gdd', '5', '{q}']))\n"
+    proc = run_child(script, timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == f"pentctl: no TD(5,{q}) recipe here: q = {q} > 49\n"
+
+
 def test_construct_c36(cli, tmp_path):
     path = tmp_path / "petersen.graph"
     path.write_text(write_graph_file(petersen()))
@@ -656,7 +700,7 @@ REFUSALS = {
     "c36-no-td": (
         ["construct", "c36", "hs.graph", "--h", "85", "--k", "7"],
         1,
-        "no TD(7,85) recipe here: 85 is not a prime power",
+        "no TD(7,85) recipe here: q = 85 > 49",
     ),
     "c36-3gdd-inadmissible": (
         ["construct", "c36", "c5.graph", "--h", "3"],

@@ -304,8 +304,8 @@ def test_from_girth5_graph_petersen(pent33):
 
 
 # Lines of the girth-5 completion construction36(generalized_petersen(n), 1, 3)
-# at the default seed: a climb at step v, no symmetry, on top of fixed lines,
-# the seed's neighbourhoods.
+# at the default seed: the seed's neighbourhoods, laid, and a climb at step v,
+# no symmetry, over the pairs at distance 3 or more.
 PINNED_GIRTH5 = {21: "e727f8c9c1dc", 27: "402eff378748"}
 
 
@@ -427,6 +427,39 @@ def test_construction36_pair_count_is_the_distance3_edge_count(monkeypatch, seed
     monkeypatch.setattr(construct, "_check_pair_count", lambda n, what: counted.append(n))
     construction36(seed, h, 3)
     assert counted == [pairs]
+
+
+@pytest.mark.parametrize(
+    "seed,h,k",
+    [
+        (orbit_graph(((0, 4), (1, 5), (2, 6), (0, 3), (1, 3), (2, 3)), 4, 20), 3, 3),
+        (petersen(), 3, 3),
+        (hoffman_singleton(), 1, 3),
+        (hoffman_singleton(), 1, 7),
+        (orbit_graph(((0, 2), (0, 1), (1, 7)), 2, 22), 1, 3),
+        (GP_12_5, 1, 3),
+    ],
+    ids=["orbit-3", "petersen-3", "hs-1-k3", "hs-1-k7", "gp11_3-1", "gp12_5-1"],
+)
+def test_construction36_laid_lines_miss_the_climbed_pairs(monkeypatch, seed, h, k):
+    # The lines laid over the seed's neighbourhoods and groups lie inside
+    # opposite designs, so each of their pairs is at distance <= 2 in the
+    # inflated seed, while the climb covers only the pairs at distance 3 or
+    # more: no laid line can meet a climb target.
+    inflated, laid = construct._inflated, []
+
+    def record(*args):
+        lines = inflated(*args)
+        laid.append(frozenset(lines))  # construction36 adds the climbed lines to its set
+        return lines
+
+    monkeypatch.setattr(construct, "_inflated", record)
+    construction36(seed, h, k)
+    (lines,) = laid
+    masks = inflate(seed, h).masks
+    for ln in lines:
+        for x, y in combinations(ln, 2):
+            assert masks[x] >> y & 1 or masks[x] & masks[y], (x, y)
 
 
 def test_construction36_moore_seed():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentgeo import construct, hillclimb
-from pentgeo.designs import SteinerSystem, sts, verify_gdd, verify_steiner
+from pentgeo.designs import SteinerSystem, verify_gdd, verify_steiner
 from pentgeo.errors import ClimbFailed, UsageError
 from pentgeo.graphs import bits, orbit_graph
 from pentgeo.hillclimb import (
@@ -110,16 +110,6 @@ def test_exhausted_on_triangle_free_targets():
     assert outcome.attempts == (AttemptLog(600, 300, 6),) * 20
 
 
-def test_fixed_lines_completion():
-    base = sts(9)
-    blocks = sorted(base.blocks)
-    fixed = frozenset(blocks[:8])
-    problem = ClimbProblem(v=9, target_pairs=all_pairs(9), fixed_lines=fixed)
-    outcome = climb(problem, ClimbConfig(seed=2))
-    assert outcome.status == COMPLETE
-    verify_steiner(SteinerSystem(k=3, w=9, blocks=fixed | outcome.lines))
-
-
 def test_problem_validations():
     with pytest.raises(UsageError, match=r"^bad pair \(0,9\)$"):
         ClimbProblem(v=6, target_pairs=frozenset({(0, 9)}))
@@ -127,13 +117,6 @@ def test_problem_validations():
         ClimbProblem(v=6, target_pairs=frozenset({(3, 3)}))
     with pytest.raises(UsageError, match=r"^bad pair \(1,0\)$"):
         ClimbProblem(v=6, target_pairs=frozenset({(1, 0)}))
-    # two fixed lines covering the same target pair
-    with pytest.raises(UsageError, match=r"^fixed lines cover \(0, 1\) twice$"):
-        ClimbProblem(
-            v=6,
-            target_pairs=frozenset({(0, 1)}),
-            fixed_lines=frozenset({(0, 1, 2), (0, 1, 3)}),
-        )
 
 
 def test_shift_validations():
@@ -146,13 +129,6 @@ def test_shift_validations():
     assert ClimbProblem(v=13, target_pairs=pairs13, step=13) == ClimbProblem(
         v=13, target_pairs=pairs13
     )
-    # fixed lines may not touch any target when the step is below v
-    with pytest.raises(
-        UsageError, match=r"^a step below v requires fixed lines that cover no target pair$"
-    ):
-        ClimbProblem(
-            v=13, target_pairs=pairs13, fixed_lines=frozenset({(0, 1, 2)}), step=1
-        )
     # targets not closed under the step
     open_targets = frozenset(p for p in all_pairs(6) if 5 not in p)
     with pytest.raises(UsageError, match=r"^step 1 does not preserve the target pairs$"):
@@ -335,13 +311,10 @@ def avail_pairs(problem):
 
 
 def test_problem_derives_classes():
-    fixed = frozenset({(0, 1, 2)})
-    plain = ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed)
-    fixed_pairs = {(0, 1), (0, 2), (1, 2)}
-    assert avail_pairs(plain) == all_pairs(7) - fixed_pairs
-    assert all(y not in plain.rows[x] and x not in plain.rows[y] for x, y in fixed_pairs)
-    # the 18 open pairs are numbered in sorted order
-    assert [plain.rows[x][y] for x, y in sorted(all_pairs(7) - fixed_pairs)] == list(range(18))
+    plain = ClimbProblem(v=7, target_pairs=all_pairs(7))
+    assert avail_pairs(plain) == all_pairs(7)
+    # the 21 pairs are numbered in sorted order
+    assert [plain.rows[x][y] for x, y in sorted(all_pairs(7))] == list(range(21))
 
     cyclic = ClimbProblem(v=7, target_pairs=all_pairs(7), step=1)
     assert avail_pairs(cyclic) == all_pairs(7)
@@ -352,10 +325,10 @@ def test_problem_derives_classes():
     ]
     # derived data takes no part in equality or hashing
     assert cyclic == ClimbProblem(v=7, target_pairs=all_pairs(7), step=1)
-    assert hash(plain) == hash(ClimbProblem(v=7, target_pairs=all_pairs(7), fixed_lines=fixed))
+    assert hash(plain) == hash(ClimbProblem(v=7, target_pairs=all_pairs(7)))
 
     # rows[x][y] = rows[y][x] is the id of the class of {x,y}, with one entry
-    # per end of an open pair.
+    # per end of a target pair.
     gdd = gdd_problem(4)
     for problem in (gdd, plain, cyclic, c36_shift_problem()):
         for x, row in enumerate(problem.rows):
@@ -376,10 +349,6 @@ def test_problem_validation_messages():
         ClimbProblem(v=6, target_pairs=frozenset({(0, 3)}), step=3)
     with pytest.raises(UsageError, match=r"^step 1 does not preserve the target pairs$"):
         ClimbProblem(v=6, target_pairs=frozenset({(0, 1)}), step=1)
-    with pytest.raises(UsageError, match=r"^fixed lines cover \(0, 1\) twice$"):
-        ClimbProblem(
-            v=6, target_pairs=frozenset({(0, 1)}), fixed_lines=frozenset({(0, 1, 2), (0, 1, 3)})
-        )
 
 
 @functools.cache
@@ -410,12 +379,6 @@ def gdd_problem(size):
     return ClimbProblem(v=g * u, target_pairs=pairs)
 
 
-def fixed_problem(size):
-    w, n_fixed = ((9, 3), (9, 8), (13, 5), (13, 15), (15, 10), (19, 20))[size]
-    fixed = frozenset(sorted(sts(w).blocks)[:n_fixed])
-    return ClimbProblem(v=w, target_pairs=all_pairs(w), fixed_lines=fixed)
-
-
 def cyclic_problem(size):
     # w = 3 (mod 6) leaves a number of full pair orbits not divisible by 3,
     # so those attempts always run out.
@@ -436,29 +399,20 @@ def quotient_problem(size):
     return ClimbProblem(v=v, target_pairs=all_pairs(v), step=step)
 
 
-# Complete pair sets, 3-GDD pair sets, fixed lines, and the three kinds of
-# problem with a step below v.
+# Complete pair sets, 3-GDD pair sets, and the three kinds of problem with a
+# step below v.
 FAMILIES = {
     "sts": sts_problem,
     "gdd": gdd_problem,
-    "fixed": fixed_problem,
     "cyclic": cyclic_problem,
     "c36": c36_problem,
     "quotient": quotient_problem,
 }
 
 
-def fixed99_problem(size):
-    # STS(99) over its first 400 blocks: 1,200 of its 4,851 pairs are fixed.
-    return ClimbProblem(
-        v=99, target_pairs=all_pairs(99), fixed_lines=frozenset(sorted(sts(99).blocks)[:400])
-    )
-
-
 # Problems at step = v at size, where the classes are numbered in bulk.
 AT_SIZE = {
     "sts99": lambda size: ClimbProblem(v=99, target_pairs=all_pairs(99)),
-    "fixed99": fixed99_problem,
 }
 
 
@@ -470,13 +424,12 @@ AT_SIZE = {
 )
 def test_classes_match_oracle(family, size):
     # The oracle derives the classes pair by pair from the problem's inputs.
-    # The ids run in the order of each class's least pair, and pairs under a
-    # fixed line are in no class.
+    # The ids run in the order of each class's least pair.
     problem = {**FAMILIES, **AT_SIZE}[family](size)
-    fixed_cover, _, members = oracle.climb_classes(problem)
-    expected = sorted(tuple(sorted(c)) for rep, c in members.items() if rep not in fixed_cover)
+    _, members = oracle.climb_classes(problem)
+    expected = sorted(tuple(sorted(c)) for c in members.values())
     assert class_members(problem) == expected
-    assert avail_pairs(problem) == problem.target_pairs - fixed_cover
+    assert avail_pairs(problem) == problem.target_pairs
     # Both ends of a pair hold its id, and class {a,b}, least pair (a, b),
     # flips bit b of U(a) and bit a of U(b), read at the representatives.
     rows = problem.rows
@@ -512,10 +465,8 @@ def test_attempt_matches_oracle(family, size, seed, budget):
         (lambda: ClimbProblem(v=13, target_pairs=all_pairs(13), step=1), 3),
         (c36_shift_problem, 6),
         (c36_shift_problem, 12),
-        # STS(19) over 20 fixed lines: 111 open classes of 171, 8 kicks.
-        (lambda: fixed_problem(5), 5),
     ],
-    ids=["sts69", "sts99", "cyclic13", "c36-6", "c36-12", "fixed19"],
+    ids=["sts69", "sts99", "cyclic13", "c36-6", "c36-12"],
 )
 def test_attempt_matches_oracle_to_completion(make, seed):
     problem = make()
