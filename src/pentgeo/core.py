@@ -8,21 +8,24 @@ module knows the counting identities and the on-disk formats, and builds the
 per-point masks every analysis reads; the axioms themselves are checked in
 pentgeo.pent.
 
-Step rule: a Geometry is (params, step, reps).  x -> x + step (mod v), the
-step dividing v, maps its lines to lines, and reps are the lines through the
-points 0..step-1: as lines are sorted, those whose least point is below the
-step.  develop() gives the development step d of its base blocks, geometry()
-gives step = v, the identity, where every line is in reps.  The points
-0..step-1 represent the point orbits, so the incidence index is built from
-reps alone, and its deficiency graph is a graphs.Graph of the same step;
-Geometry.line_stream moves reps to every line in sorted order.  Equality,
-hashing, repr and JSON ignore the step and read all lines.
+Step rule: a Geometry is (params, step, orbits).  x -> x + step (mod v),
+the step dividing v, maps its lines to lines, and orbits holds one line per
+orbit of that map, its least translate by a multiple of the step.
+develop() gives the development step d of its base blocks, geometry() gives
+step = v, the identity, where every line is its own orbit.  The points
+0..step-1 represent the point orbits: each orbit line, its mask rotated,
+passes through the representatives of its points, so the incidence index
+is built from the orbits alone, and its deficiency graph is a graphs.Graph
+of the same step.  reps, the lines through 0..step-1, and the full line set
+are derived when first read; Geometry.line_stream moves reps to every line
+in sorted order.  Equality, hashing, repr and JSON ignore the step and read
+all lines.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -80,35 +83,49 @@ def is_admissible(k: int, r: int, w: int) -> bool:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Geometry:
-    """A point set 0..v-1 with canonical lines, kept as reps, the lines
-    through 0..step-1, from which x -> x + step (mod v) develops the rest.
+    """A point set 0..v-1 with canonical lines, kept as orbits, one line per
+    orbit of x -> x + step (mod v), from which the step develops the rest.
 
     The constructor takes canonical lines (sorted tuples, as
     canonical_line, geometry() and develop() give them) and does not sort
     them again.  It refuses a step that does not divide v and, below v,
-    replaces each given line by its translates through 0..step-1, one per
-    window of the step the line meets, so the step is an automorphism of
-    lines: reps itself at step = v, otherwise built from reps when first
-    read.  A frozenset makes duplicate lines impossible; nothing here
-    promises that the axioms hold, and |lines| equals params.b exactly when
-    the geometry is complete.  The incidence index (v*v/8 bytes of masks
-    and one reference per point below the step on each representative line)
-    is built on first use and kept with this object, so every analysis of
-    it shares one build; an equal geometry built separately builds its own.
+    replaces each given line by its least translate by a multiple of the
+    step, so a repeated line, or two lines of one orbit, give one entry and
+    the step is an automorphism of lines.  At step = v every line is its
+    own orbit and orbits is the given set.  The period of an orbit is the
+    least positive multiple of the step whose shift fixes its lines: v,
+    unless the orbit is short, when short maps its line to the period.  An
+    orbit of period p has p/step lines, one through a representative for
+    each of its points below p.  reps, the lines through 0..step-1, and
+    lines, all of them, are built from the orbits when first read; the
+    analyses of a valid geometry read neither.  A frozenset makes
+    duplicate lines impossible; nothing here promises that the axioms
+    hold, and |lines| equals params.b exactly when the geometry is
+    complete.  The incidence index (v*v/8 bytes of masks) is built on first
+    use and kept with this object, so every analysis of it shares one
+    build; an equal geometry built separately builds its own.
     """
 
     params: PentParams
     step: int
-    reps: frozenset[Line]
+    orbits: frozenset[Line]
+    short: dict[Line, int] = field(init=False)
 
     def __post_init__(self):
         v, step = self.params.v, self.step
         if step < 1 or v % step:
             raise UsageError(f"d = {step} does not divide v = {v}")
-        reps = self.reps
+        orbits, short = self.orbits, {}
         if step < v:
-            reps = _translates(reps, step, v)
-        object.__setattr__(self, "reps", frozenset(reps))
+            orbits = set()
+            for ln in self.orbits:
+                least, fixed = _least_translate(ln, step, v)
+                if fixed:  # an empty line has no translate below the step
+                    orbits.add(least)
+                if fixed > 1:
+                    short[least] = v // fixed
+        object.__setattr__(self, "orbits", frozenset(orbits))
+        object.__setattr__(self, "short", short)
 
     def __eq__(self, other):
         return type(other) is Geometry and (self.params, self.lines) == (other.params, other.lines)
@@ -124,8 +141,12 @@ class Geometry:
         return self.params.v
 
     @cached_property
+    def reps(self) -> frozenset[Line]:
+        return _translates(self.orbits, self.step, self.v)
+
+    @cached_property
     def lines(self) -> frozenset[Line]:
-        return self.reps if self.step == self.v else frozenset(self.line_stream())
+        return self.orbits if self.step == self.v else frozenset(self.line_stream())
 
     def lines_sorted(self) -> list[Line]:
         return list(self.line_stream())
@@ -141,60 +162,113 @@ class Geometry:
             live = [rep for rep in live if rep[-1] + t < v]
             yield from (tuple([x + t for x in rep]) for rep in live)
 
+    def spread(self, lines: Iterable[Line]) -> tuple[list[int], list[int]]:
+        """For orbit lines (all or some of orbits), per representative x:
+        how many lines of their orbits pass through x, and the OR of those
+        lines' masks.  For each point p of an orbit line below its period,
+        the line moved back by t = p - p % step passes through x = p % step,
+        its mask the orbit line's rotated by -t.  A point below the step
+        has t = 0, so step = v rotates nothing."""
+        v, step, short = self.v, self.step, self.short
+        full = (1 << v) - 1
+        counts, masks = [0] * step, [0] * step
+        for ln in lines:
+            m = 0
+            for p in ln:
+                m |= 1 << p
+            period = short.get(ln, v) if short else v
+            for p in ln:
+                if p < step:
+                    counts[p] += 1
+                    masks[p] |= m
+                elif p < period:
+                    x = p % step
+                    t = p - x
+                    counts[x] += 1
+                    masks[x] |= (m >> t | m << v - t) & full
+                else:
+                    break
+        return counts, masks
+
     @cached_property
     def incidence(self) -> Incidence:
         return Incidence(self)
 
 
-def _translates(lines: Iterable[Line], step: int, v: int) -> list[Line]:
-    """Each sorted line moved back by t = x - x % step for its points x, one
-    translate per window of the step it meets.  The points from the first
-    one in the window on come first, then those below it wrapped past v, so
-    each translate is sorted as made."""
+def _least_translate(ln: Line, step: int, v: int) -> tuple[Line, int]:
+    """The least translate of a sorted line by a multiple of the step, and
+    how many shifts by such multiples fix the line (0 for an empty line).
+    Only the points of least residue mod step can move to the least point,
+    so only they are tried; unless the step is small there is usually
+    one.  Each is the first point of its window, so its translate is
+    sorted as made."""
+    res = [x % step for x in ln]
+    low = min(res, default=0)
+    if res.count(low) == 1:
+        i = res.index(low)
+        t = ln[i] - low
+        return tuple([(y - t) % v for y in ln[i:] + ln[:i]]), 1
+    moved = [
+        tuple([(y - x + low) % v for y in ln[i:] + ln[:i]])
+        for i, x in enumerate(ln)
+        if res[i] == low
+    ]
+    least = min(moved, default=ln)
+    return least, moved.count(least)
+
+
+def _translates(orbits: frozenset[Line], step: int, v: int) -> frozenset[Line]:
+    """The lines through 0..step-1, the orbits themselves at step = v.
+    Below v, each orbit line is moved back by t = x - x % step for its
+    points x, one translate per window of the step it meets.  The points
+    from the first one in the window on come first, then those below it
+    wrapped past v, so each translate is sorted as made."""
+    if step == v:
+        return orbits
     out = []
-    for ln in lines:
+    for ln in orbits:
         t = -1
         for i, x in enumerate(ln):
             if x - x % step != t:
                 t = x - x % step
                 out.append(tuple([(y - t) % v for y in ln[i:] + ln[:i]]))
-    return out
+    return frozenset(out)
 
 
 class Incidence:
     """The index of a geometry whose lines lie in 0..v-1, as geometry() and
-    develop() make them, built in one pass over its representative lines:
+    develop() make them, built in one pass over its orbit lines
+    (Geometry.spread): per representative x in 0..step-1 its degree, and
     the deficiency graph, whose mask N[x] (a Python int, bit y for point y)
-    holds the points on no line with x, made from the representatives'
-    masks, and through[x], the lines through each representative x, so
-    degree[p] = len(through[p % step]).  Both tables have step entries,
-    and the pass stops on each sorted line at its first point at or above
-    the step, so it pays for the representatives only.  More than
-    MAX_VERTICES points are refused before any mask is allocated, so the
-    masks take at most v*v/8 bytes = 32 MiB; through holds one reference
-    per point below the step on each representative line."""
+    holds the points on no line with x.  More than MAX_VERTICES points are
+    refused before any mask is allocated, so the masks take at most
+    v*v/8 bytes = 32 MiB.  through, the lines through each representative,
+    which only witness searches read, is listed on the first call of
+    lines_through."""
 
     def __init__(self, geom: Geometry):
         v, step = geom.v, geom.step
         if v > MAX_VERTICES:
             raise UsageError(f"v = {v} > {MAX_VERTICES} points")
+        degree, masks = geom.spread(geom.orbits)
+        full = (1 << v) - 1
+        for x in range(step):  # x's collinear points, x among them, become N[x] in place
+            masks[x] = (masks[x] | 1 << x) ^ full
+        self._orbits = geom.orbits
+        self.degree = tuple(degree) * (v // step)
+        self.deficiency = Graph(v, masks)
+
+    @cached_property
+    def through(self) -> list[list[Line]]:
+        """Per representative x, the lines through it."""
+        v, step = self.deficiency.n, self.deficiency.step
         through: list[list[Line]] = [[] for _ in range(step)]
-        masks = [1 << x for x in range(step)]
-        for ln in geom.reps:
-            m = 0
-            for x in ln:
-                m |= 1 << x
+        for ln in _translates(self._orbits, step, v):
             for x in ln:  # the representatives on ln, a prefix as ln is sorted
                 if x >= step:
                     break
                 through[x].append(ln)
-                masks[x] |= m
-        full = (1 << v) - 1
-        for x in range(step):  # x's closed mask, complete, becomes N[x] in place
-            masks[x] ^= full
-        self.through = through
-        self.degree = tuple(map(len, through)) * (v // step)
-        self.deficiency = Graph(v, masks)
+        return through
 
     def lines_through(self, p: int) -> list[Line]:
         """The lines through p, sorted: those through p % step, moved by
@@ -291,9 +365,9 @@ def write_pent_file(file: BaseBlockFile) -> str:
 def develop(file: BaseBlockFile) -> Geometry:
     """Close the base blocks under x -> x+d (mod v) and deduplicate.
 
-    The geometry has step d, so it keeps each base block's translates
-    through 0..d-1, at most k per block, and all that verify and the other
-    analyses read.  A base block stands for up to v/d lines (fewer for a
+    The geometry has step d, so it keeps one line per orbit, at most one
+    per block, and all that verify and the other analyses of a valid
+    geometry read.  A base block stands for up to v/d lines (fewer for a
     short orbit), so a file can ask for much more than its own size: one
     block with d = 1 at r = 10^5 stands for 200,004 lines, which only JSON
     output and equality build.

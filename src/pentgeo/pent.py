@@ -26,24 +26,28 @@ from core.develop and v, the identity, when no symmetry is known.  The
 points 0..step-1 represent the point orbits, and the deficiency graph
 carries the same step, so the graph invariants, dist3_analysis's blade
 check and the axiom loops of check_axioms work on the representatives
-only: their tables have step entries, and each sorted representative line
-is read up to its first point at or above the step.  A failing point's
+only: their tables have step entries, and each orbit line
+(core.Geometry.orbits) is read once, its mask rotated to the
+representatives of its points as core.Incidence does.  A failing point's
 representative fails too and is never larger than it, so the first witness
 or exception is the one a point-by-point search finds; check_axioms walks
 all v points, in order, only once a representative has failed, to quote
 its witnesses.  Equality ignores the step.
 
-Orbit-weight rule: the representative lines (core.Geometry.reps, those
-through 0..step-1) stand for all lines.  The window of a point x is
-x // step.  A representative L meeting c windows stands for (v/step)/c
-lines, and so counts (v/step)/c towards the line and opposite-line
-totals.  Towards the pairs held[x] on the lines inside N(x)
-of a representative x it counts pairs(L) * |opp(L) & (x + step*Z)| / c,
-where opp(L) holds the points whose deficiency neighbourhood contains L.
-Each sum is taken in units of 1/s, s the lcm of the window counts, and
-divided by s at the end; the orbit of L sums to a whole number, so this is
-exact, short orbits included.  At step = v every weight is 1 and no window
-is counted.  Witness searches read them too, so no full line set is built.
+Orbit-weight rule: each orbit line L stands for its orbit, whose length is
+its period p over the step (core.Geometry: p = v unless the orbit is
+short), and counts that length towards the line and opposite-line totals.
+opp(L) holds the points whose deficiency neighbourhood contains L.  The
+lines of the orbit inside N(x), for a representative x, are L moved back
+by each multiple t of the step below p with x + t in opp(L).  opp(L) is
+fixed by the shift p, so there are |opp(L) & (x + step*Z)| * p/v of them,
+and L counts pairs(L) times that towards held[x], the pairs on the lines
+inside N(x).  Each sum is taken in units of 1/step or 1/v and divided at
+the end; every term is a whole number of units, so this is exact, short
+orbits included.  At step = v every orbit has length 1.  Witness searches
+read the lines through the representatives (core.Geometry.reps,
+core.Incidence.lines_through), built for them when first asked for, so no
+full line set is built.
 
 verify() and check_axioms() never raise on bad input of at most
 graphs.MAX_VERTICES points: they report each failed axiom with up to
@@ -58,7 +62,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import lcm
 from typing import Iterable, Iterator
 
 from . import graphs
@@ -116,25 +119,19 @@ def _tally(geom: Geometry) -> tuple[int, int, list[int]]:
     """Counts by the orbit-weight rule: the opposite lines, all lines, and
     per representative x in 0..step-1 the pairs held[x] on the lines inside
     N(x)."""
-    v, step = geom.v, geom.step
-    reps = geom.reps
-    # A representative meeting c windows weighs scale // c, where scale is
-    # the lcm of every c, so each sum is an exact multiple of scale;
-    # c = scale = 1 when step = v.
-    if step == v:
-        scale, weights = 1, [1] * len(reps)
-    else:
-        windows = [len({x // step for x in ln}) for ln in reps]
-        scale = lcm(*windows)
-        weights = [scale // c for c in windows]
+    v, step, orbits, short = geom.v, geom.step, geom.orbits, geom.short
+    # Sums are taken in units of 1/step for the line counts and 1/v for
+    # held, so an orbit of period p adds p to each.
+    b = v * len(orbits) - sum(v - p for p in short.values())
     # Lines with the same opposite mask are counted together, so two copies
     # of an S(2,k,w) cost two masks, not w(w-1)/(k(k-1)) lines each.
     held_by_mask: Counter = Counter()
     b_opp = 0
-    for ln, m, weight in zip(reps, _opposite(geom, reps), weights):
+    for ln, m in zip(orbits, _opposite(geom, orbits)):
         if m:
-            b_opp += weight
-            held_by_mask[m] += weight * len(ln) * (len(ln) - 1) // 2
+            period = short.get(ln, v) if short else v
+            b_opp += period
+            held_by_mask[m] += period * len(ln) * (len(ln) - 1) // 2
     held = [0] * step
     # Bit q*step of the repunit is set for each window q: (m >> x) & repunit
     # holds the points of m in the residue class of x.  At step = v no mask
@@ -147,8 +144,7 @@ def _tally(geom: Geometry) -> tuple[int, int, list[int]]:
         else:
             for y in bits(m):
                 held[y % step] += pairs
-    orbits = v // step
-    return b_opp * orbits // scale, sum(weights) * orbits // scale, [h // scale for h in held]
+    return b_opp // step, b // step, [h // v for h in held]
 
 
 def _opposite(geom: Geometry, lines: Iterable[Line]) -> Iterator[int]:
@@ -254,9 +250,9 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     ix = geom.incidence
     degree, nbrs, step = ix.degree, ix.deficiency.masks, geom.step
 
-    # Every line is a translate of a representative of the same length.
+    # Every line is a translate of an orbit line of the same length.
     uniform_witnesses = []
-    if set(map(len, geom.reps)) - {k}:
+    if set(map(len, geom.orbits)) - {k}:
         uniform_witnesses = [f"line {ln}" for ln in geom.line_stream() if len(ln) != k]
 
     # A point has its representative's degree and deficiency mask, rotated,
@@ -278,9 +274,7 @@ def check_axioms(geom: Geometry) -> tuple[tuple[AxiomCheck, ...], tuple[int, int
     # pair's ends are suspect.
     suspect = {x for x in range(step) if v - nbrs[x].bit_count() != 1 + degree[x] * (k - 1)}
     if uniform_witnesses:
-        suspect.update(
-            x for ln in geom.reps if len(ln) != k for x in ln if x < step
-        )
+        suspect.update(x % step for ln in geom.orbits if len(ln) != k for x in ln)
     # Per suspect representative a, each partner b on two or more lines through
     # a, with those lines: every pair on two lines, moved to a representative.
     doubled: dict[int, dict[int, list[Line]]] = {}
@@ -474,23 +468,15 @@ def dist3_analysis(geom: Geometry) -> Dist3Report:
     # blade through x is a blade of each of its points a, so its other points
     # lie in far[a].  A line is non-opposite when its opposite mask is 0 (an
     # empty line has no point to count).  Only the representatives are
-    # checked, from the lines through them, so the tables have step entries.
-    covered, sizes, counts = [0] * step, [0] * step, [0] * step
-    reps = geom.reps
-    for ln, opp in zip(reps, _opposite(geom, reps)):
-        if not opp:
-            m = 0
-            for x in ln:
-                m |= 1 << x
-            for x in ln:  # the representatives on ln, a prefix as ln is sorted
-                if x >= step:
-                    break
-                covered[x] |= m
-                sizes[x] += len(ln) - 1
-                counts[x] += 1
-    partitioned = all(
-        c & ~(1 << x) == f and f.bit_count() == n
-        for x, (c, f, n) in enumerate(zip(covered, far, sizes))
+    # checked, from the orbit lines, so the tables have step entries.  Blades
+    # of more than one length go to the point-by-point search.
+    orbits = geom.orbits
+    blades = [ln for ln, opp in zip(orbits, _opposite(geom, orbits)) if not opp]
+    counts, covered = geom.spread(blades)
+    size, *other = {len(ln) - 1 for ln in blades} or {0}
+    partitioned = not other and all(
+        c & ~(1 << x) == f and f.bit_count() == n * size
+        for x, (c, f, n) in enumerate(zip(covered, far, counts))
     )
     if not partitioned:
         for x in range(step):

@@ -1,5 +1,6 @@
 """Parameter arithmetic, the base-block file format, development, JSON."""
 
+import dataclasses
 import json
 import re
 
@@ -19,6 +20,7 @@ from pentgeo import (
     geometry_to_json,
     is_admissible,
     parse_pent_file,
+    verify,
     write_pent_file,
 )
 from pentgeo.core import canonical_line
@@ -312,6 +314,7 @@ def test_geometry_of_base_blocks_is_their_development(name):
     for given in (map(canonical_line, file.blocks), developed.lines):
         geom = Geometry(file.params, file.d, given)
         assert geom == developed and geom.reps == developed.reps
+        assert geom.orbits == developed.orbits
 
 
 @settings(max_examples=200)
@@ -332,3 +335,28 @@ def test_geometry_step_is_an_automorphism_of_its_lines(shape, data):
     assert {canonical_line((x + step) % v for x in ln) for ln in geom.lines} == geom.lines
     assert geom.lines == oracle.develop(file).lines
     assert geom.reps == {ln for ln in geom.lines if ln[0] < step}
+
+
+def test_orbit_counts_pinned():
+    """Each fixture keeps one line per orbit of its step: 1,290 over the 17
+    fixtures, against 4,530 lines through 0..d-1, and 500 for pent_7_50_49,
+    against 2,117."""
+    geoms = {name: develop(parse_pent_file(fixture_text(name))) for name in FIXTURE_NAMES}
+    assert len(geoms["pent_7_50_49"].orbits) == 500
+    assert len(geoms["pent_7_50_49"].reps) == 2117
+    assert sum(len(geom.orbits) for geom in geoms.values()) == 1290
+    assert sum(len(geom.reps) for geom in geoms.values()) == 4530
+
+
+def test_repeated_and_same_orbit_blocks_are_one_orbit():
+    """pent_5_21_5 with every base block listed again, and again moved by
+    the step d = 2, develops to the fixture, with its 10 orbits and its
+    report."""
+    file = parse_pent_file(fixture_text("pent_5_21_5"))
+    v = file.params.v
+    moved = tuple(tuple((x + 2) % v for x in blk) for blk in file.blocks)
+    padded = dataclasses.replace(file, blocks=file.blocks + file.blocks + moved)
+    geom, fixture = develop(padded), develop(file)
+    assert (file.d, len(padded.blocks)) == (2, 30)
+    assert geom == fixture and geom.orbits == fixture.orbits and len(geom.orbits) == 10
+    assert verify(geom) == verify(fixture)

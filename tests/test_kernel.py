@@ -437,6 +437,21 @@ def base_block_files(draw):
     return BaseBlockFile(k=k, r=r, w=w, d=d, blocks=tuple(blocks))
 
 
+def tally_over_lines(plain, step):
+    """_tally's counts, each taken over every line of plain: inside[ln]
+    lists the points x whose deficiency neighbourhood holds ln."""
+    nbrs = plain.incidence.deficiency.masks
+    inside = {
+        ln: [x for x in range(plain.v) if all(nbrs[x] >> p & 1 for p in ln)] for ln in plain.lines
+    }
+    held = [0] * step
+    for ln, xs in inside.items():
+        for x in xs:
+            if x < step:
+                held[x] += len(ln) * (len(ln) - 1) // 2
+    return sum(1 for xs in inside.values() if xs), len(inside), held
+
+
 @settings(max_examples=200)
 @given(file=base_block_files())
 def test_develop_matches_oracle(file):
@@ -445,23 +460,46 @@ def test_develop_matches_oracle(file):
     plain = geometry(reference.params, reference.lines)
     reps = list(geom.reps)
     assert sorted(reps) == sorted(ln for ln in reference.lines if ln[0] < file.d)
+    # One orbit line per orbit of the oracle's lines, the least of them, and
+    # the period d * (orbit length) of each short one.
+    v, orbits = file.params.v, {}
+    for ln in reference.lines:
+        orbit = {tuple(sorted((x + t) % v for x in ln)) for t in range(0, v, file.d)}
+        orbits[min(orbit)] = file.d * len(orbit)
+    assert len(develop(file).orbits) == len(orbits) and geom.orbits == orbits.keys()
+    assert geom.short == {ln: p for ln, p in orbits.items() if p < v}
     assert develop(file).lines_sorted() == sorted(reference.lines)
     assert geom.step == file.d
     for kernel, slow in ((verify, oracle.verify), (line_split, oracle.line_split)):
         assert outcome(kernel, geom) == outcome(slow, plain), kernel.__name__
-    # The counts by orbit weight, each against a count over every line:
-    # inside[ln] lists the points x whose deficiency neighbourhood holds ln.
-    nbrs = plain.incidence.deficiency.masks
-    inside = {
-        ln: [x for x in range(plain.v) if all(nbrs[x] >> p & 1 for p in ln)] for ln in plain.lines
-    }
-    held = [0] * file.d
-    for ln, xs in inside.items():
-        for x in xs:
-            if x < file.d:
-                held[x] += len(ln) * (len(ln) - 1) // 2
-    assert _tally(geom) == (sum(1 for xs in inside.values() if xs), len(inside), held)
+    assert _tally(geom) == tally_over_lines(plain, file.d)
     assert geom.lines == reference.lines and geom == plain
+
+
+@pytest.mark.parametrize(
+    "file",
+    [
+        # (0, 4, 8) and (1, 5, 9) are fixed by x -> x + 4, twice the step.
+        BaseBlockFile(k=3, r=3, w=5, d=2, blocks=((0, 4, 8), (1, 5, 9), (0, 1, 3))),
+        # At d = 4 the step itself fixes (0, 4, 8): its orbit is one line.
+        BaseBlockFile(k=3, r=3, w=5, d=4, blocks=((0, 4, 8), (0, 1, 3))),
+        # (0, 1, 6, 7) is fixed by x -> x + 6, three times the step.
+        BaseBlockFile(k=4, r=2, w=5, d=2, blocks=((0, 1, 6, 7), (0, 2, 3, 5))),
+    ],
+    ids=["period-2d", "period-d", "period-3d"],
+)
+def test_short_orbits_index_and_tally_match_oracle(file):
+    """A block fixed by a multiple of d counts each of its lines once
+    through each point: degrees and _tally equal the oracle's."""
+    geom = develop(file)
+    reference = oracle.develop(file)
+    plain = geometry(reference.params, reference.lines)
+    assert geom.short
+    assert list(geom.incidence.degree) == list(map(len, oracle._lines_by_point(reference)))
+    assert geom.incidence.deficiency == oracle.deficiency_graph(reference)
+    assert _tally(geom) == tally_over_lines(plain, file.d)
+    for (kernel, slow), got in zip(ANALYSES, kernel_outcomes(geom)):
+        assert got == outcome(slow, plain), kernel.__name__
 
 
 # check_axioms, the verdict a construction reads, against the oracle's axiom
@@ -493,8 +531,9 @@ DEVELOPED_NAMES = tuple(
 @pytest.mark.parametrize("name", DEVELOPED_NAMES)
 def test_developed_fixture_analyses_read_representatives_only(name):
     """A valid developed fixture is verified, classified and analysed from
-    the lines through 0..d-1 alone: its full line set is never built.  The
-    developed mutants above are held to the same by kernel_outcomes, which
+    its orbit lines alone: neither its full line set, nor its lines through
+    0..d-1, nor the table of lines through each point is built.  The
+    developed mutants above are held to the first by kernel_outcomes, which
     checks after each analysis, also one that raises."""
     geom = develop(parse_pent_file(fixture_text(name)))
     classify(verify(geom))
@@ -502,5 +541,6 @@ def test_developed_fixture_analyses_read_representatives_only(name):
     overlap_profile(geom)
     dist3_analysis(geom)
     assert "lines" not in vars(geom)
+    assert "reps" not in vars(geom) and "through" not in vars(geom.incidence)
     assert len(geom.lines) == FIXTURE_FACTS[name][1]
     assert "lines" in vars(geom)
